@@ -43,9 +43,6 @@ from .problems import (
     SupDirichlet1D,
     assemble,
     euler_identity_residual,
-    phi_gradient,
-    phi_value,
-    rayleigh_quotient,
 )
 from .spaces import (
     CoeffVec,
@@ -105,10 +102,7 @@ __all__ = [
     "mu_from_lambda",
     "optimal_shift",
     "oracle_lambda",
-    "phi_gradient",
-    "phi_value",
     "ray_projection_alpha",
-    "rayleigh_quotient",
     "rough_mu",
     "run_flow",
     "symmetric_eigs",

@@ -18,13 +18,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, load_config, start_vector
 from .errors import ConfigError, DegenerateInputError, NumericsError
-from .flow import FlowOptions, run_flow
+from .flow import FlowOptions, check_step, run_flow
 from .inner import SolverOptions
 from .iterate import IterOptions, SchemeFailure, iterate, rough_mu
 from .oracles import oracle_lambda
@@ -82,19 +83,31 @@ def _flow_rows(trace):
     return [(r.t, r.norm, r.phi, r.rq, r.speed, r.slope, r.energy_residual) for r in trace.rows]
 
 
+@contextmanager
+def _options_of(section):
+    """Option values the schemes reject are config errors of ``section``."""
+    try:
+        yield
+    except DegenerateInputError as e:
+        raise ConfigError(f"{e} (in [{section}])") from None
+
+
 def _iter_options(cfg: RunConfig) -> IterOptions:
     c = cfg.iterate
-    solver = SolverOptions(grad_tol=c.get("grad_tol", 1e-9))
-    return IterOptions(
-        rtol=c.get("rtol", 1e-10),
-        dtol=c.get("dtol", 1e-8),
-        max_iters=int(c.get("max_iters", 500)),
-        solver=solver,
-    )
+    with _options_of("iterate"):
+        return IterOptions(
+            rtol=c.get("rtol", 1e-10),
+            dtol=c.get("dtol", 1e-8),
+            max_iters=c.get("max_iters", 500),
+            solver=SolverOptions(grad_tol=c.get("grad_tol", 1e-9)),
+        )
 
 
 def _flow_params(cfg: RunConfig, inst, u0):
     c = cfg.flow
+    with _options_of("flow"):
+        solver = SolverOptions(grad_tol=c.get("grad_tol", 1e-9))
+        opts = FlowOptions(rtol=c.get("rtol", 1e-9), dtol=c.get("dtol", 1e-8), solver=solver)
     tau, t_end = c.get("tau", "auto"), c.get("t_end", "auto")
     if tau == "auto" or t_end == "auto":
         mu = rough_mu(inst, u0)
@@ -102,8 +115,8 @@ def _flow_params(cfg: RunConfig, inst, u0):
             tau = 0.01 / mu
         if t_end == "auto":
             t_end = 50.0 / mu
-    solver = SolverOptions(grad_tol=c.get("grad_tol", 1e-9))
-    opts = FlowOptions(rtol=c.get("rtol", 1e-9), dtol=c.get("dtol", 1e-8), solver=solver)
+    with _options_of("flow"):
+        check_step(tau, t_end)
     return float(tau), float(t_end), opts
 
 

@@ -27,21 +27,24 @@ The CLI reads an INI-style file with one section per concern:
     lambda_rtol = 1e-3
 
 Matrix instances take ``diag = 1 2 5`` or ``matrix = 2 1; 1 2``.  Unknown
-sections or keys are rejected with an error naming them.
+sections or keys, and values of the wrong type, are rejected with an error
+naming the key.  ``auto`` is accepted for the flow's ``tau`` and ``t_end``,
+``none`` (disable the stop) for ``rtol`` and ``dtol``.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
+from .problems import INSTANCE_KEYS
 
 __all__ = ["RunConfig", "load_config"]
 
-_INSTANCE_KEYS = {"kind", "p", "n", "L", "s", "beta", "eps", "seed", "matrix", "diag"}
 _ITERATE_KEYS = {"rtol", "dtol", "max_iters", "grad_tol", "u0"}
 _FLOW_KEYS = {"tau", "t_end", "rtol", "dtol", "grad_tol", "u0"}
 _ORACLE_KEYS = {"restarts", "tol"}
@@ -68,14 +71,13 @@ def _number(section, key, raw):
 
 def _integer(section, key, raw):
     x = _number(section, key, raw)
-    if x != int(x):
+    if not (math.isfinite(x) and x == int(x)):
         raise ConfigError(f"{key}: expected an integer in [{section}], got {raw!r}")
     return int(x)
 
 
-def _matrix_rows(raw):
-    rows = [r.strip() for r in raw.split(";") if r.strip()]
-    return [[float(x) for x in r.split()] for r in rows]
+def _numbers(key, raw):
+    return [_number("instance", key, x) for x in raw.split()]
 
 
 def _check_keys(section, given, allowed):
@@ -106,23 +108,21 @@ def load_config(path) -> RunConfig:
     # configparser lowercases keys by default; L is the only cased key we use
     if "l" in inst_raw:
         inst_raw["L"] = inst_raw.pop("l")
-    _check_keys("instance", inst_raw, _INSTANCE_KEYS)
+    _check_keys("instance", inst_raw, INSTANCE_KEYS)
     instance: dict = {}
     for key, raw in inst_raw.items():
         if key == "kind":
             instance[key] = raw.strip()
         elif key == "n":
             instance[key] = _integer("instance", key, raw)
-        elif key == "seed":
-            instance[key] = _integer("instance", key, raw)
         elif key == "diag":
-            instance[key] = [float(x) for x in raw.split()]
+            instance[key] = _numbers(key, raw)
         elif key == "matrix":
-            instance[key] = _matrix_rows(raw)
+            instance[key] = [_numbers(key, r) for r in raw.split(";") if r.strip()]
         else:
             instance[key] = _number("instance", key, raw)
 
-    def section_dict(name, allowed, floats, ints=(), strings=()):
+    def section_dict(name, allowed, ints=(), strings=(), auto=(), nullable=()):
         if not parser.has_section(name):
             return {}
         raw = dict(parser.items(name))
@@ -133,20 +133,21 @@ def load_config(path) -> RunConfig:
                 out[key] = _integer(name, key, val)
             elif key in strings:
                 out[key] = val.strip()
-            elif val.strip() == "auto":
+            elif key in auto and val.strip() == "auto":
                 out[key] = "auto"
-            elif val.strip().lower() == "none":
+            elif key in nullable and val.strip().lower() == "none":
                 out[key] = None
             else:
                 out[key] = _number(name, key, val)
         return out
 
+    stops = {"rtol", "dtol"}
     cfg = RunConfig(
         instance=instance,
-        iterate=section_dict("iterate", _ITERATE_KEYS, _ITERATE_KEYS, ints={"max_iters"}, strings={"u0"}),
-        flow=section_dict("flow", _FLOW_KEYS, _FLOW_KEYS, strings={"u0"}),
-        oracle=section_dict("oracle", _ORACLE_KEYS, _ORACLE_KEYS, ints={"restarts"}),
-        compare=section_dict("compare", _COMPARE_KEYS, _COMPARE_KEYS),
+        iterate=section_dict("iterate", _ITERATE_KEYS, ints={"max_iters"}, strings={"u0"}, nullable=stops),
+        flow=section_dict("flow", _FLOW_KEYS, strings={"u0"}, auto={"tau", "t_end"}, nullable=stops),
+        oracle=section_dict("oracle", _ORACLE_KEYS, ints={"restarts"}),
+        compare=section_dict("compare", _COMPARE_KEYS),
     )
     if parser.has_section("run"):
         raw = dict(parser.items("run"))

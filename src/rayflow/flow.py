@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .inner import SolverOptions, minimize_movement
-from .iterate import SchemeFailure, StopReason, Violation
+from .iterate import SchemeFailure, StopReason, Violation, check_stop_rules, outer_loop
 from .problems import ProblemInstance
-from .spaces import CoeffVec, as_array, mu_from_lambda, unit_representative
+from .spaces import CoeffVec, as_array
 
 __all__ = [
     "FlowOptions",
@@ -41,10 +41,14 @@ class FlowOptions:
     rtol: float | None = 1e-9
     dtol: float | None = 1e-8
     solver: SolverOptions = field(default_factory=SolverOptions)
-    collapse_norm: float = 1e-300
     min_steps: int = 10
     rq_patience: int = 50
     keep_states: bool = False
+
+    def __post_init__(self):
+        check_stop_rules(self.rtol, self.dtol, self.rq_patience)
+        if self.min_steps < 1:
+            raise DegenerateInputError(f"min_steps: must be >= 1, got {self.min_steps}")
 
 
 @dataclass
@@ -87,41 +91,41 @@ def local_slope(inst: ProblemInstance, u) -> float:
     return inst.space.dual_norm(inst.gradient(as_array(u)))
 
 
+def check_step(tau: float, t_end: float):
+    """Validate the flow's step size and horizon."""
+    if not (0.0 < tau < math.inf):
+        raise DegenerateInputError(f"tau: must be a positive finite number, got {tau}")
+    if not (tau <= t_end < math.inf):
+        raise DegenerateInputError(f"t_end: must be finite and at least one step tau = {tau}, got {t_end}")
+
+
 def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOptions | None = None):
     """Advance the minimizing-movement flow from v0; returns (FlowTrace, FlowSummary).
 
-    Stops early once the Rayleigh quotient is rtol-stable and the
-    sign-normalized direction is dtol-stable (after min_steps), at t_end
-    otherwise; a norm underflow reports CollapsedToZero with a zero limit.
+    Each step is one movement solve, warm-started through a solver metric
+    carried across the nearly identical steps.  Stop rules and collapse
+    handling are ``iterate.outer_loop``'s (no stop before min_steps; t_end
+    bounds the run).  The limit is e^(mu t) v(t) at the last step.
     """
     opts = opts or FlowOptions()
-    if not (tau > 0.0):
-        raise DegenerateInputError(f"tau must be > 0, got {tau}")
-    if t_end < tau:
-        raise DegenerateInputError("t_end must be at least one step tau")
+    check_step(tau, t_end)
     space = inst.space
     v = space.check_dim(as_array(v0))
-    if not math.isfinite(inst.value(v)):
-        raise DegenerateInputError("Phi(v0) must be finite")
-    max_steps = max(1, int(round(t_end / tau)))
-
-    norm = space.norm(v)
     phi = inst.value(v)
+    if not math.isfinite(phi):
+        raise DegenerateInputError("Phi(v0) must be finite")
+    norm = space.norm(v)
     rq = inst.rayleigh(v) if norm > 0.0 else math.nan
     trace = FlowTrace(p=inst.p)
     trace.rows.append(FlowRow(0, 0.0, phi, norm, rq, math.nan, local_slope(inst, v), math.nan))
     if opts.keep_states:
         trace.states.append(v.copy())
-    v_hat = unit_representative(space, v)[0] if norm > 0.0 else None
-
     p, q = inst.exponent.p, inst.exponent.q
-    stop = StopReason.MAX_ITERS
-    converged = False
-    rq_stable_run = 0
+    solver = replace(opts.solver, init=None)
     carry: dict = {}  # solver metric persists across the nearly-identical steps
 
-    for n in range(1, max_steps + 1):
-        rep = minimize_movement(inst, v, tau, replace(opts.solver, init=None), carry=carry)
+    def step(n, v):
+        rep = minimize_movement(inst, v, tau, solver, carry=carry)
         if not rep.converged:
             raise SchemeFailure(f"movement solve failed to converge at step {n}", trace)
         v_new = rep.minimizer
@@ -129,55 +133,24 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
             trace.states.append(v_new.copy())
         speed = space.norm(v_new - v) / tau
         slope_new = local_slope(inst, v_new)
-        phi_new = inst.value(v_new)
-        prev = trace.rows[-1]
-        prev.speed = speed
-        prev.energy_residual = abs((phi - phi_new) / tau - (speed**p / p + slope_new**q / q))
-        norm_new = space.norm(v_new)
-        if norm_new < opts.collapse_norm:
-            trace.rows.append(
-                FlowRow(n, n * tau, phi_new, norm_new, math.nan, math.nan, slope_new, math.nan)
-            )
-            stop = StopReason.COLLAPSED_TO_ZERO
-            v, norm = v_new, norm_new
-            break
-        rq_new = inst.rayleigh(v_new)
-        trace.rows.append(
-            FlowRow(n, n * tau, phi_new, norm_new, rq_new, math.nan, slope_new, math.nan)
-        )
-        v_hat_new, _ = unit_representative(space, v_new)
-        dir_dist = space.norm(v_hat_new - v_hat) if v_hat is not None else math.inf
-        rq_stable = opts.rtol is not None and abs(rq_new - rq) <= opts.rtol * abs(rq_new)
-        dir_stable = opts.dtol is not None and dir_dist <= opts.dtol
-        v, norm, phi, rq, v_hat = v_new, norm_new, phi_new, rq_new, v_hat_new
-        rq_stable_run = rq_stable_run + 1 if rq_stable else 0
-        if n >= opts.min_steps:
-            if rq_stable and dir_stable:
-                stop = StopReason.DIRECTION_STABLE
-                converged = True
-                break
-            if rq_stable_run >= opts.rq_patience:
-                stop = StopReason.RQ_STABLE
-                converged = True
-                break
 
-    steps = len(trace) - 1
-    finite_rq = [r.rq for r in trace.rows if math.isfinite(r.rq)]
-    if not finite_rq:
-        # flow started at (and stays on) the zero element
-        zero = CoeffVec(np.zeros(space.dim), space)
-        return trace, FlowSummary(math.nan, math.nan, zero, steps, False, stop)
-    lambda_hat = finite_rq[-1]
-    mu_hat = mu_from_lambda(lambda_hat, inst.exponent)
+        def row(norm_new, phi_new, rq_new):
+            prev = trace.rows[-1]
+            prev.speed = speed
+            prev.energy_residual = abs((prev.phi - phi_new) / tau - (speed**p / p + slope_new**q / q))
+            return FlowRow(n, n * tau, phi_new, norm_new, rq_new, math.nan, slope_new, math.nan)
 
-    if stop is StopReason.COLLAPSED_TO_ZERO or norm == 0.0:
-        limit = CoeffVec(np.zeros(space.dim), space)
-    else:
-        log_scale = mu_hat * trace.rows[-1].t + math.log(norm)
-        v_hat_final, _ = unit_representative(space, v)
-        limit = CoeffVec(math.exp(log_scale) * v_hat_final, space)
+        return v_new, row
 
-    return trace, FlowSummary(lambda_hat, mu_hat, limit, steps, converged, stop)
+    def rescale(mu_hat):
+        last = trace.rows[-1]
+        return math.exp(mu_hat * last.t + math.log(last.norm))
+
+    max_steps = max(1, int(round(t_end / tau)))
+    summary = outer_loop(
+        inst, v, trace, step, rescale, max_steps, opts.rtol, opts.dtol, opts.rq_patience, opts.min_steps
+    )
+    return trace, FlowSummary(*summary)
 
 
 #: relative allowance on the decay bound for inexact movement solves

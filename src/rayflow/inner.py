@@ -5,13 +5,19 @@ Both outer schemes reduce to strictly convex minimizations:
 * ``minimize_phi_minus_linear``: v |-> Phi(v) - <xi, v>
 * ``minimize_movement``:         v |-> Phi(v) + ||v - g||^p / (p tau^(p-1))
 
-The method is a first-order descent: the dual residual is mapped back to a
-primal direction through the inverse duality map of the space (the power
-map |r|^(q-2) r in pairing coordinates), the trial step comes from a
-curvature estimate of Barzilai-Borwein type, and an Armijo backtracking
-line search enforces strict decrease.  Problems are solved in normalized
-coordinates (unit data scale) so the gradient tolerance acts relatively;
-homogeneity of Phi makes the rescaling exact.
+Both run ``descend``, the one line-search loop for smooth problems: an
+L-BFGS metric in pairing coordinates maps the dual residual to a descent
+direction, an Armijo backtracking search enforces strict decrease, and an
+endgame below the rounding floor of the objective backtracks on the
+residual.  ``oracles`` runs the same loop on the unit sphere (with a
+retraction) for the direct Rayleigh minimization.  Problems are solved in
+normalized coordinates (unit data scale) so the gradient tolerance acts
+relatively; homogeneity of Phi makes the rescaling exact.
+
+Two loops stay apart from ``descend``: the box-constrained energy solve
+behind the exact sup-norm movement step (``_box_energy_min``: Euclidean
+metric, active-set L-BFGS pairs) and the sup oracle's slice solves in
+``oracles``.
 """
 
 from __future__ import annotations
@@ -23,14 +29,20 @@ import numpy as np
 
 from .errors import DegenerateInputError, NumericsError
 from .problems import ProblemInstance
-from .spaces import SpaceDescriptor, SpaceKind, as_array, optimal_shift, smoothed_kernel
+from .spaces import SpaceDescriptor, SpaceKind, as_array, smoothed_kernel
 
-__all__ = ["SolverOptions", "SolveReport", "minimize_phi_minus_linear", "minimize_movement"]
+__all__ = ["SolverOptions", "SolveReport", "descend", "minimize_phi_minus_linear", "minimize_movement"]
+
+#: Armijo backtracking factor and sufficient-decrease slope
+LS_SHRINK = 0.5
+LS_SLOPE = 1e-4
+#: curvature pairs kept by the L-BFGS metric
+LBFGS_MEMORY = 12
 
 
 @dataclass
 class SolverOptions:
-    """Termination and line-search controls for the inner solver.
+    """Termination controls for the inner solver.
 
     ``init`` is the warm-start vector; None means the solver's default
     (zero for the linear-perturbation solve, the anchor g for the
@@ -39,17 +51,13 @@ class SolverOptions:
 
     grad_tol: float = 1e-9
     max_iters: int = 50_000
-    ls_shrink: float = 0.5
-    ls_slope: float = 1e-4
     init: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (self.grad_tol > 0.0):
-            raise DegenerateInputError("grad_tol must be > 0")
+        if not (0.0 < self.grad_tol < math.inf):
+            raise DegenerateInputError(f"grad_tol: must be a positive finite number, got {self.grad_tol}")
         if self.max_iters < 1:
-            raise DegenerateInputError("max_iters must be >= 1")
-        if not (0.0 < self.ls_shrink < 1.0 and 0.0 < self.ls_slope < 1.0):
-            raise DegenerateInputError("line-search parameters must lie in (0, 1)")
+            raise DegenerateInputError(f"max_iters: must be >= 1, got {self.max_iters}")
 
 
 @dataclass
@@ -61,25 +69,28 @@ class SolveReport:
     converged: bool
 
 
-def _descent(space: SpaceDescriptor, value, grad, v0, tol, opts: SolverOptions, carry=None):
+def descend(x, value, grad, merit, tol, max_iters, w, project=None, carry=None):
     """Monotone limited-memory quasi-Newton descent in pairing coordinates.
 
-    The step direction is the dual residual mapped through an L-BFGS metric
-    (a preconditioned residual); an Armijo backtracking search enforces
-    strict decrease while objective differences are resolvable, and the
-    endgame below the floating-point floor of the objective backtracks on
-    the dual-residual norm instead.  ``carry`` is an optional mutable dict
-    holding the metric across closely related solves (successive movement
-    steps); the line search keeps a stale metric safe.
-    Returns (v, f, resid, iters, converged).
+    The one line-search loop for smooth problems.  ``grad(x)`` is the dual
+    residual, ``merit(g)`` its stopping measure (the loop ends once it is at
+    most ``tol``) and ``w`` the pairing weights.  The step direction is the
+    residual mapped through an L-BFGS metric (a preconditioned residual); an
+    Armijo backtracking search enforces strict decrease while objective
+    differences are resolvable, and the endgame below the floating-point
+    floor of the objective backtracks on the merit instead.  ``project``,
+    if given, retracts every trial point onto a constraint set (the start
+    must already lie on it).  ``carry`` is an optional mutable dict holding
+    the metric across closely related solves (successive movement steps);
+    the line search keeps a stale metric safe.
+    Returns (x, f, merit, iters, converged).
     """
-    w = space.pairing_weights()
-    v = np.array(v0, dtype=float)
-    f = value(v)
+    x = np.array(x, dtype=float)
+    f = value(x)
     if not np.isfinite(f):
         raise NumericsError("objective is not finite at the starting point")
-    r = grad(v)
-    resid = space.dual_norm(r)
+    r = grad(x)
+    resid = merit(r)
     if carry is None:
         carry = {}
     memory: list[tuple[np.ndarray, np.ndarray, float]] = carry.setdefault("memory", [])
@@ -87,7 +98,7 @@ def _descent(space: SpaceDescriptor, value, grad, v0, tol, opts: SolverOptions, 
     iters = 0
 
     def dot(a, b):
-        return float(np.sum(w * a * b))
+        return float((w * a * b).sum())
 
     def direction():
         qv = r.copy()
@@ -101,7 +112,11 @@ def _descent(space: SpaceDescriptor, value, grad, v0, tol, opts: SolverOptions, 
             qv += (a - rho * dot(y, qv)) * s
         return -qv
 
-    while resid > tol and iters < opts.max_iters:
+    def trial(t, d):
+        x_new = x + t * d
+        return x_new if project is None else project(x_new)
+
+    while resid > tol and iters < max_iters:
         d = direction()
         slope = dot(r, d)
         if slope >= 0.0:
@@ -113,52 +128,52 @@ def _descent(space: SpaceDescriptor, value, grad, v0, tol, opts: SolverOptions, 
         accepted = False
         noise = 16.0 * np.finfo(float).eps * (1.0 + abs(f))
         t = 1.0
-        if -opts.ls_slope * t * slope > noise:
+        if -LS_SLOPE * t * slope > noise:
             for _ in range(200):
-                v_new = v + t * d
-                if np.array_equal(v_new, v):
+                x_new = trial(t, d)
+                if np.array_equal(x_new, x):
                     break
-                f_new = value(v_new)
-                if np.isfinite(f_new) and f_new <= f + opts.ls_slope * t * slope:
+                f_new = value(x_new)
+                if np.isfinite(f_new) and f_new <= f + LS_SLOPE * t * slope:
                     accepted = True
-                    r_new = grad(v_new)
+                    r_new = grad(x_new)
                     break
-                t *= opts.ls_shrink
-                if -opts.ls_slope * t * slope <= noise:
+                t *= LS_SHRINK
+                if -LS_SLOPE * t * slope <= noise:
                     break  # shrunk into the rounding floor of f
         if not accepted:
             # endgame: f-differences are at rounding level, so backtrack on
-            # the dual residual, which stays well resolved near the minimizer
+            # the merit, which stays well resolved near the minimizer
             for trial_d in (d, -gamma * r):
                 t = 1.0
                 for _ in range(60):
-                    v_new = v + t * trial_d
-                    if np.array_equal(v_new, v):
+                    x_new = trial(t, trial_d)
+                    if np.array_equal(x_new, x):
                         break
-                    f_new = value(v_new)
-                    r_new = grad(v_new)
-                    if np.isfinite(f_new) and space.dual_norm(r_new) < resid:
+                    f_new = value(x_new)
+                    r_new = grad(x_new)
+                    if np.isfinite(f_new) and merit(r_new) < resid:
                         accepted = True
                         break
-                    t *= opts.ls_shrink
+                    t *= LS_SHRINK
                 if accepted:
                     break
                 memory.clear()  # stale metric: retry along the raw residual
         if not accepted:
             break  # no resolvable progress in either merit
-        s, y = v_new - v, r_new - r
+        s, y = x_new - x, r_new - r
         sy = dot(s, y)
         yy = dot(y, y)
         if sy > 1e-20 * max(dot(s, s), 1e-300) and yy > 0.0:
             memory.append((s, y, 1.0 / sy))
-            if len(memory) > 12:
+            if len(memory) > LBFGS_MEMORY:
                 memory.pop(0)
             gamma = sy / yy
-        v, f, r = v_new, f_new, r_new
-        resid = space.dual_norm(r)
+        x, f, r = x_new, f_new, r_new
+        resid = merit(r)
         iters += 1
     carry["gamma"] = gamma
-    return v, f, resid, iters, resid <= tol
+    return x, f, resid, iters, resid <= tol
 
 
 def minimize_phi_minus_linear(inst: ProblemInstance, xi, opts: SolverOptions | None = None) -> SolveReport:
@@ -186,7 +201,8 @@ def minimize_phi_minus_linear(inst: ProblemInstance, xi, opts: SolverOptions | N
     def grad(v):
         return inst.gradient(v) - xt
 
-    v, f, resid, iters, ok = _descent(space, value, grad, v0, opts.grad_tol, opts)
+    w = space.pairing_weights()
+    v, f, resid, iters, ok = descend(v0, value, grad, space.dual_norm, opts.grad_tol, opts.max_iters, w)
     return SolveReport(scale * v, s**q * f, s * resid, iters, ok)
 
 
@@ -232,7 +248,7 @@ def _movement_penalty(space: SpaceDescriptor, g, tau, p, eps):
     return value, grad
 
 
-def _box_energy_min(inst, g, rho, v0, tol, max_iters, ls_shrink):
+def _box_energy_min(inst, g, rho, v0, tol, max_iters):
     """Subspace quasi-Newton descent of Phi over the box |v - g|_inf <= rho.
 
     Gradient-projection steps identify the active faces; an L-BFGS metric
@@ -301,7 +317,7 @@ def _box_energy_min(inst, g, rho, v0, tol, max_iters, ls_shrink):
             if np.isfinite(f_new) and f_new <= f + dec:
                 accepted = True
                 break
-            t *= ls_shrink
+            t *= LS_SHRINK
         if not accepted:
             # endgame on the KKT violation once f-differences hit rounding
             t = 1.0
@@ -315,7 +331,7 @@ def _box_energy_min(inst, g, rho, v0, tol, max_iters, ls_shrink):
                 if np.isfinite(f_new) and viol_new < viol:
                     accepted = True
                     break
-                t *= ls_shrink
+                t *= LS_SHRINK
             if not accepted:
                 break
             s, y = v_new - v, gr_new - gr
@@ -325,7 +341,7 @@ def _box_energy_min(inst, g, rho, v0, tol, max_iters, ls_shrink):
         sy, yy = float(s @ y), float(y @ y)
         if sy > 1e-20 * max(float(s @ s), 1e-300) and yy > 0.0:
             memory.append((s, y, 1.0 / sy))
-            if len(memory) > 12:
+            if len(memory) > LBFGS_MEMORY:
                 memory.pop(0)
             gamma = sy / yy
         v, f, gr = v_new, f_new, gr_new
@@ -359,7 +375,7 @@ def _sup_movement(inst, g, tau, opts: SolverOptions, carry: dict):
 
     def G(rho, v0):
         nonlocal evals
-        v, gr, viol, mass = _box_energy_min(inst, g, rho, v0, inner_tol, inner_iters, opts.ls_shrink)
+        v, gr, viol, mass = _box_energy_min(inst, g, rho, v0, inner_tol, inner_iters)
         evals += 1
         return mass - rho ** (p - 1.0) / c, v, viol
 
@@ -381,7 +397,7 @@ def _sup_movement(inst, g, tau, opts: SolverOptions, carry: dict):
         hi_r *= 2.0
         g_hi, v_hi, _ = G(hi_r, v_hi)
     if not (g_lo > 0.0 > g_hi):
-        v, gr, viol, mass = _box_energy_min(inst, g, rho, v_mid, inner_tol, inner_iters, opts.ls_shrink)
+        v, gr, viol, mass = _box_energy_min(inst, g, rho, v_mid, inner_tol, inner_iters)
         resid = viol + abs(mass - rho ** (p - 1.0) / c)
         actual = float(np.max(np.abs(v - g)))
         return SolveReport(v, inst.value(v) + actual**p / (p * c), resid, evals, resid <= tol)
@@ -459,5 +475,5 @@ def minimize_movement(
 
     v0 = gt.copy() if opts.init is None else space.check_dim(opts.init) / scale
     tol = opts.grad_tol * (1.0 + ref)
-    v, f, resid, iters, ok = _descent(space, value, grad, v0, tol, opts, carry=carry)
+    v, f, resid, iters, ok = descend(v0, value, grad, space.dual_norm, tol, opts.max_iters, w, carry=carry)
     return SolveReport(scale * v, scale**p * f, scale ** (p - 1.0) * resid, iters, ok)

@@ -50,6 +50,21 @@ class StopReason(Enum):
     COLLAPSED_TO_ZERO = "collapsed_to_zero"
 
 
+#: an iterate whose norm falls below this has collapsed to the zero element
+COLLAPSE_NORM = 1e-300
+#: trailing steps whose mu^k ||u_k|| are averaged into the limit scale
+TAIL_WINDOW = 10
+
+
+def check_stop_rules(rtol, dtol, rq_patience):
+    """Validate the stability thresholds shared by both schemes."""
+    for key, tol in (("rtol", rtol), ("dtol", dtol)):
+        if tol is not None and not (0.0 < tol < math.inf):
+            raise DegenerateInputError(f"{key}: must be a positive finite number or None, got {tol}")
+    if rq_patience < 1:
+        raise DegenerateInputError(f"rq_patience: must be >= 1, got {rq_patience}")
+
+
 @dataclass
 class IterOptions:
     """Outer-loop controls.
@@ -65,10 +80,13 @@ class IterOptions:
     dtol: float | None = 1e-8
     max_iters: int = 500
     solver: SolverOptions = field(default_factory=SolverOptions)
-    collapse_norm: float = 1e-300
-    tail_window: int = 10
     rq_patience: int = 30
     keep_iterates: bool = False
+
+    def __post_init__(self):
+        check_stop_rules(self.rtol, self.dtol, self.rq_patience)
+        if self.max_iters < 1:
+            raise DegenerateInputError(f"max_iters: must be >= 1, got {self.max_iters}")
 
 
 @dataclass
@@ -110,13 +128,71 @@ class Violation(NamedTuple):
     magnitude: float
 
 
+def outer_loop(inst, x, trace, step, rescale, max_steps, rtol, dtol, rq_patience, min_steps=1):
+    """The outer loop both schemes share; returns the summary fields
+    (lambda_hat, mu_hat, limit_vec, steps, converged, stop_reason).
+
+    ``trace`` holds the row of the start x.  ``step(k, x)`` runs one scheme
+    step from x and returns (x_new, row), where ``row(norm_new, phi_new,
+    rq_new)`` builds the trace row of x_new (the row of x is still last).
+    The run stops once the Rayleigh quotient is rtol-stable and the
+    sign-normalized direction dtol-stable, or after ``rq_patience``
+    Rayleigh-stable steps in a row (neither before ``min_steps``), or at
+    ``max_steps``; a norm underflow stops it as CollapsedToZero.  The limit
+    is ``rescale(mu_hat)`` times the unit representative of the last state,
+    or zero after a collapse.
+    """
+    space = inst.space
+    rq = trace.rows[-1].rq
+    x_hat = unit_representative(space, x)[0] if trace.rows[-1].norm > 0.0 else None
+    stop = StopReason.MAX_ITERS
+    rq_stable_run = 0
+    for k in range(1, max_steps + 1):
+        x_new, row = step(k, x)
+        norm_new = space.norm(x_new)
+        rq_new = inst.rayleigh(x_new) if norm_new > 0.0 else math.nan
+        trace.rows.append(row(norm_new, inst.value(x_new), rq_new))
+        if norm_new < COLLAPSE_NORM:
+            stop = StopReason.COLLAPSED_TO_ZERO
+            break
+        x_hat_new = unit_representative(space, x_new)[0]
+        dir_dist = space.norm(x_hat_new - x_hat) if x_hat is not None else math.inf
+        rq_stable = rtol is not None and abs(rq_new - rq) <= rtol * abs(rq_new)
+        dir_stable = dtol is not None and dir_dist <= dtol
+        x, rq, x_hat = x_new, rq_new, x_hat_new
+        rq_stable_run = rq_stable_run + 1 if rq_stable else 0
+        if k >= min_steps:
+            if rq_stable and dir_stable:
+                stop = StopReason.DIRECTION_STABLE
+                break
+            if rq_stable_run >= rq_patience:
+                # Rayleigh value settled but the direction keeps moving
+                # (non-simple minimizer set); report the value-level convergence.
+                stop = StopReason.RQ_STABLE
+                break
+
+    steps = len(trace) - 1
+    converged = stop in (StopReason.DIRECTION_STABLE, StopReason.RQ_STABLE)
+    finite_rq = [r.rq for r in trace.rows if math.isfinite(r.rq)]
+    zero = CoeffVec(np.zeros(space.dim), space)
+    if not finite_rq:
+        # started at (and stayed on) the zero element
+        return math.nan, math.nan, zero, steps, False, stop
+    lambda_hat = finite_rq[-1]
+    mu_hat = mu_from_lambda(lambda_hat, inst.exponent)
+    if stop is StopReason.COLLAPSED_TO_ZERO:
+        return lambda_hat, mu_hat, zero, steps, converged, stop
+    return lambda_hat, mu_hat, CoeffVec(rescale(mu_hat) * x_hat, space), steps, converged, stop
+
+
 def iterate(inst: ProblemInstance, u0, opts: IterOptions | None = None):
     """Run inverse iteration from u0; returns (IterationTrace, RunSummary).
 
-    Stops when the Rayleigh quotient is rtol-stable and the sign-normalized
-    direction is dtol-stable; reports CollapsedToZero if the iterate norm
-    underflows (the scaled limit is then the zero vector).  Raises
-    SchemeFailure if an inner solve does not converge.
+    Each step solves dPhi(u_k) = J_p(u_{k-1}), warm-started on the
+    predicted iterate u_{k-1}/mu.  Stop rules and collapse handling are
+    ``outer_loop``'s.  The limit scale is the geometric mean of
+    mu^k ||u_k|| over the last TAIL_WINDOW steps.  Raises SchemeFailure if
+    an inner solve does not converge.
     """
     opts = opts or IterOptions()
     space = inst.space
@@ -124,78 +200,32 @@ def iterate(inst: ProblemInstance, u0, opts: IterOptions | None = None):
     norm = space.norm(u)
     if norm == 0.0:
         raise DegenerateInputError("u0 must have nonzero norm")
-    phi = inst.value(u)
-    rq = inst.rayleigh(u)
     trace = IterationTrace()
-    trace.rows.append(IterationRow(0, norm, phi, rq, math.nan, 0, math.nan))
+    trace.rows.append(IterationRow(0, norm, inst.value(u), inst.rayleigh(u), math.nan, 0, math.nan))
     if opts.keep_iterates:
         trace.iterates.append(u.copy())
-    u_hat, _ = unit_representative(space, u)
 
-    log_scaled: list[float] = []  # log(mu^k ||u_k||) up to the unknown mu factor
-    stop = StopReason.MAX_ITERS
-    converged = False
-    rq_stable_run = 0
-
-    for k in range(1, opts.max_iters + 1):
-        xi = space.duality_map(u)
-        warm = u / mu_from_lambda(rq, inst.exponent)
-        rep = minimize_phi_minus_linear(inst, xi, replace(opts.solver, init=warm))
+    def step(k, u):
+        warm = u / mu_from_lambda(trace.rows[-1].rq, inst.exponent)
+        rep = minimize_phi_minus_linear(inst, space.duality_map(u), replace(opts.solver, init=warm))
         if not rep.converged:
             raise SchemeFailure(f"inner solve failed to converge at outer step {k}", trace)
-        u_new = rep.minimizer
         if opts.keep_iterates:
-            trace.iterates.append(u_new.copy())
-        norm_new = space.norm(u_new)
-        phi_new = inst.value(u_new)
-        if norm_new < opts.collapse_norm:
-            rq_new = inst.rayleigh(u_new) if norm_new > 0.0 else math.nan
-            trace.rows.append(
-                IterationRow(k, norm_new, phi_new, rq_new, norm / max(norm_new, 5e-324), rep.iters, rep.grad_dual_norm)
-            )
-            stop = StopReason.COLLAPSED_TO_ZERO
-            u, norm = u_new, norm_new
-            break
-        rq_new = inst.rayleigh(u_new)
-        ratio = norm / norm_new
-        trace.rows.append(IterationRow(k, norm_new, phi_new, rq_new, ratio, rep.iters, rep.grad_dual_norm))
-        u_hat_new, _ = unit_representative(space, u_new)
-        dir_dist = space.norm(u_hat_new - u_hat)
-        rq_stable = opts.rtol is not None and abs(rq_new - rq) <= opts.rtol * abs(rq_new)
-        dir_stable = opts.dtol is not None and dir_dist <= opts.dtol
-        u, norm, phi, rq, u_hat = u_new, norm_new, phi_new, rq_new, u_hat_new
-        rq_stable_run = rq_stable_run + 1 if rq_stable else 0
-        if rq_stable and dir_stable:
-            stop = StopReason.DIRECTION_STABLE
-            converged = True
-            break
-        if rq_stable_run >= opts.rq_patience:
-            # Rayleigh value settled but the direction keeps moving
-            # (non-simple minimizer set); report the value-level convergence.
-            stop = StopReason.RQ_STABLE
-            converged = True
-            break
+            trace.iterates.append(rep.minimizer.copy())
 
-    iters = len(trace) - 1
-    lambda_hat = trace.rows[-1].rq if math.isfinite(trace.rows[-1].rq) else trace.rows[-2].rq
-    mu_hat = mu_from_lambda(lambda_hat, inst.exponent)
+        def row(norm_new, phi_new, rq_new):
+            ratio = trace.rows[-1].norm / max(norm_new, 5e-324)
+            return IterationRow(k, norm_new, phi_new, rq_new, ratio, rep.iters, rep.grad_dual_norm)
 
-    if stop is StopReason.COLLAPSED_TO_ZERO:
-        limit = CoeffVec(np.zeros(space.dim), space)
-    else:
-        w = min(opts.tail_window, iters) if iters > 0 else 0
-        if w > 0:
-            logs = [
-                j * math.log(mu_hat) + math.log(trace.rows[j].norm)
-                for j in range(iters - w + 1, iters + 1)
-            ]
-            scale = math.exp(sum(logs) / len(logs))
-        else:
-            scale = norm
-        u_hat_final, _ = unit_representative(space, u)
-        limit = CoeffVec(scale * u_hat_final, space)
+        return rep.minimizer, row
 
-    return trace, RunSummary(lambda_hat, mu_hat, limit, iters, converged, stop)
+    def rescale(mu_hat):
+        rows = trace.rows[-min(TAIL_WINDOW, len(trace) - 1) :]
+        logs = [r.k * math.log(mu_hat) + math.log(r.norm) for r in rows]
+        return math.exp(sum(logs) / len(logs))
+
+    summary = outer_loop(inst, u, trace, step, rescale, opts.max_iters, opts.rtol, opts.dtol, opts.rq_patience)
+    return trace, RunSummary(*summary)
 
 
 def check_monotonicity(trace: IterationTrace, mu_hat: float | None = None, slack: float = 1e-8):

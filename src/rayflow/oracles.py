@@ -1,15 +1,20 @@
 """Independent ground-truth routes for the least Rayleigh quotient.
 
-None of these go through the iteration or flow machinery:
+None of these go through the iteration or flow schemes:
 
 * ``symmetric_eigs``: cyclic Jacobi rotations for dense symmetric matrices.
-* ``direct_rayleigh_min``: spectral projected gradient descent of
-  p Phi(u)/||u||^p on the unit sphere of the space norm, multi-start.
-  Sup spaces use peak enumeration instead (one smooth constrained
-  minimization per candidate peak index), since the sup-sphere is
-  nonsmooth exactly at the minimizers.
+* ``direct_rayleigh_min``: quasi-Newton descent of p Phi(u)/||u||^p on the
+  unit sphere of the space norm, multi-start.  Sup spaces use peak
+  enumeration instead (one smooth constrained minimization per candidate
+  peak index), since the sup-sphere is nonsmooth exactly at the minimizers.
 * ``hilbert_closed_form``: the explicit diagonal-quadratic solution
   sequences used to cross-check both schemes step by step.
+
+What the direct route shares with the schemes is the line search only:
+it runs ``inner.descend``, the loop the inner convex solves use.  The
+quotient it minimizes, the eigen residual that drives it, and so lambda
+and the certificate, come from the problem primitives (value, gradient,
+norm, duality map) alone, never from a scheme's subproblem or its output.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateInputError
+from .inner import descend
 from .problems import ProblemInstance
 from .spaces import CoeffVec, SpaceKind, as_array, optimal_shift
 
@@ -134,68 +140,24 @@ def _unit(inst, u):
     return u / n
 
 
-def _spg(inst, u0, tol, max_iters, endgame=True):
-    """Projected BB descent of the Rayleigh quotient on the unit sphere.
+def _spg(inst, u0, tol, max_iters):
+    """Descent of the Rayleigh quotient on the unit sphere of the space norm.
 
-    Once quotient differences fall below rounding, acceptance switches to
-    decrease of the eigen-relation residual, which stays resolvable down to
-    machine scale (``endgame``; disabled during coarse multi-start
-    exploration, where basin identification is all that matters).
+    ``inner.descend`` with the sphere retraction ``_unit``; the gradient is
+    the eigen residual dPhi(u) - lam J_p(u) relative to lam ||J_p(u)||_*,
+    so its dual norm is the certificate.  Returns (u, lam, certificate).
     """
     space = inst.space
-    w = space.pairing_weights()
 
-    def state(u):
+    def residual(u):
         lam = inst.rayleigh(u)
-        g = inst.gradient(u)
         j = space.duality_map(u).values
-        r = g - lam * j
-        cert = space.dual_norm(r) / max(lam * space.dual_norm(j), 1e-300)
-        return lam, r, cert
+        return (inst.gradient(u) - lam * j) / max(lam * space.dual_norm(j), 1e-300)
 
-    u = _unit(inst, u0)
-    lam, r, cert = state(u)
-    prev = None
-    t = 1.0 / max(lam, 1.0)
-    for _ in range(max_iters):
-        if cert <= tol:
-            break
-        e = w * r  # euclidean gradient of the quotient on the sphere (up to p)
-        if prev is not None:
-            s, y = u - prev[0], e - prev[1]
-            sy, yy = float(s @ y), float(y @ y)
-            if sy > 0.0 and yy > 0.0:
-                t = sy / yy
-        t = min(max(t, 1e-18), 1e18)
-        prev = (u, e)
-        ee = float(e @ e)
-        noise = 16.0 * np.finfo(float).eps * (1.0 + abs(lam))
-        accepted = False
-        tk = t
-        if 1e-4 * tk * ee > noise:
-            for _ in range(60):
-                u_new = _unit(inst, u - tk * e)
-                lam_new = inst.rayleigh(u_new)
-                if lam_new <= lam - 1e-4 * tk * ee:
-                    accepted = True
-                    lam, r, cert = state(u_new)
-                    u = u_new
-                    break
-                tk *= 0.5
-                if 1e-4 * tk * ee <= noise:
-                    break
-        if not accepted and endgame:
-            tk = t
-            for _ in range(60):
-                u_new = _unit(inst, u - tk * e)
-                lam_new, r_new, cert_new = state(u_new)
-                if cert_new < cert:
-                    accepted = True
-                    u, lam, r, cert = u_new, lam_new, r_new, cert_new
-                    break
-                tk *= 0.5
-        if not accepted:
-            break
+    w = space.pairing_weights()
+    u, lam, cert, _, _ = descend(
+        _unit(inst, u0), inst.rayleigh, residual, space.dual_norm, tol, max_iters, w, project=lambda u: _unit(inst, u)
+    )
     return u, lam, cert
 
 
@@ -314,7 +276,7 @@ def direct_rayleigh_min(
     coarse = max(tol, 1e-5)
     for idx, u0 in enumerate(starts):
         try:
-            u, lam, _ = _spg(inst, u0, coarse, 800, endgame=False)
+            u, lam, _ = _spg(inst, u0, coarse, 800)
         except DegenerateInputError:
             continue
         if best is None or lam < best[0]:

@@ -22,6 +22,8 @@ Energies are exactly p-homogeneous when the smoothing parameter eps is 0.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, NumericsError
@@ -29,8 +31,6 @@ from .spaces import (
     Exponent,
     SpaceDescriptor,
     SpaceKind,
-    as_array,
-    DualVec,
     smoothed_kernel,
 )
 
@@ -45,10 +45,7 @@ __all__ = [
     "SupDirichlet1D",
     "Steklov1D",
     "assemble",
-    "phi_value",
-    "phi_gradient",
     "euler_identity_residual",
-    "rayleigh_quotient",
 ]
 
 
@@ -109,8 +106,10 @@ class MatrixQuadratic(ProblemInstance):
 
     def __init__(self, matrix, eps: float = 0.0):
         a = np.asarray(matrix, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ConfigError("matrix: must be square")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+            raise ConfigError("matrix: must be square and nonempty")
+        if not np.isfinite(a).all():
+            raise ConfigError("matrix: entries must be finite")
         if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(a).max()))):
             raise ConfigError("matrix: must be symmetric")
         try:
@@ -394,30 +393,35 @@ _KIND_KEYS = {
     "supdirichlet1d": {"p", "n", "L"},
     "steklov1d": {"p", "n", "L"},
 }
+#: every key an instance description may carry, for any kind
+INSTANCE_KEYS = {"kind", "eps"}.union(*_KIND_KEYS.values())
 
 
 def assemble(config: dict) -> ProblemInstance:
     """Build a problem instance from a flat key-value description.
 
-    Recognized keys: kind, p, n, L, s, beta, eps, seed, matrix, diag.
-    Unknown keys and out-of-range values raise ConfigError naming the key.
+    Recognized keys: INSTANCE_KEYS (kind, p, n, L, s, beta, eps, matrix,
+    diag), of which each kind takes its own subset.  Unknown keys and
+    out-of-range values raise ConfigError naming the key.
     """
     cfg = dict(config)
     kind = cfg.pop("kind", None)
     if kind not in _KINDS:
         raise ConfigError(f"kind: unknown instance kind {kind!r}")
-    allowed = _KIND_KEYS[kind] | {"eps", "seed"}
+    allowed = _KIND_KEYS[kind] | {"eps"}
     for key in cfg:
         if key not in allowed:
             raise ConfigError(f"{key}: unknown key for kind {kind!r}")
-    seed = cfg.pop("seed", None)
 
     def as_float(key, default=None):
         raw = cfg.pop(key, default)
         try:
-            return float(raw)
+            x = float(raw)
         except (TypeError, ValueError):
             raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+        if not math.isfinite(x):
+            raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+        return x
 
     eps = as_float("eps", 0.0)
     if eps < 0.0:
@@ -428,12 +432,17 @@ def assemble(config: dict) -> ProblemInstance:
             raise ConfigError("p: matrix instances require p = 2")
         if "diag" in cfg and "matrix" in cfg:
             raise ConfigError("matrix: give either 'matrix' or 'diag', not both")
-        if "diag" in cfg:
-            a = np.diag(np.asarray(cfg.pop("diag"), dtype=float))
-        elif "matrix" in cfg:
-            a = np.asarray(cfg.pop("matrix"), dtype=float)
-        else:
+        if "diag" not in cfg and "matrix" not in cfg:
             raise ConfigError("matrix: missing 'matrix' or 'diag' entries")
+        key = "diag" if "diag" in cfg else "matrix"
+        try:
+            a = np.asarray(cfg.pop(key), dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{key}: expected numbers in rows of equal length") from None
+        if key == "diag":
+            if a.ndim != 1 or a.size == 0:
+                raise ConfigError(f"diag: expected a nonempty list of numbers, got shape {a.shape}")
+            a = np.diag(a)
         inst = MatrixQuadratic(a, eps=eps)
     else:
         p = as_float("p")
@@ -443,7 +452,7 @@ def assemble(config: dict) -> ProblemInstance:
         try:
             n = int(n_raw)
             ok = n == float(n_raw) and n >= 1
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             ok = False
         if not ok:
             raise ConfigError(f"n: must be a positive integer, got {n_raw}")
@@ -458,18 +467,7 @@ def assemble(config: dict) -> ProblemInstance:
         if kind in ("robin1d", "neumann1d", "steklov1d") and n < 2:
             raise ConfigError(f"n: kind {kind!r} needs n >= 2, got {n}")
         inst = _KINDS[kind](**kwargs)
-    inst.seed = seed
     return inst
-
-
-def phi_value(inst: ProblemInstance, u) -> float:
-    """Energy value of the instance at u."""
-    return inst.value(as_array(u))
-
-
-def phi_gradient(inst: ProblemInstance, u) -> DualVec:
-    """Energy gradient at u as a dual vector under the space's pairing."""
-    return DualVec(inst.gradient(as_array(u)), inst.space)
 
 
 def euler_identity_residual(inst: ProblemInstance, u) -> float:
@@ -479,7 +477,3 @@ def euler_identity_residual(inst: ProblemInstance, u) -> float:
     paired = inst.space.pairing(inst.gradient(u), u)
     return abs(pphi - paired) / max(1.0, abs(pphi))
 
-
-def rayleigh_quotient(inst: ProblemInstance, u) -> float:
-    """p Phi(u) / ||u||^p for nonzero u."""
-    return inst.rayleigh(as_array(u))

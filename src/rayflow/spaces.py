@@ -130,11 +130,6 @@ class SpaceDescriptor:
             w[list(self.boundary)] = 1.0
         return w
 
-    def boundary_mask(self) -> np.ndarray:
-        m = np.zeros(self.dim, dtype=bool)
-        m[list(self.boundary)] = True
-        return m
-
     # -- norms, pairings, duality map -----------------------------------------
 
     def norm(self, u) -> float:

@@ -84,6 +84,65 @@ class TestConfigErrors:
         code = main(["iterate", "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "key, body",
+        [
+            ("diag", "kind = matrix\ndiag = 1 x\n"),
+            ("diag", "kind = matrix\ndiag =\n"),
+            ("matrix", "kind = matrix\nmatrix = 2 1; 1 x\n"),
+            ("matrix", "kind = matrix\nmatrix = 2 1; 1 2 3\n"),
+            ("n", "kind = pdirichlet1d\np = 2.0\nn = inf\n"),
+            ("n", "kind = pdirichlet1d\np = 2.0\nn = nan\n"),
+            ("L", "kind = pdirichlet1d\np = 2.0\nn = 4\nL = nan\n"),
+            ("L", "kind = pdirichlet1d\np = 2.0\nn = 4\nL = inf\n"),
+            ("seed", "kind = pdirichlet1d\np = 2.0\nn = 4\nseed = 3\n"),
+        ],
+        ids=["diag-word", "diag-empty", "matrix-word", "matrix-ragged", "n-inf", "n-nan", "L-nan", "L-inf", "seed"],
+    )
+    def test_bad_instance_value_exits_2_naming_key(self, tmp_path, capsys, key, body):
+        cfg = write(tmp_path, "[instance]\n" + body)
+        code = main(["iterate", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}:")
+
+    @pytest.mark.parametrize(
+        "command, key, body",
+        [
+            ("iterate", "max_iters", "[iterate]\nmax_iters = 0\n"),
+            ("iterate", "max_iters", "[iterate]\nmax_iters = -5\n"),
+            ("iterate", "grad_tol", "[iterate]\ngrad_tol = 0\n"),
+            ("iterate", "grad_tol", "[iterate]\ngrad_tol = auto\n"),
+            ("iterate", "rtol", "[iterate]\nrtol = -1e-9\n"),
+            ("iterate", "dtol", "[iterate]\ndtol = nan\n"),
+            ("flow", "tau", "[flow]\ntau = 0\nt_end = 1.0\n"),
+            ("flow", "tau", "[flow]\ntau = none\nt_end = 1.0\n"),
+            ("flow", "t_end", "[flow]\ntau = 0.5\nt_end = 0.1\n"),
+            ("flow", "t_end", "[flow]\ntau = 0.5\nt_end = inf\n"),
+            ("flow", "grad_tol", "[flow]\ngrad_tol = 0\ntau = 0.1\nt_end = 1.0\n"),
+            ("flow", "rtol", "[flow]\nrtol = 0\ntau = 0.1\nt_end = 1.0\n"),
+        ],
+        ids=[
+            "max_iters-0",
+            "max_iters-neg",
+            "grad_tol-0",
+            "grad_tol-auto",
+            "rtol-neg",
+            "dtol-nan",
+            "tau-0",
+            "tau-none",
+            "t_end-below-tau",
+            "t_end-inf",
+            "flow-grad_tol-0",
+            "flow-rtol-0",
+        ],
+    )
+    def test_bad_option_exits_2_naming_key(self, tmp_path, capsys, command, key, body):
+        cfg = write(tmp_path, "[instance]\nkind = pdirichlet1d\np = 2.0\nn = 4\n" + body)
+        code = main([command, "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}:")
+        assert not (tmp_path / f"{command}_summary.json").exists()
+
 
 class TestOutputs:
     def test_iterate_files_and_schema(self, tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rayflow.errors import DegenerateInputError
-from rayflow.inner import SolverOptions, minimize_movement, minimize_phi_minus_linear
+from rayflow.inner import SolverOptions, descend, minimize_movement, minimize_phi_minus_linear
 from rayflow.problems import (
     MatrixQuadratic,
     NeumannQuotient1D,
@@ -30,6 +30,56 @@ class ScalarPower(ProblemInstance):
 
     def _gradient(self, u):
         return signed_power(u, self.p - 1.0)
+
+
+class TestDescendOnSphere:
+    """descend with the sphere retraction on the quotient of a diagonal quadratic."""
+
+    D = np.array([3.0, 0.7, 5.0, 2.0, 1.3])
+
+    def run(self, x0, tol, max_iters=500):
+        d = self.D
+        points = []
+
+        def value(x):
+            points.append(x)
+            return float(x @ (d * x)) / float(x @ x)
+
+        def grad(x):
+            points.append(x)
+            return d * x - value(x) * x
+
+        def merit(g):
+            return float(np.linalg.norm(g))
+
+        x, f, resid, iters, ok = descend(
+            x0 / np.linalg.norm(x0), value, grad, merit, tol, max_iters, np.ones(len(d)),
+            project=lambda x: x / np.linalg.norm(x),
+        )
+        return points, x, f, resid, iters, ok
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_iterates_stay_on_sphere(self, seed):
+        x0 = np.random.default_rng(seed).standard_normal(len(self.D))
+        points, x, *_ = self.run(3.0 * x0, 1e-10)
+        assert len(points) > 10
+        for y in points + [x]:
+            assert abs(np.linalg.norm(y) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reaches_least_eigenvalue_within_tol(self, seed):
+        x0 = np.random.default_rng(seed).standard_normal(len(self.D))
+        tol = 1e-10
+        _, x, f, resid, iters, ok = self.run(x0, tol)
+        assert ok and 0 < iters < 500
+        assert resid <= tol
+        assert f == pytest.approx(self.D.min(), rel=1e-14)
+        assert abs(x[np.argmin(self.D)]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_iteration_cap_reports_unconverged(self):
+        x0 = np.random.default_rng(0).standard_normal(len(self.D))
+        _, _, _, resid, iters, ok = self.run(x0, 1e-14, max_iters=2)
+        assert iters == 2 and not ok and resid > 1e-14
 
 
 class TestPhiMinusLinear:
