@@ -92,6 +92,20 @@ def _options_of(section):
         raise ConfigError(f"{e} (in [{section}])") from None
 
 
+def _positive(section, key, x) -> float:
+    if not (0.0 < x < math.inf):
+        raise ConfigError(f"{key}: must be a positive finite number, got {x} (in [{section}])")
+    return float(x)
+
+
+def _oracle_params(cfg: RunConfig):
+    """(restarts, tol) of the [oracle] section, range-checked."""
+    restarts = cfg.oracle.get("restarts", 16)
+    if restarts < 0:
+        raise ConfigError(f"restarts: must be >= 0, got {restarts} (in [oracle])")
+    return int(restarts), _positive("oracle", "tol", cfg.oracle.get("tol", 1e-8))
+
+
 def _iter_options(cfg: RunConfig) -> IterOptions:
     c = cfg.iterate
     with _options_of("iterate"):
@@ -175,9 +189,8 @@ def _run_flow(cfg: RunConfig, out: Path, say):
 
 
 def _run_oracle(cfg: RunConfig, out: Path, say):
+    restarts, tol = _oracle_params(cfg)
     inst = assemble(cfg.instance)
-    restarts = int(cfg.oracle.get("restarts", 16))
-    tol = float(cfg.oracle.get("tol", 1e-8))
     from .oracles import DEFAULT_SEED
     from .util import derive_seed
 
@@ -201,12 +214,13 @@ def _run_oracle(cfg: RunConfig, out: Path, say):
 
 
 def _run_compare(cfg: RunConfig, out: Path, say):
+    rtol = _positive("compare", "lambda_rtol", cfg.compare.get("lambda_rtol", 1e-3))
+    _oracle_params(cfg)  # reject a bad [oracle] section before the solves run
     code_i, s_it = _run_iterate(cfg, out, say)
     code_f, s_fl = _run_flow(cfg, out, say)
     code_o, res = _run_oracle(cfg, out, say)
     if code_i or code_f or code_o:
         return 1
-    rtol = float(cfg.compare.get("lambda_rtol", 1e-3))
     lam_o = res.lambda_star
     gap_io = abs(s_it.lambda_hat - lam_o) / lam_o
     gap_fo = abs(s_fl.lambda_hat - lam_o) / lam_o

@@ -14,6 +14,15 @@ retraction) for the direct Rayleigh minimization.  Problems are solved in
 normalized coordinates (unit data scale) so the gradient tolerance acts
 relatively; homogeneity of Phi makes the rescaling exact.
 
+``minimize_phi_minus_linear`` first tries the instance's exact solve
+(``ProblemInstance.solve_gradient``): the unsmoothed 1D Dirichlet, sup,
+Neumann and Robin energies integrate dPhi(v) = xi along the flux up to one
+monotone scalar root.  The exact point is accepted only under descend's
+dual-norm residual test; where it fails that test (near p = 1 the primal
+residual is ill-conditioned) descend starts from it.  Steklov, smoothed
+(eps > 0), 2D, fractional and matrix instances have no exact solve and run
+descend alone.
+
 Two loops stay apart from ``descend``: the box-constrained energy solve
 behind the exact sup-norm movement step (``_box_energy_min``: Euclidean
 metric, active-set L-BFGS pairs) and the sup oracle's slice solves in
@@ -62,11 +71,19 @@ class SolverOptions:
 
 @dataclass
 class SolveReport:
+    """Result of one inner solve.
+
+    ``path`` names the solver that produced the minimizer: "exact" for the
+    closed-form gradient solve (``iters`` then counts its scalar root
+    iterations), "descent" for ``descend`` and the box solve.
+    """
+
     minimizer: np.ndarray
     objective: float
     grad_dual_norm: float
     iters: int
     converged: bool
+    path: str = "descent"
 
 
 def descend(x, value, grad, merit, tol, max_iters, w, project=None, carry=None):
@@ -181,7 +198,10 @@ def minimize_phi_minus_linear(inst: ProblemInstance, xi, opts: SolverOptions | N
 
     Terminates when the dual norm of (grad Phi(v) - xi) falls below
     grad_tol * (1 + ||xi||_*); by internal normalization the achieved
-    residual is in fact below grad_tol * ||xi||_* for nonzero xi.
+    residual is in fact below grad_tol * ||xi||_* for nonzero xi.  The
+    instance's exact gradient solve, where it has one, is tried first and
+    accepted under the same residual test; otherwise ``descend`` starts
+    from it (or from the warm start).
     """
     opts = opts or SolverOptions()
     space = inst.space
@@ -201,6 +221,12 @@ def minimize_phi_minus_linear(inst: ProblemInstance, xi, opts: SolverOptions | N
     def grad(v):
         return inst.gradient(v) - xt
 
+    exact = inst.solve_gradient(xt)
+    if exact is not None:
+        v0, iters = exact
+        resid = space.dual_norm(grad(v0))
+        if resid <= opts.grad_tol:
+            return SolveReport(scale * v0, s**q * value(v0), s * resid, iters, True, "exact")
     w = space.pairing_weights()
     v, f, resid, iters, ok = descend(v0, value, grad, space.dual_norm, opts.grad_tol, opts.max_iters, w)
     return SolveReport(scale * v, s**q * f, s * resid, iters, ok)

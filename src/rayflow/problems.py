@@ -31,6 +31,7 @@ from .spaces import (
     Exponent,
     SpaceDescriptor,
     SpaceKind,
+    signed_power,
     smoothed_kernel,
 )
 
@@ -54,6 +55,54 @@ def _power_sum(t, p, eps):
     if eps == 0.0:
         return float(np.sum(np.abs(t) ** p))
     return float(np.sum((t * t + eps * eps) ** (p / 2.0) - eps**p))
+
+
+#: iterations allowed to the scalar flux root
+ROOT_MAX_ITERS = 200
+
+
+def _increasing_root(f, lo, hi):
+    """Root of an increasing scalar function with f(lo) <= 0 <= f(hi).
+
+    Illinois-weighted secant steps (the stale end's value is halved when
+    one end moves twice in a row), with bisection whenever the secant point
+    leaves the open bracket or the bracket has not halved over the last two
+    steps.  Stops at a residual within 4 ulp of |f(lo)| + |f(hi)|, which
+    bounds the sum of the absolute terms at any point of the bracket for the
+    flux closures, or once no float lies strictly inside the bracket.
+    Returns (root, iterations); the root is nan if f is not finite.
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
+        return math.nan, 0
+    if f_lo >= 0.0 or f_hi <= 0.0:
+        return (lo if abs(f_lo) <= abs(f_hi) else hi), 0
+    ftol = 4.0 * np.finfo(float).eps * (abs(f_lo) + abs(f_hi))
+    x, iters, side = lo, 0, 0
+    width_before = [math.inf, math.inf]
+    while iters < ROOT_MAX_ITERS:
+        width = hi - lo
+        x = hi - f_hi * width / (f_hi - f_lo)
+        if not lo < x < hi or width > 0.5 * width_before[0]:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+        width_before = [width_before[1], width]
+        fx = f(x)
+        iters += 1
+        if not math.isfinite(fx):
+            return math.nan, iters
+        if abs(fx) <= ftol:
+            break
+        if fx < 0.0:
+            if side < 0:
+                f_hi *= 0.5
+            lo, f_lo, side = x, fx, -1
+        else:
+            if side > 0:
+                f_lo *= 0.5
+            hi, f_hi, side = x, fx, 1
+    return x, iters
 
 
 class ProblemInstance:
@@ -84,6 +133,11 @@ class ProblemInstance:
         if bad.any():
             raise NumericsError(f"non-finite gradient entry at index {int(np.argmax(bad))}")
         return g
+
+    def solve_gradient(self, xi):
+        """(u, root iterations) with gradient(u) = xi in closed form, or None
+        where the kind has no exact solve (the inner solver then descends)."""
+        return None
 
     def rayleigh(self, u) -> float:
         u = self.space.check_dim(u)
@@ -157,6 +211,50 @@ class _Dirichlet1DBase(ProblemInstance):
         g[:-1] -= k
         g[1:] += k
         return g
+
+    def solve_gradient(self, xi):
+        """The u with gradient(u) = xi, integrated along the flux.
+
+        With b = w xi the Euclidean right-hand side and S its partial sums,
+        the flux on the differences is k = c - S and the differences are
+        |k|^(q-2) k; one boundary closure, increasing in the scalar c, fixes
+        c.  Zero padding: the right boundary value vanishes.  Robin: c is
+        the left boundary flux beta |u_1|^(p-2) u_1 and the right end must
+        balance, c + beta |u_n|^(p-2) u_n = sum b.  Neumann: c = 0, and the
+        representative with u_1 = 0 is returned.  The smoothed kernel
+        (eps > 0) has no closed-form inverse.  Returns (u, root iterations),
+        or None if eps > 0 or a value is not finite.
+        """
+        if self.eps > 0.0:
+            return None
+        p, q, h = self.p, self.exponent.q, self.h
+        w = self.space.pairing_weights()
+        xi = self.space.check_dim(xi)
+        if self.space.kind is SpaceKind.QUOTIENT_LP:
+            xi = xi - np.sum(w * xi) / np.sum(w)  # the dual of the quotient annihilates constants
+        S = np.cumsum(w * xi)
+
+        def diffs(c, sums):
+            return signed_power(c - sums, q - 1.0)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.zero_padded:
+                S = np.concatenate(([0.0], S))
+                c, iters = _increasing_root(lambda c: float(np.sum(diffs(c, S))), S.min(), S.max())
+                u = h * np.cumsum(diffs(c, S[:-1]))
+            elif self.space.kind is SpaceKind.QUOTIENT_LP:
+                iters = 0
+                u = h * np.concatenate(([0.0], np.cumsum(diffs(0.0, S[:-1]))))
+            else:
+                beta = self.beta
+
+                def closure(c):
+                    right = signed_power(c / beta, q - 1.0) + h * np.sum(diffs(c, S[:-1]))
+                    return float(c + beta * signed_power(right, p - 1.0) - S[-1])
+
+                c, iters = _increasing_root(closure, min(0.0, S.min()), max(0.0, S.max()))
+                u = signed_power(c / beta, q - 1.0) + h * np.concatenate(([0.0], np.cumsum(diffs(c, S[:-1]))))
+        return (u, iters) if np.all(np.isfinite(u)) else None
 
 
 class PDirichlet1D(_Dirichlet1DBase):
@@ -263,6 +361,9 @@ class Steklov1D(_Dirichlet1DBase):
     def _gradient(self, u) -> np.ndarray:
         g = self._dirichlet_grad_euclid(u) + self.h * smoothed_kernel(u, self.p, self.eps)
         return g / self.space.pairing_weights()
+
+    def solve_gradient(self, xi):
+        return None  # the mass term couples the nodes: no flux integration
 
 
 class PDirichlet2D(ProblemInstance):

@@ -240,7 +240,7 @@ class DualVec:
         if self.space.kind is SpaceKind.QUOTIENT_LP:
             w = self.space.pairing_weights()
             drift = abs(float(np.sum(w * v)))
-            scale = float(np.sum(w * np.abs(v) ** self.space.exponent.q) ** (1.0 / self.space.exponent.q))
+            scale = _scaled_pnorm(v, w, self.space.exponent.q)
             if drift > 1e-10 * max(scale, 1e-300):
                 raise DegenerateInputError(
                     f"quotient dual vector must have zero weighted sum (drift {drift:.3e})"

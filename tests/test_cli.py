@@ -120,6 +120,11 @@ class TestConfigErrors:
             ("flow", "t_end", "[flow]\ntau = 0.5\nt_end = inf\n"),
             ("flow", "grad_tol", "[flow]\ngrad_tol = 0\ntau = 0.1\nt_end = 1.0\n"),
             ("flow", "rtol", "[flow]\nrtol = 0\ntau = 0.1\nt_end = 1.0\n"),
+            ("oracle", "tol", "[oracle]\ntol = 0\n"),
+            ("oracle", "tol", "[oracle]\ntol = nan\n"),
+            ("oracle", "restarts", "[oracle]\nrestarts = -2\n"),
+            ("compare", "lambda_rtol", "[compare]\nlambda_rtol = -1\n"),
+            ("compare", "tol", "[oracle]\ntol = 0\n"),
         ],
         ids=[
             "max_iters-0",
@@ -134,6 +139,11 @@ class TestConfigErrors:
             "t_end-inf",
             "flow-grad_tol-0",
             "flow-rtol-0",
+            "oracle-tol-0",
+            "oracle-tol-nan",
+            "restarts-neg",
+            "lambda_rtol-neg",
+            "compare-oracle-tol-0",
         ],
     )
     def test_bad_option_exits_2_naming_key(self, tmp_path, capsys, command, key, body):
@@ -141,7 +151,8 @@ class TestConfigErrors:
         code = main([command, "--config", cfg, "--out", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {key}:")
-        assert not (tmp_path / f"{command}_summary.json").exists()
+        # rejected before any solve: nothing but the config in the output directory
+        assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
 
 
 class TestOutputs:

@@ -4,9 +4,11 @@ import pytest
 from rayflow.errors import DegenerateInputError
 from rayflow.inner import SolverOptions, descend, minimize_movement, minimize_phi_minus_linear
 from rayflow.problems import (
+    FractionalSeminorm1D,
     MatrixQuadratic,
     NeumannQuotient1D,
     PDirichlet1D,
+    PDirichlet2D,
     ProblemInstance,
     Robin1D,
     Steklov1D,
@@ -146,6 +148,54 @@ class TestPhiMinusLinear:
         rep = minimize_phi_minus_linear(inst, xi, SolverOptions(init=warm))
         start_obj = inst.value(warm) - inst.space.pairing(xi, warm)
         assert rep.objective <= start_obj + 1e-12 * max(1.0, abs(start_obj))
+
+
+EXACT_KINDS = {
+    "pdirichlet1d": PDirichlet1D,
+    "supdirichlet1d": SupDirichlet1D,
+    "neumann1d": NeumannQuotient1D,
+    "robin1d": lambda p, n: Robin1D(p, n, beta=0.4),
+}
+
+
+class TestExactGradientSolve:
+    """The closed-form flux solve of the 1D kinds against a direct descent."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("kind", list(EXACT_KINDS))
+    def test_exact_path_matches_descend(self, kind, p):
+        n, tol = 11, 1e-11
+        inst = EXACT_KINDS[kind](p, n)
+        space = inst.space
+        xi = space.duality_map(np.random.default_rng(7).standard_normal(n)).values
+        scale = space.dual_norm(xi)
+        rep = minimize_phi_minus_linear(inst, xi, SolverOptions(grad_tol=tol))
+        assert rep.path == "exact" and rep.converged
+        assert space.dual_norm(inst.gradient(rep.minimizer) - xi) <= tol * scale
+
+        v, _, _, _, ok = descend(
+            np.zeros(n),
+            lambda v: inst.value(v) - space.pairing(xi, v),
+            lambda v: inst.gradient(v) - xi,
+            space.dual_norm,
+            tol * scale,
+            50_000,
+            space.pairing_weights(),
+        )
+        assert ok
+        # the quotient norm measures the gap modulo constants
+        assert space.norm(v - rep.minimizer) <= 1e-8 * space.norm(v)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [Steklov1D(2.0, 7), PDirichlet1D(3.0, 7, eps=1e-3), PDirichlet2D(2.0, 3), FractionalSeminorm1D(1.5, 7)],
+        ids=["steklov1d", "eps", "pdirichlet2d", "fractional1d"],
+    )
+    def test_uncovered_kinds_descend(self, inst):
+        xi = inst.space.duality_map(np.ones(inst.space.dim)).values
+        assert inst.solve_gradient(xi) is None
+        rep = minimize_phi_minus_linear(inst, xi, SolverOptions(grad_tol=1e-10))
+        assert rep.path == "descent" and rep.converged and rep.iters > 0
 
 
 class TestMovement:

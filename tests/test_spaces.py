@@ -282,6 +282,14 @@ class TestTaggedVectors:
             DualVec(np.array([1.0, 1.0, 1.0]), s)
         DualVec(np.array([1.0, -0.5, -0.5]), s)  # admissible
 
+    def test_dualvec_quotient_tiny_entries(self):
+        # |v|^q underflows here; the zero-mean check must still be relative
+        s = quot(5, 1.2, h=0.5)
+        x = 1e-70 * np.random.default_rng(3).standard_normal(5)
+        DualVec(x - x.mean(), s)  # zero mean up to rounding
+        with pytest.raises(DegenerateInputError):
+            DualVec(np.full(5, 1e-70), s)
+
     def test_duality_map_output_is_admissible(self):
         rng = np.random.default_rng(13)
         for p in (1.5, 3.0):
