@@ -162,9 +162,10 @@ def start_vector(inst, policy, seed, rng_maker) -> np.ndarray:
 
     ``auto`` (the default) picks a generic start per space kind: a linear
     ramp on quotient spaces (constants are the zero element there), a
-    centered parabolic bump on sup spaces (the all-ones vector lies on a
-    degenerate invariant ray of the set-valued sup duality map, where both
-    schemes legitimately stall), and all-ones otherwise.
+    centered parabolic bump on sup spaces, and all-ones otherwise.  On sup
+    spaces the all-ones vector lies on an invariant ray of the set-valued
+    duality map: both schemes keep its direction and stop, converged, at a
+    critical value far above the least quotient (the flow at 2 h^(1-p)).
     """
     dim = inst.space.dim
     kind = inst.space.kind.value

@@ -23,10 +23,12 @@ residual is ill-conditioned) descend starts from it.  Steklov, smoothed
 (eps > 0), 2D, fractional and matrix instances have no exact solve and run
 descend alone.
 
-Two loops stay apart from ``descend``: the box-constrained energy solve
-behind the exact sup-norm movement step (``_box_energy_min``: Euclidean
-metric, active-set L-BFGS pairs) and the sup oracle's slice solves in
-``oracles``.
+The sup-norm movement step runs no descent: for each trial radius rho the
+instance solves the energy over the box |v - g|_inf <= rho exactly
+(``ProblemInstance.solve_box``, the discrete taut string of the 1D
+Dirichlet energy), and a bracketed scalar root on rho balances the active
+multiplier mass against the movement penalty.  The one loop left apart
+from ``descend`` is the sup oracle's slice solve in ``oracles``.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ class SolveReport:
 
     ``path`` names the solver that produced the minimizer: "exact" for the
     closed-form gradient solve (``iters`` then counts its scalar root
-    iterations), "descent" for ``descend`` and the box solve.
+    iterations) and for the sup-norm movement step (``iters`` then counts
+    its exact box solves), "descent" for ``descend``.
     """
 
     minimizer: np.ndarray
@@ -274,115 +277,36 @@ def _movement_penalty(space: SpaceDescriptor, g, tau, p, eps):
     return value, grad
 
 
-def _box_energy_min(inst, g, rho, v0, tol, max_iters):
-    """Subspace quasi-Newton descent of Phi over the box |v - g|_inf <= rho.
+def _box_kkt(v, gr, lo, hi):
+    """(KKT violation, active multiplier mass) of v for min Phi on lo <= v <= hi.
 
-    Gradient-projection steps identify the active faces; an L-BFGS metric
-    applied to the free-coordinate gradient drives the interior residual
-    down (the memory persists across active-set updates; the line search
-    keeps it safe).  Returns (v, grad, tv_violation, active_mass): the
-    total-variation KKT violation and the multiplier mass carried by the
-    active faces.
+    ``gr`` is the gradient of Phi at v.  The violation sums the free
+    gradient and the wrong-signed gradient on the active faces; the mass
+    sums the multipliers carried by the active faces.
     """
-    lo, hi = g - rho, g + rho
-    v = np.clip(v0, lo, hi)
-    f = inst.value(v)
-    memory: list[tuple[np.ndarray, np.ndarray, float]] = []
-    gamma = 1.0
-
-    def kkt(v, gr):
-        at_up = v >= hi
-        at_lo = v <= lo
-        interior = ~(at_up | at_lo)
-        viol = (
-            float(np.sum(np.abs(gr[interior])))
-            + float(np.sum(np.maximum(gr[at_up], 0.0)))
-            + float(np.sum(np.maximum(-gr[at_lo], 0.0)))
-        )
-        mass = float(np.sum(np.maximum(-gr[at_up], 0.0))) + float(np.sum(np.maximum(gr[at_lo], 0.0)))
-        free = interior | (at_up & (gr > 0.0)) | (at_lo & (gr < 0.0))
-        return viol, mass, free
-
-    def two_loop(rg):
-        qv = rg.copy()
-        coef = []
-        for s, y, rho_ in reversed(memory):
-            a = rho_ * float(s @ qv)
-            coef.append(a)
-            qv -= a * y
-        qv *= gamma
-        for (s, y, rho_), a in zip(memory, reversed(coef)):
-            qv += (a - rho_ * float(y @ qv)) * s
-        return qv
-
-    gr = inst.gradient(v)
-    viol, mass, free = kkt(v, gr)
-    for _ in range(max_iters):
-        if viol <= tol:
-            break
-        rg = np.where(free, gr, 0.0)
-        d = -two_loop(rg)
-        d[~free] = 0.0
-        slope = float(gr @ d)
-        if slope >= 0.0:
-            memory.clear()
-            d = -gamma * rg
-            slope = float(gr @ d)
-            if slope >= 0.0:
-                break
-        t = 1.0
-        accepted = False
-        noise = 16.0 * np.finfo(float).eps * (1.0 + abs(f))
-        for _ in range(60):
-            v_new = np.clip(v + t * d, lo, hi)
-            step = v_new - v
-            if not step.any():
-                break
-            f_new = inst.value(v_new)
-            dec = 1e-4 * float(gr @ step)
-            if np.isfinite(f_new) and f_new <= f + dec:
-                accepted = True
-                break
-            t *= LS_SHRINK
-        if not accepted:
-            # endgame on the KKT violation once f-differences hit rounding
-            t = 1.0
-            for _ in range(60):
-                v_new = np.clip(v + t * d, lo, hi)
-                if not (v_new - v).any():
-                    break
-                f_new = inst.value(v_new)
-                gr_new = inst.gradient(v_new)
-                viol_new, _, _ = kkt(v_new, gr_new)
-                if np.isfinite(f_new) and viol_new < viol:
-                    accepted = True
-                    break
-                t *= LS_SHRINK
-            if not accepted:
-                break
-            s, y = v_new - v, gr_new - gr
-        else:
-            gr_new = inst.gradient(v_new)
-            s, y = v_new - v, gr_new - gr
-        sy, yy = float(s @ y), float(y @ y)
-        if sy > 1e-20 * max(float(s @ s), 1e-300) and yy > 0.0:
-            memory.append((s, y, 1.0 / sy))
-            if len(memory) > LBFGS_MEMORY:
-                memory.pop(0)
-            gamma = sy / yy
-        v, f, gr = v_new, f_new, gr_new
-        viol, mass, free = kkt(v, gr)
-    return v, gr, viol, mass
+    at_up = v >= hi
+    at_lo = v <= lo
+    interior = ~(at_up | at_lo)
+    viol = (
+        float(np.sum(np.abs(gr[interior])))
+        + float(np.sum(np.maximum(gr[at_up], 0.0)))
+        + float(np.sum(np.maximum(-gr[at_lo], 0.0)))
+    )
+    mass = float(np.sum(np.maximum(-gr[at_up], 0.0))) + float(np.sum(np.maximum(gr[at_lo], 0.0)))
+    return viol, mass
 
 
 def _sup_movement(inst, g, tau, opts: SolverOptions, carry: dict):
     """Exact sup-norm movement step via the box reformulation.
 
-    For rho = ||v - g||_inf the subproblem splits into a box-constrained
-    energy minimization (all nonsmoothness absorbed by the constraint) and
-    a scalar optimality condition on rho: the active multiplier mass must
-    equal rho^(p-1)/tau^(p-1).  The root is bracketed and polished with
+    For rho = ||v - g||_inf the subproblem splits into an energy
+    minimization over the box |v - g|_inf <= rho (all nonsmoothness absorbed
+    by the constraint), which the instance solves exactly (``solve_box``),
+    and a scalar optimality condition on rho: the active multiplier mass
+    must equal rho^(p-1)/tau^(p-1).  The root is bracketed and polished with
     safeguarded secant steps; the multiplier mass is nonincreasing in rho.
+    The KKT violation and the mass are measured from the gradient at each
+    box point, so the residual of the returned step is never assumed zero.
     """
     space = inst.space
     p = inst.exponent.p
@@ -391,50 +315,50 @@ def _sup_movement(inst, g, tau, opts: SolverOptions, carry: dict):
     ref = space.dual_norm(inst.gradient(g))
     tol = opts.grad_tol * (1.0 + ref)
     if ref == 0.0:
-        return SolveReport(g.copy(), inst.value(g), 0.0, 0, True)
-
-    inner_tol = 0.25 * tol
-    inner_iters = max(opts.max_iters // 50, 200)
+        return SolveReport(g.copy(), inst.value(g), 0.0, 0, True, "exact")
     evals = 0
 
-    warm = carry.get("sup_v", g)
-
-    def G(rho, v0):
+    def G(rho):
         nonlocal evals
-        v, gr, viol, mass = _box_energy_min(inst, g, rho, v0, inner_tol, inner_iters)
+        lo, hi = g - rho, g + rho
+        v = inst.solve_box(lo, hi)
+        if v is None:
+            raise DegenerateInputError(f"{inst.kind}: no exact box solve for the sup-norm movement step")
         evals += 1
+        viol, mass = _box_kkt(v, inst.gradient(v), lo, hi)
         return mass - rho ** (p - 1.0) / c, v, viol
 
     rho = carry.get("sup_rho", tau * ref ** (q - 1.0))
     rho = max(rho, 1e-300)
-    g_mid, v_mid, viol_mid = G(rho, warm)
+    g_mid, v_mid, viol_mid = G(rho)
     # bracket the radius: mass decreases with rho, the power term grows
     lo_r, hi_r = rho, rho
     g_lo, g_hi = g_mid, g_mid
-    v_lo = v_hi = v_mid
     for _ in range(200):
         if g_lo > 0.0:
             break
         lo_r *= 0.5
-        g_lo, v_lo, _ = G(lo_r, v_lo)
+        g_lo, _, _ = G(lo_r)
     for _ in range(200):
         if g_hi < 0.0:
             break
         hi_r *= 2.0
-        g_hi, v_hi, _ = G(hi_r, v_hi)
-    if not (g_lo > 0.0 > g_hi):
-        v, gr, viol, mass = _box_energy_min(inst, g, rho, v_mid, inner_tol, inner_iters)
-        resid = viol + abs(mass - rho ** (p - 1.0) / c)
-        actual = float(np.max(np.abs(v - g)))
-        return SolveReport(v, inst.value(v) + actual**p / (p * c), resid, evals, resid <= tol)
+        g_hi, _, _ = G(hi_r)
 
+    def report(v, resid):
+        actual = float(np.max(np.abs(v - g)))
+        objective = inst.value(v) + actual**p / (p * c)
+        return SolveReport(v, objective, resid, evals, resid <= tol, "exact")
+
+    if not (g_lo > 0.0 > g_hi):
+        return report(v_mid, viol_mid + abs(g_mid))
     v_best, rho_best, resid_best = v_mid, rho, math.inf
     for it in range(200):
         span = hi_r - lo_r
         mid = hi_r - g_hi * span / (g_hi - g_lo) if it % 2 == 0 and g_hi != g_lo else 0.5 * (lo_r + hi_r)
         if not (lo_r < mid < hi_r):
             mid = 0.5 * (lo_r + hi_r)
-        g_m, v_m, viol_m = G(mid, v_best)
+        g_m, v_m, viol_m = G(mid)
         resid = viol_m + abs(g_m)
         if resid < resid_best:
             v_best, rho_best, resid_best = v_m, mid, resid
@@ -445,10 +369,7 @@ def _sup_movement(inst, g, tau, opts: SolverOptions, carry: dict):
         else:
             hi_r, g_hi = mid, g_m
     carry["sup_rho"] = rho_best
-    carry["sup_v"] = v_best
-    actual = float(np.max(np.abs(v_best - g)))
-    objective = inst.value(v_best) + actual**p / (p * c)
-    return SolveReport(v_best, objective, resid_best, evals, resid_best <= tol)
+    return report(v_best, resid_best)
 
 
 def minimize_movement(
@@ -484,6 +405,7 @@ def minimize_movement(
             scale ** (p - 1.0) * rep.grad_dual_norm,
             rep.iters,
             rep.converged,
+            rep.path,
         )
     ref = space.dual_norm(inst.gradient(gt))
     # the kernel smoothing scale is tied to the expected per-step movement;

@@ -139,6 +139,11 @@ class ProblemInstance:
         where the kind has no exact solve (the inner solver then descends)."""
         return None
 
+    def solve_box(self, lo, hi):
+        """The minimizer of Phi over the box lo <= u <= hi in closed form, or
+        None where the kind has none (the sup movement step then fails)."""
+        return None
+
     def rayleigh(self, u) -> float:
         u = self.space.check_dim(u)
         # homogeneity makes the quotient scale-free: evaluate at max-scaled u
@@ -274,6 +279,45 @@ class PDirichlet1D(_Dirichlet1DBase):
 
     def _gradient(self, u) -> np.ndarray:
         return self._dirichlet_grad_euclid(u) / self.h
+
+    def solve_box(self, lo, hi):
+        """The discrete taut string: the minimizer of Phi over lo <= u <= hi.
+
+        Phi is one strictly convex even function summed over the differences
+        of a uniform grid with both ends held at zero, so its minimizer over
+        the box is the shortest path through the gates [lo_i, hi_i], whatever
+        p or eps (Grasmair, JMIV 2007; Davies-Kovac, Ann. Statist. 2001).
+        The path is straight between contacts, bends up only under an upper
+        bound and down only over a lower one.  Each segment narrows the cone
+        of feasible slopes from its anchor gate by gate; once a gate falls
+        outside the cone, the segment ends at the contact that bounded the
+        cone on that side, and the next starts there.
+        """
+        n = self.n
+        lo_ = self.space.check_dim(lo).tolist() + [0.0]  # gate k is node k; the right end is gate n + 1
+        hi_ = self.space.check_dim(hi).tolist() + [0.0]
+        u = np.zeros(n + 2)
+        x0, y0 = 0, 0.0
+        while x0 <= n:
+            smin, smax, kmin, kmax = -math.inf, math.inf, x0, x0
+            x1, y1 = n + 1, 0.0
+            for k in range(x0 + 1, n + 2):
+                a = (lo_[k - 1] - y0) / (k - x0)
+                b = (hi_[k - 1] - y0) / (k - x0)
+                if a > smax:  # the gate lies above the cone: bend up under its upper contact
+                    x1, y1 = kmax, hi_[kmax - 1]
+                    break
+                if b < smin:  # below the cone: bend down over its lower contact
+                    x1, y1 = kmin, lo_[kmin - 1]
+                    break
+                if a >= smin:
+                    smin, kmin = a, k
+                if b <= smax:
+                    smax, kmax = b, k
+            u[x0:x1] = y0 + (y1 - y0) * (np.arange(x1 - x0) / (x1 - x0))
+            u[x1] = y1
+            x0, y0 = x1, y1
+        return np.clip(u[1:-1], lo, hi)
 
 
 class SupDirichlet1D(PDirichlet1D):

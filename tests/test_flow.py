@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from rayflow.errors import DegenerateInputError
 from rayflow.flow import FlowOptions, FlowRow, FlowTrace, check_decay, local_slope, run_flow
 from rayflow.inner import SolverOptions
 from rayflow.iterate import StopReason, iterate, IterOptions, rough_mu
-from rayflow.problems import MatrixQuadratic, PDirichlet1D
+from rayflow.config import start_vector
+from rayflow.problems import MatrixQuadratic, PDirichlet1D, SupDirichlet1D
 
 TIGHT = FlowOptions(rtol=1e-12, dtol=1e-7, solver=SolverOptions(grad_tol=1e-11), keep_states=True)
 
@@ -133,6 +135,38 @@ class TestCheckDecay:
     def test_single_row_trace_empty(self):
         trace = FlowTrace(p=2.0, rows=[FlowRow(0, 0.0, 1.0, 1.0, 1.0, math.nan, 0.0, math.nan)])
         assert check_decay(trace, 1.0, 1.0) == []
+
+
+class TestSupFlow:
+    """The sup-norm flow end to end, with the CLI's automatic step and horizon."""
+
+    @staticmethod
+    def _run(p, u0):
+        inst = SupDirichlet1D(p, 15)
+        mu = rough_mu(inst, u0)
+        start = time.perf_counter()
+        trace, summary = run_flow(inst, u0, 0.01 / mu, 50.0 / mu)
+        return inst, trace, summary, time.perf_counter() - start
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 8.0, 20.0])
+    def test_bump_start_reaches_closed_form(self, p):
+        # the ground state is the tent, whose sup quotient is 2^p on (0, 1)
+        inst = SupDirichlet1D(p, 15)
+        _, trace, summary, elapsed = self._run(p, start_vector(inst, "auto", 0, None))
+        assert summary.converged
+        assert abs(summary.lambda_hat - 2.0**p) <= 1e-9 * 2.0**p
+        assert check_decay(trace, summary.mu_hat, trace.rows[0].phi) == []
+        assert elapsed < 1.0
+
+    def test_ones_start_stays_on_invariant_ray(self):
+        # all-ones is critical for the sup quotient: the exact flow keeps its
+        # direction and stops at the ray's value 2 h^(1-p), not at 2^p
+        inst, trace, summary, _ = self._run(3.0, np.ones(15))
+        assert summary.stop_reason is StopReason.DIRECTION_STABLE
+        assert summary.steps == 10
+        assert summary.lambda_hat == pytest.approx(2.0 * inst.h ** (1.0 - inst.p), rel=1e-12)
+        v = summary.limit_vec.values
+        np.testing.assert_allclose(v / v.max(), 1.0, rtol=1e-12)
 
 
 class TestLocalSlope:

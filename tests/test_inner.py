@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rayflow.errors import DegenerateInputError
-from rayflow.inner import SolverOptions, descend, minimize_movement, minimize_phi_minus_linear
+from rayflow.inner import SolverOptions, _box_kkt, descend, minimize_movement, minimize_phi_minus_linear
 from rayflow.problems import (
     FractionalSeminorm1D,
     MatrixQuadratic,
@@ -130,13 +130,18 @@ class TestPhiMinusLinear:
         assert rep.grad_dual_norm <= opts.grad_tol * (1.0 + inst.space.dual_norm(xi))
 
     def test_uniqueness_across_starts(self):
+        # the exact-solve kinds ignore the start; the smoothed, Steklov and
+        # fractional instances descend from it and carry the check
         rng = np.random.default_rng(1)
         tol = 1e-11
-        for inst in (PDirichlet1D(1.5, 7), PDirichlet1D(3.0, 7), Steklov1D(2.0, 7)):
+        descents = (Steklov1D(2.0, 7), PDirichlet1D(3.0, 7, eps=1e-3), FractionalSeminorm1D(1.5, 7))
+        for inst in (PDirichlet1D(1.5, 7), PDirichlet1D(3.0, 7)) + descents:
             xi = inst.space.duality_map(rng.standard_normal(inst.space.dim)).values
             a = minimize_phi_minus_linear(inst, xi, SolverOptions(grad_tol=tol))
             b = minimize_phi_minus_linear(inst, xi, SolverOptions(grad_tol=tol, init=rng.standard_normal(inst.space.dim)))
             assert a.converged and b.converged
+            if inst in descents:
+                assert a.path == b.path == "descent"
             gap = inst.space.norm(a.minimizer - b.minimizer)
             assert gap <= 10 * tol * max(1.0, inst.space.norm(a.minimizer))
 
@@ -196,6 +201,71 @@ class TestExactGradientSolve:
         assert inst.solve_gradient(xi) is None
         rep = minimize_phi_minus_linear(inst, xi, SolverOptions(grad_tol=1e-10))
         assert rep.path == "descent" and rep.converged and rep.iters > 0
+
+
+def _tube(kind, n, rng):
+    """(g, rho) of a tube that the taut string touches on both sides, only
+    from below (a concave cap) or only from above (the cap reflected)."""
+    if kind == "both":
+        return 2.0 * rng.standard_normal(n), 0.3
+    t = np.arange(1, n + 1) / (n + 1)
+    cap = 4.0 * t * (1.0 - t) + 0.05 * rng.standard_normal(n) + 1.0
+    return (cap if kind == "below" else -cap), 0.4
+
+
+class TestExactBoxSolve:
+    """The taut string against the box KKT conditions of every exponent."""
+
+    EXPONENTS = [(p, eps) for p in (1.2, 1.5, 3.0, 8.0, 20.0) for eps in (0.0, 1e-3)]
+
+    @pytest.mark.parametrize("kind", ["both", "below", "above"])
+    @pytest.mark.parametrize("n", [1, 2, 15, 255])
+    def test_one_minimizer_for_every_exponent(self, n, kind):
+        g, rho = _tube(kind, n, np.random.default_rng(n))
+        lo, hi = g - rho, g + rho
+        ref = SupDirichlet1D(3.0, n).solve_box(lo, hi)
+        assert np.all((lo <= ref) & (ref <= hi))
+        if kind != "both":
+            touched = (ref >= hi) if kind == "above" else (ref <= lo)
+            untouched = (ref <= lo) if kind == "above" else (ref >= hi)
+            assert touched.any() and not untouched.any()
+        for p, eps in self.EXPONENTS:
+            inst = SupDirichlet1D(p, n, eps=eps)
+            v = inst.solve_box(lo, hi)
+            np.testing.assert_array_equal(v, ref)
+            viol, mass = _box_kkt(v, inst.gradient(v), lo, hi)
+            assert mass > 0.0 and viol <= 1e-12 * mass, (p, eps, viol / mass)
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 255])
+    def test_no_feasible_perturbation_lowers_phi(self, n):
+        rng = np.random.default_rng(10 + n)
+        g, rho = _tube("both", n, rng)
+        lo, hi = g - rho, g + rho
+        for p, eps in self.EXPONENTS:
+            inst = SupDirichlet1D(p, n, eps=eps)
+            v = inst.solve_box(lo, hi)
+            f = inst.value(v)
+            for size in (1e-2, 1e-5):
+                for _ in range(50):
+                    cand = np.clip(v + size * rho * rng.standard_normal(n), lo, hi)
+                    assert inst.value(cand) >= f * (1.0 - 1e-14)
+
+    def test_sup_movement_reports_exact_path(self):
+        inst = SupDirichlet1D(3.0, 15)
+        g = np.random.default_rng(4).standard_normal(15)
+        rep = minimize_movement(inst, g, 0.01, SolverOptions(grad_tol=1e-11))
+        assert rep.path == "exact" and rep.converged and rep.iters > 0
+
+    def test_sup_space_without_box_solve_raises_naming_kind(self):
+        class SupScalar(ScalarPower):
+            kind = "sup_scalar"
+
+            def __init__(self, p):
+                exp = Exponent(p)
+                ProblemInstance.__init__(self, exp, SpaceDescriptor(SpaceKind.SUP, 1, exp))
+
+        with pytest.raises(DegenerateInputError, match="sup_scalar"):
+            minimize_movement(SupScalar(3.0), np.array([1.0]), 0.1)
 
 
 class TestMovement:
