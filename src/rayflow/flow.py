@@ -7,7 +7,7 @@ identity is recorded as a per-step residual
 
     |(phi_n - phi_{n+1})/tau - (speed_n^p/p + slope_{n+1}^q/q)|,
 
-and e^(mu t) v(t) is the rescaled state whose limit is a minimizer.
+and (1 + tau mu)^n v_n is the rescaled state whose limit is a minimizer.
 """
 
 from __future__ import annotations
@@ -105,7 +105,9 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
     Each step is one movement solve, warm-started through a solver metric
     carried across the nearly identical steps.  Stop rules and collapse
     handling are ``iterate.outer_loop``'s (no stop before min_steps; t_end
-    bounds the run).  The limit is e^(mu t) v(t) at the last step.
+    bounds the run).  The limit is (1 + tau mu)^n v_n at the last step: on
+    the ground ray each step shrinks the state by exactly (1 + tau mu)^(-1),
+    for every p, so a unit ground state keeps unit norm.
     """
     opts = opts or FlowOptions()
     check_step(tau, t_end)
@@ -127,7 +129,9 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
     def step(n, v):
         rep = minimize_movement(inst, v, tau, solver, carry=carry)
         if not rep.converged:
-            raise SchemeFailure(f"movement solve failed to converge at step {n}", trace)
+            raise SchemeFailure(
+                f"{inst.kind}: movement solve failed to converge at step {n} (merit {rep.grad_dual_norm:.3e})", trace
+            )
         v_new = rep.minimizer
         if opts.keep_states:
             trace.states.append(v_new.copy())
@@ -144,7 +148,7 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
 
     def rescale(mu_hat):
         last = trace.rows[-1]
-        return math.exp(mu_hat * last.t + math.log(last.norm))
+        return math.exp(last.n * math.log1p(tau * mu_hat) + math.log(last.norm))
 
     max_steps = max(1, int(round(t_end / tau)))
     summary = outer_loop(

@@ -5,14 +5,21 @@ Both outer schemes reduce to strictly convex minimizations:
 * ``minimize_phi_minus_linear``: v |-> Phi(v) - <xi, v>
 * ``minimize_movement``:         v |-> Phi(v) + ||v - g||^p / (p tau^(p-1))
 
-Both run ``descend``, the one line-search loop for smooth problems: an
-L-BFGS metric in pairing coordinates maps the dual residual to a descent
-direction, an Armijo backtracking search enforces strict decrease, and an
-endgame below the rounding floor of the objective backtracks on the
-residual.  ``oracles`` runs the same loop on the unit sphere (with a
-retraction) for the direct Rayleigh minimization.  Problems are solved in
-normalized coordinates (unit data scale) so the gradient tolerance acts
-relatively; homogeneity of Phi makes the rescaling exact.
+Both run ``descend``, the one line-search loop for smooth problems.  Its
+direction is the Newton direction wherever the instance has a Hessian
+(``ProblemInstance.hessian``: a tridiagonal band for the 1D kinds, solved
+by a Thomas sweep, and a dense matrix for the fractional and matrix
+kinds); the movement solve adds the diagonal curvature of its penalty.
+Where there is no Hessian (2D), or the Newton direction is not finite or
+not a descent direction, an L-BFGS metric in pairing coordinates maps the
+dual residual to the direction instead.  An Armijo backtracking search
+enforces strict decrease, an endgame below the rounding floor of the
+objective backtracks on the residual, and a solve whose residual stops
+improving gives up.  ``oracles`` runs the same loop on the unit sphere
+(with a retraction, without Newton directions) for the direct Rayleigh
+minimization.  Problems are solved in normalized coordinates (unit data
+scale) so the gradient tolerance acts relatively; homogeneity of Phi
+makes the rescaling exact.
 
 ``minimize_phi_minus_linear`` first tries the instance's exact solve
 (``ProblemInstance.solve_gradient``): the unsmoothed 1D Dirichlet, sup,
@@ -40,7 +47,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, NumericsError
 from .problems import ProblemInstance
-from .spaces import SpaceDescriptor, SpaceKind, as_array, smoothed_kernel
+from .spaces import SpaceDescriptor, SpaceKind, as_array, smoothed_curvature, smoothed_kernel
 
 __all__ = ["SolverOptions", "SolveReport", "descend", "minimize_phi_minus_linear", "minimize_movement"]
 
@@ -49,6 +56,12 @@ LS_SHRINK = 0.5
 LS_SLOPE = 1e-4
 #: curvature pairs kept by the L-BFGS metric
 LBFGS_MEMORY = 12
+#: descend gives up once its merit has gone this many iterations without
+#: falling below half of its best value
+STALL_ITERS = 60
+#: for p < 2 a Newton direction is shortened once the Hessian falls short
+#: of the curvature seen along the last step by more than this factor
+SECANT_RATIO = 1.5
 
 
 @dataclass
@@ -78,7 +91,8 @@ class SolveReport:
     ``path`` names the solver that produced the minimizer: "exact" for the
     closed-form gradient solve (``iters`` then counts its scalar root
     iterations) and for the sup-norm movement step (``iters`` then counts
-    its exact box solves), "descent" for ``descend``.
+    its exact box solves), "descent" for ``descend``.  ``newton_steps``
+    counts the descent iterations that took the Newton direction.
     """
 
     minimizer: np.ndarray
@@ -87,19 +101,25 @@ class SolveReport:
     iters: int
     converged: bool
     path: str = "descent"
+    newton_steps: int = 0
 
 
-def descend(x, value, grad, merit, tol, max_iters, w, project=None, carry=None):
+def descend(x, value, grad, merit, tol, max_iters, w, project=None, carry=None, newton=None):
     """Monotone limited-memory quasi-Newton descent in pairing coordinates.
 
     The one line-search loop for smooth problems.  ``grad(x)`` is the dual
     residual, ``merit(g)`` its stopping measure (the loop ends once it is at
-    most ``tol``) and ``w`` the pairing weights.  The step direction is the
-    residual mapped through an L-BFGS metric (a preconditioned residual); an
-    Armijo backtracking search enforces strict decrease while objective
-    differences are resolvable, and the endgame below the floating-point
-    floor of the objective backtracks on the merit instead.  ``project``,
-    if given, retracts every trial point onto a constraint set (the start
+    most ``tol``) and ``w`` the pairing weights.  The step direction is
+    ``newton(x, r)`` wherever that returns one (see ``_Newton``), and
+    otherwise the residual mapped through an L-BFGS metric (a
+    preconditioned residual); the metric is updated on every step either
+    way.  An Armijo backtracking search enforces strict decrease while
+    objective differences are resolvable, and the endgame below the
+    floating-point floor of the objective backtracks on the merit instead.
+    The loop gives up once the merit has gone STALL_ITERS iterations
+    without halving its best value (at the rounding floor it can creep
+    down by parts in 1e4 for thousands of iterations).  ``project``, if
+    given, retracts every trial point onto a constraint set (the start
     must already lie on it).  ``carry`` is an optional mutable dict holding
     the metric across closely related solves (successive movement steps);
     the line search keeps a stale metric safe.
@@ -116,6 +136,7 @@ def descend(x, value, grad, merit, tol, max_iters, w, project=None, carry=None):
     memory: list[tuple[np.ndarray, np.ndarray, float]] = carry.setdefault("memory", [])
     gamma = carry.get("gamma", 1.0)
     iters = 0
+    best, since_best = resid, 0
 
     def dot(a, b):
         return float((w * a * b).sum())
@@ -136,8 +157,10 @@ def descend(x, value, grad, merit, tol, max_iters, w, project=None, carry=None):
         x_new = x + t * d
         return x_new if project is None else project(x_new)
 
-    while resid > tol and iters < max_iters:
-        d = direction()
+    while resid > tol and iters < max_iters and since_best < STALL_ITERS:
+        d = None if newton is None else newton(x, r)
+        if d is None:
+            d = direction()
         slope = dot(r, d)
         if slope >= 0.0:
             memory.clear()
@@ -192,8 +215,92 @@ def descend(x, value, grad, merit, tol, max_iters, w, project=None, carry=None):
         x, f, r = x_new, f_new, r_new
         resid = merit(r)
         iters += 1
+        best, since_best = (resid, 0) if resid < 0.5 * best else (best, since_best + 1)
     carry["gamma"] = gamma
     return x, f, resid, iters, resid <= tol
+
+
+def _thomas(diag, off, rhs):
+    """x with T x = rhs for the symmetric tridiagonal T = (diag, off), by
+    elimination without pivoting (T is positive definite where it is used)."""
+    d, e, x = diag.tolist(), off.tolist(), rhs.tolist()
+    for i in range(1, len(d)):
+        m = e[i - 1] / d[i - 1]
+        d[i] -= m * e[i - 1]
+        x[i] -= m * x[i - 1]
+    x[-1] /= d[-1]
+    for i in range(len(d) - 2, -1, -1):
+        x[i] = (x[i] - e[i] * x[i + 1]) / d[i]
+    return np.array(x)
+
+
+class _Newton:
+    """Newton directions for ``descend`` from the instance's Hessian hook.
+
+    Solves (H(x) + diag(extra(x))) d = -w r, with H the Euclidean Hessian
+    of Phi, ``extra`` the Euclidean curvature of a separable term added to
+    Phi (the movement penalty) and w r the Euclidean residual: a Thomas
+    sweep for a tridiagonal band, ``np.linalg.solve`` for a dense matrix.
+    On quotient spaces the constants span the kernel of H, so the solve
+    pins node 0 and then fits the constant component against the added
+    curvature; where that curvature vanishes (the first movement iterate
+    for p > 2, every phi-minus-linear iterate) the direction is the one
+    with zero weighted mean.  A direction that is not finite or not a
+    descent direction is declined (None) and descend keeps its L-BFGS step.
+
+    For p < 2 the Hessian underestimates the curvature of long steps: on
+    the p-homogeneous part, where H(x) x = (p-1) dPhi(x), a full Newton
+    step from afar maps x to -x (2-p)/(p-1), across zero, and the Armijo
+    search accepts the flip.  When the secant of the last step shows more
+    than SECANT_RATIO times the curvature H gives it, the direction is
+    shortened by that ratio (the Kacanov step on the homogeneous part).
+    ``steps`` counts the directions handed out.
+    """
+
+    def __init__(self, inst: ProblemInstance, extra=None):
+        self.inst = inst
+        self.extra = extra
+        self.w = inst.space.pairing_weights()
+        self.steps = 0
+        self.last = None
+
+    def __call__(self, x, r):
+        with np.errstate(all="ignore"):
+            h = self.inst.hessian(x)
+            if h is None:
+                return None
+            w, b = self.w, -self.w * r
+            dg = np.zeros(len(x)) if self.extra is None else self.extra(x)
+            band = not isinstance(h, np.ndarray)
+            a = (h[0] + dg, h[1]) if band else h + np.diag(dg)
+
+            def solve(a, rhs):
+                return _thomas(*a, rhs) if band else np.linalg.solve(a, rhs)
+
+            shrink = 1.0
+            if self.inst.p < 2.0 and self.last is not None:
+                s, y = x - self.last[0], w * (r - self.last[1])
+                sas = float(s @ (a[0] * s) + 2.0 * s[:-1] @ (a[1] * s[1:])) if band else float(s @ a @ s)
+                if float(y @ s) > SECANT_RATIO * sas > 0.0:
+                    shrink = sas / float(y @ s)
+            self.last = x, r
+            try:
+                if self.inst.space.kind is not SpaceKind.QUOTIENT_LP:
+                    d = solve(a, b)
+                else:
+                    pinned = (a[0][1:], a[1][1:]) if band else a[1:, 1:]
+                    vb, vd = solve(pinned, b[1:]), solve(pinned, dg[1:])
+                    schur = dg.sum() - dg[1:] @ vd
+                    alpha = (b.sum() - dg[1:] @ vb) / schur if schur > 1e-14 * dg.sum() else 0.0
+                    d = np.concatenate(([0.0], vb - alpha * vd)) + alpha
+                    if alpha == 0.0:
+                        d -= np.sum(w * d) / np.sum(w)
+            except (ZeroDivisionError, np.linalg.LinAlgError):
+                return None
+        if not (np.all(np.isfinite(d)) and float((w * r * d).sum()) < 0.0):
+            return None
+        self.steps += 1
+        return shrink * d
 
 
 def minimize_phi_minus_linear(inst: ProblemInstance, xi, opts: SolverOptions | None = None) -> SolveReport:
@@ -231,12 +338,14 @@ def minimize_phi_minus_linear(inst: ProblemInstance, xi, opts: SolverOptions | N
         if resid <= opts.grad_tol:
             return SolveReport(scale * v0, s**q * value(v0), s * resid, iters, True, "exact")
     w = space.pairing_weights()
-    v, f, resid, iters, ok = descend(v0, value, grad, space.dual_norm, opts.grad_tol, opts.max_iters, w)
-    return SolveReport(scale * v, s**q * f, s * resid, iters, ok)
+    newton = _Newton(inst)
+    v, f, resid, iters, ok = descend(v0, value, grad, space.dual_norm, opts.grad_tol, opts.max_iters, w, newton=newton)
+    return SolveReport(scale * v, s**q * f, s * resid, iters, ok, newton_steps=newton.steps)
 
 
 def _movement_penalty(space: SpaceDescriptor, g, tau, p, eps):
-    """Value/gradient pair of ||v - g||^p / (p tau^(p-1)) for the space norm.
+    """Value, gradient and Euclidean curvature (the diagonal of its Hessian)
+    of ||v - g||^p / (p tau^(p-1)) for the space norm.
 
     For p < 2 the power kernel is eps-smoothed (its curvature is unbounded
     through zero movement); eps is scaled to the expected per-step movement,
@@ -262,7 +371,12 @@ def _movement_penalty(space: SpaceDescriptor, g, tau, p, eps):
             out[b] = smoothed_kernel(v[b] - g[b], p, eps) / c
             return out
 
-        return value, grad
+        def curvature(v):
+            out = np.zeros_like(v)
+            out[b] = smoothed_curvature(v[b] - g[b], p, eps) / c
+            return out
+
+        return value, grad, curvature
 
     # Quotient spaces use the same plain penalty: Phi is shift-invariant, so
     # the unconstrained minimizer settles on the representative whose
@@ -274,7 +388,10 @@ def _movement_penalty(space: SpaceDescriptor, g, tau, p, eps):
     def grad(v):
         return smoothed_kernel(v - g, p, eps) / c
 
-    return value, grad
+    def curvature(v):
+        return w * smoothed_curvature(v - g, p, eps) / c
+
+    return value, grad, curvature
 
 
 def _box_kkt(v, gr, lo, hi):
@@ -410,10 +527,10 @@ def minimize_movement(
     ref = space.dual_norm(inst.gradient(gt))
     # the kernel smoothing scale is tied to the expected per-step movement;
     # 1e-5 of it stays far below the scheme's O(tau) accuracy while keeping
-    # the p < 2 subproblem curvature within quasi-Newton reach
+    # the p < 2 penalty curvature finite at v = g, where each solve starts
     move_scale = max(tau * ref ** (q - 1.0), 1e-300)
     eps_pen = 0.0 if p >= 2.0 else 1e-5 * move_scale
-    pen_value, pen_grad = _movement_penalty(space, gt, tau, p, eps_pen)
+    pen_value, pen_grad, pen_curvature = _movement_penalty(space, gt, tau, p, eps_pen)
 
     def value(v):
         return inst.value(v) + pen_value(v)
@@ -423,5 +540,8 @@ def minimize_movement(
 
     v0 = gt.copy() if opts.init is None else space.check_dim(opts.init) / scale
     tol = opts.grad_tol * (1.0 + ref)
-    v, f, resid, iters, ok = descend(v0, value, grad, space.dual_norm, tol, opts.max_iters, w, carry=carry)
-    return SolveReport(scale * v, scale**p * f, scale ** (p - 1.0) * resid, iters, ok)
+    newton = _Newton(inst, pen_curvature)
+    v, f, resid, iters, ok = descend(
+        v0, value, grad, space.dual_norm, tol, opts.max_iters, w, carry=carry, newton=newton
+    )
+    return SolveReport(scale * v, scale**p * f, scale ** (p - 1.0) * resid, iters, ok, newton_steps=newton.steps)

@@ -209,7 +209,9 @@ def iterate(inst: ProblemInstance, u0, opts: IterOptions | None = None):
         warm = u / mu_from_lambda(trace.rows[-1].rq, inst.exponent)
         rep = minimize_phi_minus_linear(inst, space.duality_map(u), replace(opts.solver, init=warm))
         if not rep.converged:
-            raise SchemeFailure(f"inner solve failed to converge at outer step {k}", trace)
+            raise SchemeFailure(
+                f"{inst.kind}: inner solve failed to converge at outer step {k} (merit {rep.grad_dual_norm:.3e})", trace
+            )
         if opts.keep_iterates:
             trace.iterates.append(rep.minimizer.copy())
 

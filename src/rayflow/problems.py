@@ -32,6 +32,7 @@ from .spaces import (
     SpaceDescriptor,
     SpaceKind,
     signed_power,
+    smoothed_curvature,
     smoothed_kernel,
 )
 
@@ -144,6 +145,12 @@ class ProblemInstance:
         None where the kind has none (the sup movement step then fails)."""
         return None
 
+    def hessian(self, u):
+        """The Euclidean Hessian of Phi at u: a dense matrix, or the
+        (diagonal, off-diagonal) pair of a symmetric tridiagonal band.  None
+        where the kind has none (descend then keeps its quasi-Newton metric)."""
+        return None
+
     def rayleigh(self, u) -> float:
         u = self.space.check_dim(u)
         # homogeneity makes the quotient scale-free: evaluate at max-scaled u
@@ -187,6 +194,9 @@ class MatrixQuadratic(ProblemInstance):
     def _gradient(self, u) -> np.ndarray:
         return self.matrix @ u
 
+    def hessian(self, u):
+        return self.matrix
+
 
 class _Dirichlet1DBase(ProblemInstance):
     """Shared forward-difference machinery for the 1D gradient energies."""
@@ -216,6 +226,19 @@ class _Dirichlet1DBase(ProblemInstance):
         g[:-1] -= k
         g[1:] += k
         return g
+
+    def hessian(self, u):
+        """The band of the difference energy: each difference adds its
+        curvature weight to the diagonal at its two nodes and subtracts it
+        from the off-diagonal entry between them (a padded boundary
+        difference touches one node)."""
+        c = smoothed_curvature(self._diffs(self.space.check_dim(u)), self.p, self.eps) / self.h
+        if self.zero_padded:
+            return c[:-1] + c[1:], -c[1:-1]
+        diag = np.zeros(self.n)
+        diag[:-1] += c
+        diag[1:] += c
+        return diag, -c
 
     def solve_gradient(self, xi):
         """The u with gradient(u) = xi, integrated along the flux.
@@ -364,6 +387,12 @@ class Robin1D(_Dirichlet1DBase):
         g[-1] += self.beta * smoothed_kernel(u[-1], self.p, self.eps)
         return g / self.h
 
+    def hessian(self, u):
+        u = self.space.check_dim(u)
+        diag, off = super().hessian(u)
+        diag[[0, -1]] += self.beta * smoothed_curvature(u[[0, -1]], self.p, self.eps)
+        return diag, off
+
 
 class NeumannQuotient1D(_Dirichlet1DBase):
     """Dirichlet energy with free endpoints on the quotient-Lp space."""
@@ -405,6 +434,11 @@ class Steklov1D(_Dirichlet1DBase):
     def _gradient(self, u) -> np.ndarray:
         g = self._dirichlet_grad_euclid(u) + self.h * smoothed_kernel(u, self.p, self.eps)
         return g / self.space.pairing_weights()
+
+    def hessian(self, u):
+        u = self.space.check_dim(u)
+        diag, off = super().hessian(u)
+        return diag + self.h * smoothed_curvature(u, self.p, self.eps), off
 
     def solve_gradient(self, xi):
         return None  # the mass term couples the nodes: no flux integration
@@ -512,6 +546,12 @@ class FractionalSeminorm1D(ProblemInstance):
         k = smoothed_kernel(diff, self.p, self.eps) * self._kernel
         # ordered pairs (i,j) and (j,i) both contribute; dual coords divide by h
         return 2.0 * self.h * np.sum(k[self._interior], axis=1)
+
+    def hessian(self, u):
+        z = self._extended(self.space.check_dim(u))
+        m = (smoothed_curvature(z[:, None] - z[None, :], self.p, self.eps) * self._kernel)[self._interior]
+        # each pair {i, j} adds 2 h^2 K_ij kappa(z_i - z_j) (e_i - e_j)(e_i - e_j)'
+        return 2.0 * self.h * self.h * (np.diag(m.sum(axis=1)) - m[:, self._interior])
 
 
 _KINDS = {

@@ -52,6 +52,18 @@ class TestRayConfinement:
         rqs = trace.column("rq")
         assert np.nanmax(np.abs(rqs - 1.0)) <= 1e-6
 
+    @pytest.mark.parametrize("horizon", [50.0, 200.0])
+    def test_unit_ground_state_keeps_unit_limit(self, horizon):
+        # on the ground ray each step shrinks the state by (1 + tau mu)^(-1)
+        # exactly, so the rescaled limit of a unit ground state is itself,
+        # however long the run
+        inst = MatrixQuadratic(np.diag([2.0, 5.0, 9.0]))
+        mu = 2.0
+        opts = FlowOptions(rtol=None, dtol=None)
+        _, summary = run_flow(inst, np.array([1.0, 0.0, 0.0]), 0.01 / mu, horizon / mu, opts)
+        assert summary.steps == round(100 * horizon)
+        assert abs(np.linalg.norm(summary.limit_vec.values) - 1.0) <= 1e-12
+
     def test_zero_start_is_fixed(self):
         inst = PDirichlet1D(2.0, 5)
         trace, summary = run_flow(inst, np.zeros(5), 0.1, 1.0)

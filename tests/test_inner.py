@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rayflow.errors import DegenerateInputError
-from rayflow.inner import SolverOptions, _box_kkt, descend, minimize_movement, minimize_phi_minus_linear
+from rayflow.inner import (
+    SolverOptions,
+    _box_kkt,
+    _Newton,
+    descend,
+    minimize_movement,
+    minimize_phi_minus_linear,
+)
 from rayflow.problems import (
     FractionalSeminorm1D,
     MatrixQuadratic,
@@ -337,3 +346,164 @@ class TestMovement:
         for _ in range(3000):
             cand = v + 1e-3 * rng.standard_normal(4)
             assert inst.value(cand) + pen(cand) >= best - 1e-10
+
+
+def _dense(h):
+    """The n x n matrix of a Hessian hook's value (dense, or a band)."""
+    if isinstance(h, np.ndarray):
+        return h
+    diag, off = h
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+HESSIAN_KINDS = {
+    "pdirichlet1d": lambda p, eps: PDirichlet1D(p, 6, eps=eps),
+    "supdirichlet1d": lambda p, eps: SupDirichlet1D(p, 6, eps=eps),
+    "robin1d": lambda p, eps: Robin1D(p, 6, beta=0.4, eps=eps),
+    "neumann1d": lambda p, eps: NeumannQuotient1D(p, 6, eps=eps),
+    "steklov1d": lambda p, eps: Steklov1D(p, 6, eps=eps),
+    "fractional1d": lambda p, eps: FractionalSeminorm1D(p, 6, eps=eps),
+    "matrix": lambda p, eps: MatrixQuadratic(np.array([[2.0, -1.0, 0.5], [-1.0, 3.0, 0.0], [0.5, 0.0, 1.0]])),
+}
+
+
+class TestHessian:
+    """The Hessian hooks against central differences of the Euclidean gradient."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(sorted(HESSIAN_KINDS)),
+        p=st.floats(1.05, 20.0),
+        eps=st.sampled_from([0.0, 1e-3]),
+        grid=st.lists(st.integers(-16, 16), min_size=6, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_gradient_differences(self, kind, p, eps, grid, seed):
+        inst = HESSIAN_KINDS[kind](p, eps)
+        n = inst.space.dim
+        # entries on a grid of 1/8: every argument of the curvature weights
+        # (a difference, an entry, or an entry against the zero extension)
+        # is 0 or at least 1/8, far above the p < 2 floor
+        u = np.array(grid[:n], dtype=float) / 8.0
+        # unsmoothed, the kernel |t|^(p-2) t is only C^(1, p-2) at t = 0 for
+        # p < 3 (its curvature is unbounded below p = 2), so central
+        # differences there do not reach the Hessian at a usable step; where
+        # every argument is 0 the Hessian vanishes for p > 2, leaving only
+        # the O(step^(p-2)) difference error to compare
+        zero_arg = eps == 0.0 and len(set(u.tolist() + [0.0])) < n + 1
+        assume(not zero_arg or p >= 3.0)
+        w = inst.space.pairing_weights()
+        h = _dense(inst.hessian(u))
+        assume(not zero_arg or h.any())
+        assert np.all(np.isfinite(h))
+        np.testing.assert_array_equal(h, h.T)
+        delta = np.random.default_rng(seed).standard_normal(n)
+        step = 1e-7
+        fd = (w * inst.gradient(u + step * delta) - w * inst.gradient(u - step * delta)) / (2.0 * step)
+        scale = np.abs(h) @ np.abs(delta)
+        assert np.all(np.abs(h @ delta - fd) <= 1e-5 * scale.max()), (h @ delta, fd)
+
+    def test_no_hook_for_2d(self):
+        assert PDirichlet2D(3.0, 3).hessian(np.ones(9)) is None
+
+    @pytest.mark.parametrize("p", [1.2, 1.5])
+    def test_floor_keeps_weights_finite(self, p):
+        # a zero difference (and the zero diagonal of the fractional kernel)
+        # would give (p - 1) |0|^(p - 2) = inf without the floor
+        u = np.array([0.0, 0.5, 0.5, 1.0, 0.0, -0.5])
+        for kind in ("pdirichlet1d", "steklov1d", "fractional1d"):
+            assert np.all(np.isfinite(_dense(HESSIAN_KINDS[kind](p, 0.0).hessian(u)))), kind
+
+
+def _no_hook(inst):
+    """The same instance without its Hessian hook (descend then runs L-BFGS)."""
+    inst.hessian = lambda u: None
+    return inst
+
+
+NEWTON_CASES = {
+    "neumann1d-p3": lambda: NeumannQuotient1D(3.0, 15),
+    "steklov1d-p1.5": lambda: Steklov1D(1.5, 15),
+    "fractional1d-p3": lambda: FractionalSeminorm1D(3.0, 9),
+}
+
+
+class TestNewtonSolves:
+    """The Newton direction in descend against hook-less L-BFGS descents."""
+
+    TOL = 1e-11
+
+    @staticmethod
+    def _gap(inst, a, b):
+        # the quotient norm measures the gap modulo constants
+        return inst.space.norm(a - b) / inst.space.norm(b)
+
+    @pytest.mark.parametrize("case", list(NEWTON_CASES))
+    def test_phi_minus_linear_matches_lbfgs(self, case):
+        # descend directly: the Neumann solve would otherwise take the
+        # exact flux path
+        inst = NEWTON_CASES[case]()
+        space = inst.space
+        xi = space.duality_map(np.random.default_rng(11).standard_normal(space.dim)).values
+        args = (
+            np.zeros(space.dim),
+            lambda v: inst.value(v) - space.pairing(xi, v),
+            lambda v: inst.gradient(v) - xi,
+            space.dual_norm,
+            self.TOL * space.dual_norm(xi),
+            50_000,
+            space.pairing_weights(),
+        )
+        newton = _Newton(inst)
+        v, _, _, iters, ok = descend(*args, newton=newton)
+        ref, _, _, ref_iters, ref_ok = descend(*args)
+        assert ok and ref_ok and newton.steps > 0
+        assert iters < ref_iters
+        assert self._gap(inst, v, ref) <= 1e-8
+
+    @pytest.mark.parametrize("case", list(NEWTON_CASES))
+    def test_movement_matches_lbfgs(self, case):
+        inst = NEWTON_CASES[case]()
+        g = np.random.default_rng(13).standard_normal(inst.space.dim)
+        opts = SolverOptions(grad_tol=self.TOL)
+        rep = minimize_movement(inst, g, 0.05, opts)
+        ref = minimize_movement(_no_hook(NEWTON_CASES[case]()), g, 0.05, opts)
+        assert rep.converged and ref.converged
+        assert rep.newton_steps > 0 and ref.newton_steps == 0
+        assert rep.iters < ref.iters
+        assert self._gap(inst, rep.minimizer, ref.minimizer) <= 1e-8
+
+    def test_far_start_below_p2_does_not_flip(self):
+        # a full Newton step from afar maps the homogeneous part x to -x at
+        # p = 1.5; without the secant shortening the iterates flip sign step
+        # after step until the stall guard ends the solve unconverged
+        inst = FractionalSeminorm1D(1.5, 7)
+        rng = np.random.default_rng(1)
+        xi = inst.space.duality_map(rng.standard_normal(7)).values
+        rep = minimize_phi_minus_linear(inst, xi, SolverOptions(grad_tol=1e-11, init=50.0 * rng.standard_normal(7)))
+        assert rep.converged and rep.iters <= 50
+
+    @pytest.mark.parametrize(
+        "inst, solve",
+        [
+            (Steklov1D(1.5, 9), "phi"),
+            (PDirichlet1D(3.0, 9, eps=1e-3), "phi"),
+            (FractionalSeminorm1D(3.0, 7), "phi"),
+            (NeumannQuotient1D(3.0, 9), "movement"),
+            (Steklov1D(1.5, 9), "movement"),
+            (PDirichlet2D(3.0, 3), "phi"),
+            (PDirichlet2D(3.0, 3), "movement"),
+        ],
+        ids=["steklov-phi", "eps-phi", "fractional-phi", "neumann-move", "steklov-move", "2d-phi", "2d-move"],
+    )
+    def test_reports_newton_steps(self, inst, solve):
+        x = np.random.default_rng(5).standard_normal(inst.space.dim)
+        if solve == "phi":
+            rep = minimize_phi_minus_linear(inst, inst.space.duality_map(x).values, SolverOptions(grad_tol=1e-10))
+        else:
+            rep = minimize_movement(inst, x, 0.05, SolverOptions(grad_tol=1e-10))
+        assert rep.converged and rep.path == "descent" and rep.iters > 0
+        if inst.kind == "pdirichlet2d":
+            assert rep.newton_steps == 0
+        else:
+            assert 0 < rep.newton_steps <= rep.iters

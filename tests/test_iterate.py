@@ -156,3 +156,15 @@ class TestGuards:
         except SchemeFailure:
             pass
         assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("n", [2047, 8191])
+    def test_stalled_inner_solve_fails_fast_naming_kind(self, n):
+        # at p = 1.5 and large n the exact flux point misses grad_tol on the
+        # recomputed primal residual, and descend cannot get below its
+        # rounding floor either; it must give up, not grind on for seconds
+        inst = PDirichlet1D(1.5, n)
+        u0 = np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
+        start = time.perf_counter()
+        with pytest.raises(SchemeFailure, match=r"pdirichlet1d: .* \(merit \d\.\d{3}e-\d+\)"):
+            iterate(inst, u0)
+        assert time.perf_counter() - start < 2.0
