@@ -123,7 +123,8 @@ def descend(x, value, grad, merit, tol, max_iters, w, project=None, carry=None, 
     must already lie on it).  ``carry`` is an optional mutable dict holding
     the metric across closely related solves (successive movement steps);
     the line search keeps a stale metric safe.
-    Returns (x, f, merit, iters, converged).
+    Returns (x, f, merit, iters, converged); an unconverged exit returns
+    the lowest-merit point visited, the start included.
     """
     x = np.array(x, dtype=float)
     f = value(x)
@@ -137,6 +138,7 @@ def descend(x, value, grad, merit, tol, max_iters, w, project=None, carry=None, 
     gamma = carry.get("gamma", 1.0)
     iters = 0
     best, since_best = resid, 0
+    lowest = x, f, resid
 
     def dot(a, b):
         return float((w * a * b).sum())
@@ -216,7 +218,9 @@ def descend(x, value, grad, merit, tol, max_iters, w, project=None, carry=None, 
         resid = merit(r)
         iters += 1
         best, since_best = (resid, 0) if resid < 0.5 * best else (best, since_best + 1)
+        lowest = (x, f, resid) if resid < lowest[2] else lowest
     carry["gamma"] = gamma
+    x, f, resid = (x, f, resid) if resid <= tol else lowest
     return x, f, resid, iters, resid <= tol
 
 

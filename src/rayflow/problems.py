@@ -7,7 +7,8 @@ space its Rayleigh quotient is taken in:
 * ``PDirichlet1D``          (h/p) sum |du/h|^p, zero boundary, weighted-Lp norm
 * ``PDirichlet2D``          same on a uniform square grid with |grad u|
 * ``FractionalSeminorm1D``  (h^2/p) sum_{i!=j} |u_i-u_j|^p / |x_i-x_j|^(1+ps),
-                            zero-extended on a collar of n nodes per side
+                            zero-extended on a collar of 2n nodes, which
+                            folds into a per-node weight on |u_i|^p
 * ``Robin1D``               Dirichlet energy + (beta/p)(|u_1|^p + |u_n|^p),
                             free endpoints, weighted-Lp norm
 * ``NeumannQuotient1D``     Dirichlet energy on the quotient-Lp space
@@ -51,11 +52,11 @@ __all__ = [
 ]
 
 
-def _power_sum(t, p, eps):
-    """sum of |t|^p, or the eps-smoothed (t^2+eps^2)^(p/2) - eps^p."""
+def _power_sum(t, p, eps, weight=1.0):
+    """sum of weight |t|^p, or of the eps-smoothed (t^2+eps^2)^(p/2) - eps^p."""
     if eps == 0.0:
-        return float(np.sum(np.abs(t) ** p))
-    return float(np.sum((t * t + eps * eps) ** (p / 2.0) - eps**p))
+        return float(np.sum(np.abs(t) ** p * weight))
+    return float(np.sum(((t * t + eps * eps) ** (p / 2.0) - eps**p) * weight))
 
 
 #: iterations allowed to the scalar flux root
@@ -500,8 +501,12 @@ class FractionalSeminorm1D(ProblemInstance):
     """Discrete fractional (s, p) seminorm with zero exterior extension.
 
     Interior nodes x_j = j h, j = 1..n, h = L/(n+1); the zero extension is
-    truncated to a collar of n nodes on each side.  The diagonal i = j is
-    excluded, matching the principal-value integral.
+    truncated to 2n collar nodes on the same grid, n - 1 left of the
+    interior and n + 1 right.  The diagonal i = j is excluded, matching the
+    principal-value integral.  The collar values are zero, so the energy is
+    (h^2/p) [sum_{i,j} phi(u_i - u_j) K_ij + 2 sum_i phi(u_i) c_i] over the
+    interior, with the collar weight c_i = sum_{j in collar} K_ij stored as
+    an extra kernel column paired with u_i - 0.
     """
 
     kind = "fractional1d"
@@ -517,41 +522,34 @@ class FractionalSeminorm1D(ProblemInstance):
         self.L = float(L)
         self.s = float(s)
         self.h = h
-        idx = np.arange(1 - n, 2 * n + 1)  # collar | interior | collar
-        x = idx * h
-        d = np.abs(x[:, None] - x[None, :])
-        np.fill_diagonal(d, 1.0)
-        self._kernel = 1.0 / d ** (1.0 + p * s)
-        np.fill_diagonal(self._kernel, 0.0)
-        self._interior = slice(n - 1, 2 * n - 1)
+        x = np.arange(1 - n, 2 * n + 1) * h  # collar | interior | collar
+        interior = np.arange(n - 1, 2 * n - 1)
+        d = np.abs(x[interior, None] - x[None, :])
+        d[d == 0.0] = np.inf  # the principal value drops i = j
+        k = 1.0 / d ** (1.0 + p * s)
+        collar = np.delete(k, interior, axis=1).sum(axis=1)
+        self._kernel = np.column_stack((k[:, interior], collar))
 
-    def _extended(self, u) -> np.ndarray:
-        z = np.zeros(3 * self.n)
-        z[self._interior] = u
-        return z
+    def _pairs(self, u) -> np.ndarray:
+        """u_i - u_j for interior i, j, then u_i - 0 in the collar column."""
+        return u[:, None] - np.append(u, 0.0)
 
     def value(self, u) -> float:
-        z = self._extended(self.space.check_dim(u))
-        diff = z[:, None] - z[None, :]
-        if self.eps == 0.0:
-            total = np.sum(np.abs(diff) ** self.p * self._kernel)
-        else:
-            phi = (diff * diff + self.eps * self.eps) ** (self.p / 2.0) - self.eps**self.p
-            total = np.sum(phi * self._kernel)
-        return (self.h * self.h / self.p) * float(total)
+        u = self.space.check_dim(u)
+        # the collar column counts the pairs (i, collar); add the (collar, i) order
+        total = _power_sum(self._pairs(u), self.p, self.eps, self._kernel)
+        return (self.h * self.h / self.p) * (total + _power_sum(u, self.p, self.eps, self._kernel[:, -1]))
 
     def _gradient(self, u) -> np.ndarray:
-        z = self._extended(u)
-        diff = z[:, None] - z[None, :]
-        k = smoothed_kernel(diff, self.p, self.eps) * self._kernel
+        k = smoothed_kernel(self._pairs(u), self.p, self.eps) * self._kernel
         # ordered pairs (i,j) and (j,i) both contribute; dual coords divide by h
-        return 2.0 * self.h * np.sum(k[self._interior], axis=1)
+        return 2.0 * self.h * np.sum(k, axis=1)
 
     def hessian(self, u):
-        z = self._extended(self.space.check_dim(u))
-        m = (smoothed_curvature(z[:, None] - z[None, :], self.p, self.eps) * self._kernel)[self._interior]
-        # each pair {i, j} adds 2 h^2 K_ij kappa(z_i - z_j) (e_i - e_j)(e_i - e_j)'
-        return 2.0 * self.h * self.h * (np.diag(m.sum(axis=1)) - m[:, self._interior])
+        # each pair {i, j} adds 2 h^2 K_ij kappa(u_i - u_j) (e_i - e_j)(e_i - e_j)'
+        # (e_j = 0 in the collar); the p < 2 floor spans the same |u_i - u_j|
+        m = smoothed_curvature(self._pairs(self.space.check_dim(u)), self.p, self.eps) * self._kernel
+        return 2.0 * self.h * self.h * (np.diag(m.sum(axis=1)) - m[:, :-1])
 
 
 _KINDS = {

@@ -282,58 +282,55 @@ def mu_from_lambda(lam: float, exp: Exponent) -> float:
     return float(lam) ** (1.0 / (exp.p - 1.0))
 
 
-def optimal_shift(u, space: SpaceDescriptor, eps: float = 0.0) -> float:
+def optimal_shift(u, space: SpaceDescriptor) -> float:
     """The constant c minimizing sum_i h |u_i + c|^p for a quotient space.
 
-    The minimizer is characterized by sum_i h |u_i + c|^(p-2) (u_i + c) = 0.
-    Solved by bracketing bisection on the strictly increasing residual,
-    polished with safeguarded Newton steps; the p = 2 case is the exact
-    weighted mean.  With eps > 0 the kernel is its smoothing
-    (t^2 + eps^2)^((p-2)/2) t, matching the smoothed quotient penalties.
+    c is the root of the increasing r(c) = sum_i h |u_i + c|^(p-2) (u_i + c)
+    on [-max u, -min u].  c is 1-homogeneous in u, so the solve runs on u / m
+    (m the power of 2 at or above max|u|: exact, no power under- or
+    overflows).  Safeguarded Newton starts at c = 0 when 0 is inside the
+    bracket (a centred vector stops at once), else at its midpoint.  One
+    power a^(p-1) of a = |u + c| per iteration gives r, its scale
+    sum h a^(p-1) and r' = (p-1) sum h a^(p-2).  Bisection replaces a Newton
+    point outside the bracket or a step over half the one before last
+    (rtsafe, Numerical Recipes).  Stops at |r| <= 1e-13 scale, or with no
+    float left inside the bracket at the end of smaller |r|.
     """
     if space.kind is not SpaceKind.QUOTIENT_LP:
         raise SpaceMismatchError("optimal_shift applies to quotient-Lp spaces only")
     u = space.check_dim(u)
     w = space.pairing_weights()
     p = space.exponent.p
-    if p == 2.0:
-        return float(-np.sum(w * u) / np.sum(w))
     lo, hi = float(-np.max(u)), float(-np.min(u))
     if lo == hi:
         return lo  # constant vector: shift cancels it exactly
-
-    def resid(c):
-        return float(np.sum(w * smoothed_kernel(u + c, p, eps)))
-
-    # Newton accelerates the generic case; the forced bisection on odd
-    # iterations guards against creep when the root sits at a kink of the
-    # p < 2 kernel (there the stated residual target is below the floating
-    # floor and the bracket width criterion takes over).
-    c = 0.5 * (lo + hi)
-    for it in range(200):
-        r = resid(c)
-        scale = float(np.sum(w * (np.abs(u + c) ** 2 + eps * eps) ** ((p - 1.0) / 2.0)))
-        if abs(r) <= 1e-13 * max(scale, 1e-300):
+    m = 2.0 ** math.frexp(max(-lo, hi))[1]  # a power of 2: the scaling is exact
+    v, lo, hi = u / m, lo / m, hi / m
+    r_lo, r_hi = -math.inf, math.inf
+    c = 0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)
+    step_before = [math.inf, math.inf]
+    for _ in range(200):
+        t = v + c
+        a = np.abs(t)
+        ap = a ** (p - 1.0)
+        r = float(w @ np.copysign(ap, t))
+        if abs(r) <= 1e-13 * float(w @ ap):
             break
         if r > 0.0:
-            hi = c
+            hi, r_hi = c, r
         else:
-            lo = c
-        if hi - lo <= 4.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi)):
-            c = 0.5 * (lo + hi)
-            break
-        c_next = 0.5 * (lo + hi)
-        if it % 2 == 0:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                deriv = (p - 1.0) * float(
-                    np.sum(w * (np.abs(u + c) ** 2 + eps * eps) ** ((p - 2.0) / 2.0))
-                )
-            if math.isfinite(deriv) and deriv > 0.0:
-                cand = c - r / deriv
-                if lo < cand < hi:
-                    c_next = cand
+            lo, r_lo = c, r
+        # a^(p-2) is taken as 0 at a = 0: exact for p > 2; the bracket guards the rest
+        deriv = (p - 1.0) * float(w @ np.divide(ap, a, out=np.zeros_like(a), where=a > 0.0))
+        c_next = c - r / deriv if deriv > 0.0 else math.nan
+        if not lo < c_next < hi or abs(c_next - c) > 0.5 * step_before[0]:
+            c_next = 0.5 * (lo + hi)
+            if not lo < c_next < hi:  # no float left between the ends
+                c = lo if -r_lo <= r_hi else hi
+                break
+        step_before = [step_before[1], abs(c_next - c)]
         c = c_next
-    return float(c)
+    return float(c * m)
 
 
 def ray_projection_alpha(w, u, space: SpaceDescriptor | None = None) -> float:

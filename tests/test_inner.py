@@ -93,6 +93,19 @@ class TestDescendOnSphere:
         assert iters == 2 and not ok and resid > 1e-14
 
 
+def test_unconverged_descend_returns_lowest_merit_point():
+    # on 0.5 (x^2 + 100 y^2) from (1, 1e-3) the first step along -grad
+    # passes the Armijo test but lands at a gradient ten times larger
+    d = np.array([1.0, 100.0])
+    x0 = np.array([1.0, 1e-3])
+    x, f, resid, iters, ok = descend(
+        x0, lambda x: 0.5 * float(x @ (d * x)), lambda x: d * x, lambda g: float(np.linalg.norm(g)), 1e-12, 1, np.ones(2)
+    )
+    assert iters == 1 and not ok
+    np.testing.assert_array_equal(x, x0)
+    assert f == 0.5 * float(x0 @ (d * x0)) and resid == float(np.linalg.norm(d * x0))
+
+
 class TestPhiMinusLinear:
     def test_matrix_closed_form(self):
         inst = MatrixQuadratic(np.diag([1.0, 4.0]))

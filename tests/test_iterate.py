@@ -165,6 +165,21 @@ class TestGuards:
         inst = PDirichlet1D(1.5, n)
         u0 = np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
         start = time.perf_counter()
-        with pytest.raises(SchemeFailure, match=r"pdirichlet1d: .* \(merit \d\.\d{3}e-\d+\)"):
+        with pytest.raises(SchemeFailure, match=r"pdirichlet1d: .* \(merit \d\.\d{3}e-\d+\)") as failure:
             iterate(inst, u0)
         assert time.perf_counter() - start < 2.0
+        # descend starts from the exact flux point and reports no worse a
+        # merit than that point's (up to the 4 printed digits)
+        xi = inst.space.duality_map(u0).values
+        s = inst.space.dual_norm(xi)
+        v0, _ = inst.solve_gradient(xi / s)
+        start_merit = s * inst.space.dual_norm(inst.gradient(v0) - xi / s)
+        reported = float(str(failure.value).rsplit("merit ", 1)[1].rstrip(")"))
+        assert reported <= start_merit * (1.0 + 5e-4)
+
+    def test_neumann_p12_converges(self):
+        # the iterate shrinks about 346x per step: the quotient shift must stay
+        # exact down to max|u| ~ 1e-16, or the quotient falls into a 2-cycle
+        _, summary = iterate(NeumannQuotient1D(1.2, 31), np.linspace(-1.0, 1.0, 31))
+        assert summary.converged and summary.iters < 20
+        assert summary.lambda_hat == pytest.approx(3.220964201675858, rel=1e-12)

@@ -16,7 +16,7 @@ from rayflow.problems import (
     assemble,
     euler_identity_residual,
 )
-from rayflow.spaces import SpaceKind
+from rayflow.spaces import SpaceKind, smoothed_curvature
 
 RNG = np.random.default_rng(42)
 
@@ -274,3 +274,37 @@ class TestDiscretizationalOracles:
                     continue
                 total += abs(z[i] - z[j]) ** 3.0 / abs((idx[i] - idx[j]) * h) ** (1.0 + 3.0 * s)
         assert inst.value(u) == pytest.approx(h * h / 3.0 * total, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 8.0])
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    @pytest.mark.parametrize("n", [1, 5, 31])
+    def test_fractional_collar_weight_matches_extended_sums(self, p, eps, n):
+        # value, gradient and Hessian straight from the double sums over the
+        # 3n zero-extended nodes, against the interior kernel plus collar weight
+        inst = FractionalSeminorm1D(p, n, s=0.3, eps=eps)
+        h = inst.h
+        x = np.arange(1 - n, 2 * n + 1) * h
+        d = np.abs(x[:, None] - x[None, :])
+        np.fill_diagonal(d, 1.0)
+        kernel = 1.0 / d ** (1.0 + p * 0.3)
+        np.fill_diagonal(kernel, 0.0)
+        interior = slice(n - 1, 2 * n - 1)
+        rng = np.random.default_rng(int(10 * p) + n)
+        u = rng.standard_normal(n)
+        if n > 2:  # a zero node and a repeated value bring in the p < 2 curvature floor
+            u[0], u[2] = 0.0, u[1]
+        z = np.zeros(3 * n)
+        z[interior] = u
+        t = z[:, None] - z[None, :]
+        if eps == 0.0:
+            phi, dphi = np.abs(t) ** p, np.sign(t) * np.abs(t) ** (p - 1.0)
+        else:
+            phi = (t * t + eps * eps) ** (p / 2.0) - eps**p
+            dphi = (t * t + eps * eps) ** ((p - 2.0) / 2.0) * t
+        value = h * h / p * np.sum(phi * kernel)
+        grad = 2.0 * h * np.sum((dphi * kernel)[interior], axis=1)
+        m = (smoothed_curvature(t, p, eps) * kernel)[interior]
+        hess = 2.0 * h * h * (np.diag(m.sum(axis=1)) - m[:, interior])
+        assert inst.value(u) == pytest.approx(value, rel=1e-12)
+        assert np.max(np.abs(inst.gradient(u) - grad)) <= 1e-12 * np.max(np.abs(grad))
+        assert np.max(np.abs(inst.hessian(u) - hess)) <= 1e-12 * np.max(np.abs(hess))

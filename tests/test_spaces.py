@@ -228,6 +228,34 @@ class TestOptimalShift:
                 scale = float(np.sum(w * np.abs(u + c) ** (p - 1.0)))
                 assert resid <= 1e-12 * scale
 
+    @staticmethod
+    def shapes(n):
+        base = np.random.default_rng(n).standard_normal(n)
+        return {"centred": base - base.mean(), "off-centre": base + 1e3, "one-sided": np.abs(base)}
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 8.0, 20.0])
+    @pytest.mark.parametrize("n", [11, 511, 8191])
+    def test_residual_across_range(self, p, n):
+        s = quot(n, p, h=1.0 / (n - 1))
+        w = s.pairing_weights()
+        for u in self.shapes(n).values():
+            c = optimal_shift(u, s)
+            assert -np.max(u) <= c <= -np.min(u)
+            resid = abs(float(np.sum(w * signed_power(u + c, p - 1.0))))
+            scale = float(np.sum(w * np.abs(u + c) ** (p - 1.0)))
+            assert resid <= 1e-12 * scale
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 8.0, 20.0])
+    @pytest.mark.parametrize("n", [11, 511, 8191])
+    def test_scale_equivariance(self, p, n):
+        # the shift is 1-homogeneous in u, at magnitudes where |u|^p alone
+        # would under- or overflow
+        s = quot(n, p, h=1.0 / (n - 1))
+        for u in self.shapes(n).values():
+            c = optimal_shift(u, s)
+            for scale in (1e-200, 1e-20, 1.0, 1e20, 1e200):
+                assert optimal_shift(scale * u, s) == pytest.approx(scale * c, rel=1e-12)
+
     def test_wrong_kind(self):
         with pytest.raises(SpaceMismatchError):
             optimal_shift([1.0, 2.0], wlp(2, 2.0))
