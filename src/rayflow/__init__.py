@@ -52,7 +52,6 @@ from .spaces import (
     SpaceKind,
     mu_from_lambda,
     optimal_shift,
-    ray_projection_alpha,
 )
 
 __version__ = "0.1.0"
@@ -102,7 +101,6 @@ __all__ = [
     "mu_from_lambda",
     "optimal_shift",
     "oracle_lambda",
-    "ray_projection_alpha",
     "rough_mu",
     "run_flow",
     "symmetric_eigs",

@@ -6,7 +6,6 @@ Commands:
 * ``flow``       minimizing-movement flow -> trace CSV + summary JSON
 * ``oracle``     independent ground truth -> result JSON
 * ``compare``    all three, with pairwise relative gaps -> joint JSON
-* ``properties`` invariant suites -> TAP-like report
 
 Outputs are deterministic for a fixed config and seed: floats are written
 with 17 significant digits, field order is fixed, line endings are \\n.
@@ -28,10 +27,9 @@ from .errors import ConfigError, DegenerateInputError, NumericsError
 from .flow import FlowOptions, check_step, run_flow
 from .inner import SolverOptions
 from .iterate import IterOptions, SchemeFailure, iterate, rough_mu
-from .oracles import oracle_lambda
+from .oracles import DEFAULT_SEED, oracle_lambda
 from .problems import assemble
-from .properties import run_properties
-from .util import rng_from
+from .util import derive_seed, rng_from
 
 __all__ = ["main"]
 
@@ -191,9 +189,6 @@ def _run_flow(cfg: RunConfig, out: Path, say):
 def _run_oracle(cfg: RunConfig, out: Path, say):
     restarts, tol = _oracle_params(cfg)
     inst = assemble(cfg.instance)
-    from .oracles import DEFAULT_SEED
-    from .util import derive_seed
-
     seed = derive_seed(cfg.seed, "oracle") ^ DEFAULT_SEED
     result = oracle_lambda(inst, restarts=restarts, tol=tol, seed=seed)
     _write_json(
@@ -244,24 +239,12 @@ def _run_compare(cfg: RunConfig, out: Path, say):
     return 0 if ok else 1
 
 
-def _run_properties(cfg_seed: int, out: Path, say):
-    results = run_properties(seed=cfg_seed)
-    lines = [f"1..{len(results)}"]
-    for i, r in enumerate(results, start=1):
-        status = "ok" if r.passed else "not ok"
-        lines.append(f"{status} {i} - {r.name} # {r.detail}")
-    text = "\n".join(lines) + "\n"
-    (out / "properties.txt").write_text(text, encoding="utf-8", newline="")
-    say(text.rstrip("\n"))
-    return 0 if all(r.passed for r in results) else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rayflow",
         description="Approximate least Rayleigh quotients by inverse iteration and maximal-slope flows.",
     )
-    parser.add_argument("command", choices=["iterate", "flow", "oracle", "compare", "properties"])
+    parser.add_argument("command", choices=["iterate", "flow", "oracle", "compare"])
     parser.add_argument("--config", help="path to the run configuration file")
     parser.add_argument("--out", default=".", help="output directory (default: current)")
     parser.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
@@ -282,10 +265,6 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: out: {e}", file=sys.stderr)
         return 2
-
-    if args.command == "properties":
-        seed = args.seed if args.seed is not None else 0
-        return _run_properties(seed, out, say)
 
     if not args.config:
         print("error: config: --config is required for this command", file=sys.stderr)

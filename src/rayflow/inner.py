@@ -34,8 +34,8 @@ The sup-norm movement step runs no descent: for each trial radius rho the
 instance solves the energy over the box |v - g|_inf <= rho exactly
 (``ProblemInstance.solve_box``, the discrete taut string of the 1D
 Dirichlet energy), and a bracketed scalar root on rho balances the active
-multiplier mass against the movement penalty.  The one loop left apart
-from ``descend`` is the sup oracle's slice solve in ``oracles``.
+multiplier mass against the movement penalty.  No descent loop runs
+apart from ``descend``: the sup oracle in ``oracles`` is a closed form.
 """
 
 from __future__ import annotations

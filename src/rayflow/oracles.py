@@ -4,9 +4,11 @@ None of these go through the iteration or flow schemes:
 
 * ``symmetric_eigs``: cyclic Jacobi rotations for dense symmetric matrices.
 * ``direct_rayleigh_min``: quasi-Newton descent of p Phi(u)/||u||^p on the
-  unit sphere of the space norm, multi-start.  Sup spaces use peak
-  enumeration instead (one smooth constrained minimization per candidate
-  peak index), since the sup-sphere is nonsmooth exactly at the minimizers.
+  unit sphere of the space norm, multi-start.  The sup-sphere is nonsmooth
+  exactly at the minimizers, so ``SupDirichlet1D`` is solved in closed
+  form instead: with the peak u_i = 1 fixed, Jensen's inequality makes the
+  tent (equal differences on each side of i) the minimizer of the convex
+  energy, and lambda is the least quotient over the n tents.
 * ``hilbert_closed_form``: the explicit diagonal-quadratic solution
   sequences used to cross-check both schemes step by step.
 
@@ -15,6 +17,8 @@ it runs ``inner.descend``, the loop the inner convex solves use.  The
 quotient it minimizes, the eigen residual that drives it, and so lambda
 and the certificate, come from the problem primitives (value, gradient,
 norm, duality map) alone, never from a scheme's subproblem or its output.
+The sup tents likewise only evaluate those primitives on n explicit
+vectors; the sup flow's taut-string box solve plays no part.
 """
 
 from __future__ import annotations
@@ -161,91 +165,6 @@ def _spg(inst, u0, tol, max_iters):
     return u, lam, cert
 
 
-def _slice_minimum(inst, i, u, tol, max_iters):
-    """Minimize Phi over the slice {u_i fixed} by BB/Armijo on the rest.
-
-    Stops when the total variation of the free gradient components drops
-    below tol times the point-load magnitude at the peak (the TV norm is
-    the sup-space dual norm, so this matches the certificate)."""
-    w = inst.space.pairing_weights()
-
-    def slice_grad(u):
-        e = w * inst.gradient(u)
-        load = abs(e[i])
-        e[i] = 0.0
-        return e, load
-
-    f = inst.value(u)
-    e, load = slice_grad(u)
-    t = 1.0
-    prev = None
-    for _ in range(max_iters):
-        if float(np.sum(np.abs(e))) <= tol * max(load, 1e-300):
-            break
-        if prev is not None:
-            s, y = u - prev[0], e - prev[1]
-            sy, yy = float(s @ y), float(y @ y)
-            if sy > 0.0 and yy > 0.0:
-                t = sy / yy
-        t = min(max(t, 1e-18), 1e18)
-        prev = (u, e.copy())
-        ee = float(e @ e)
-        noise = 16.0 * np.finfo(float).eps * (1.0 + abs(f))
-        accepted = False
-        tk = t
-        if 1e-4 * tk * ee > noise:
-            for _ in range(60):
-                u_new = u - tk * e
-                f_new = inst.value(u_new)
-                if f_new <= f - 1e-4 * tk * ee:
-                    accepted = True
-                    e_new, load = slice_grad(u_new)
-                    break
-                tk *= 0.5
-                if 1e-4 * tk * ee <= noise:
-                    break
-        if not accepted:
-            gnorm = float(np.sum(np.abs(e)))
-            tk = t
-            for _ in range(60):
-                u_new = u - tk * e
-                f_new = inst.value(u_new)
-                e_new, load_new = slice_grad(u_new)
-                if float(np.sum(np.abs(e_new))) < gnorm:
-                    accepted = True
-                    load = load_new
-                    break
-                tk *= 0.5
-        if not accepted:
-            break
-        u, f, e = u_new, f_new, e_new
-    return u
-
-
-def _sup_peak_minimum(inst, tol):
-    """Minimize the quotient over a sup space by enumerating the peak index.
-
-    Every slice {u_i = 1} is solved coarsely; the winning peak is polished
-    to a certificate a factor below tol (TV norms sum entrywise errors, so
-    the slice tolerance carries that factor).
-    """
-    space = inst.space
-    n = space.dim
-    best = None
-    for i in range(n):
-        u0 = np.zeros(n)
-        u0[i] = 1.0
-        u = _slice_minimum(inst, i, u0, 1e-4, 2_000)
-        lam_i = inst.rayleigh(u)
-        if best is None or lam_i < best[0]:
-            best = (lam_i, i, u)
-    _, i, u = best
-    u = _slice_minimum(inst, i, u, tol / 8.0, 50_000)
-    lam = inst.rayleigh(u)
-    u = u / space.norm(u)
-    return u, lam, eigen_residual(inst, u, lam)
-
-
 def direct_rayleigh_min(
     inst: ProblemInstance,
     restarts: int = 16,
@@ -258,13 +177,25 @@ def direct_rayleigh_min(
     coarse tolerance, keeps the best by (value, start index), then polishes
     it to the requested certificate tolerance.  The certificate is the
     relative dual-norm residual of dPhi(u) - lambda J_p(u).
+
+    ``SupDirichlet1D`` needs no search.  A unit-sup minimizer peaks at some
+    node, u_i = 1 up to sign.  Phi is a sum of one convex function of each
+    difference, and the differences left of i sum to u_i - 0 (right of i to
+    0 - u_i).  By Jensen's inequality Phi over {u_i = 1} is least when each
+    side's differences are equal: the tent u_j = j/i for j <= i and
+    (n+1-j)/(n+1-i) for j >= i, for every p and eps.  The tent lies in the
+    unit sup ball, so lambda is the least quotient of the n tents, and the
+    method is ``closed_form``.
     """
     space = inst.space
     if space.dim > 256:
         raise DegenerateInputError("direct oracle is limited to dim <= 256")
-    if space.kind is SpaceKind.SUP:
-        u, lam, cert = _sup_peak_minimum(inst, tol)
-        return OracleResult(lam, CoeffVec(u, space), OracleMethod.PROJECTED_GRADIENT, cert)
+    if inst.kind == "supdirichlet1d":
+        n = space.dim
+        j = np.arange(1, n + 1)
+        tents = (np.where(j <= i, j / i, (n + 1 - j) / (n + 1 - i)) for i in range(1, n + 1))
+        lam, u = min(((inst.rayleigh(t), t) for t in tents), key=lambda c: c[0])
+        return OracleResult(lam, CoeffVec(u, space), OracleMethod.CLOSED_FORM, eigen_residual(inst, u, lam))
 
     rng = np.random.default_rng(seed)
     starts = [np.ones(space.dim)]

@@ -39,7 +39,6 @@ __all__ = [
     "smoothed_curvature",
     "mu_from_lambda",
     "optimal_shift",
-    "ray_projection_alpha",
     "unit_representative",
 ]
 
@@ -331,61 +330,6 @@ def optimal_shift(u, space: SpaceDescriptor) -> float:
         step_before = [step_before[1], abs(c_next - c)]
         c = c_next
     return float(c * m)
-
-
-def ray_projection_alpha(w, u, space: SpaceDescriptor | None = None) -> float:
-    """Smallest alpha >= 0 with alpha*w in the ray projection P_w(u).
-
-    Minimizes beta |-> ||u - beta*w|| over beta >= 0 by golden-section
-    search on [0, 2||u||/||w||], then walks to the left edge of the minimal
-    sublevel set (the minimizer set can be a segment for sup norms).
-    Diagnostic use only.
-    """
-    if space is None:
-        if not isinstance(w, CoeffVec):
-            raise SpaceMismatchError("pass a space or CoeffVec arguments")
-        space = w.space
-    wv = space.check_dim(w)
-    uv = space.check_dim(u)
-    nw = space.norm(wv)
-    if nw == 0.0:
-        raise DegenerateInputError("ray direction w must be nonzero")
-    hi = 2.0 * space.norm(uv) / nw
-    if hi == 0.0:
-        return 0.0
-
-    def f(beta):
-        return space.norm(uv - beta * wv)
-
-    # golden-section search for some minimizer
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, hi
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    tol = 1e-11 * max(hi, 1e-300)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    beta_star = 0.5 * (a + b)
-    f_star = f(beta_star)
-    # left edge of {beta : f(beta) <= f_star + slack}
-    slack = 1e-12 * max(f_star, space.norm(uv), 1e-300)
-    if f(0.0) <= f_star + slack:
-        return 0.0
-    lo_e, hi_e = 0.0, beta_star
-    while hi_e - lo_e > tol:
-        mid = 0.5 * (lo_e + hi_e)
-        if f(mid) <= f_star + slack:
-            hi_e = mid
-        else:
-            lo_e = mid
-    return float(hi_e)
 
 
 def unit_representative(space: SpaceDescriptor, u) -> tuple[np.ndarray, float]:

@@ -1,9 +1,9 @@
 """Deterministic seed derivation.
 
-All randomness in the CLI and the property suites flows from one user
-seed through splitmix64: the seed is mixed with an FNV-1a hash of a
-purpose label, so independent consumers (start vectors, oracle restarts,
-property sampling) get decorrelated but reproducible streams.
+All randomness in the CLI flows from one user seed through splitmix64:
+the seed is mixed with an FNV-1a hash of a purpose label, so independent
+consumers (start vectors, oracle restarts) get decorrelated but
+reproducible streams.
 """
 
 from __future__ import annotations

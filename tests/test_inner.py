@@ -157,7 +157,8 @@ class TestPhiMinusLinear:
         rng = np.random.default_rng(1)
         tol = 1e-11
         descents = (Steklov1D(2.0, 7), PDirichlet1D(3.0, 7, eps=1e-3), FractionalSeminorm1D(1.5, 7))
-        for inst in (PDirichlet1D(1.5, 7), PDirichlet1D(3.0, 7)) + descents:
+        exact = (PDirichlet1D(1.5, 7), PDirichlet1D(3.0, 7), Robin1D(2.0, 7), NeumannQuotient1D(3.0, 7))
+        for inst in exact + descents:
             xi = inst.space.duality_map(rng.standard_normal(inst.space.dim)).values
             a = minimize_phi_minus_linear(inst, xi, SolverOptions(grad_tol=tol))
             b = minimize_phi_minus_linear(inst, xi, SolverOptions(grad_tol=tol, init=rng.standard_normal(inst.space.dim)))
@@ -165,7 +166,7 @@ class TestPhiMinusLinear:
             if inst in descents:
                 assert a.path == b.path == "descent"
             gap = inst.space.norm(a.minimizer - b.minimizer)
-            assert gap <= 10 * tol * max(1.0, inst.space.norm(a.minimizer))
+            assert gap <= 10 * tol * inst.space.norm(a.minimizer)
 
     def test_objective_not_above_warm_start(self):
         inst = PDirichlet1D(3.0, 9)

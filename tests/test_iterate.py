@@ -76,7 +76,8 @@ class TestInvariants:
         )
 
     def test_monotonicity_empty_on_converged_runs(self):
-        for inst in (MatrixQuadratic(np.diag([1.0, 4.0])), PDirichlet1D(1.5, 9), NeumannQuotient1D(3.0, 9)):
+        insts = (MatrixQuadratic(np.diag([1.0, 4.0])), PDirichlet1D(1.5, 9), NeumannQuotient1D(3.0, 9), Robin1D(1.5, 9))
+        for inst in insts:
             u0 = np.linspace(-1, 1, inst.space.dim) if inst.kind == "neumann1d" else np.ones(inst.space.dim)
             trace, summary = iterate(inst, u0)
             assert summary.converged

@@ -159,3 +159,17 @@ class TestOracleLambda:
         assert res.method.value == "projected_gradient"
         exact = (2.0 / PDirichlet1D(2.0, 9).h ** 2) * (1.0 - math.cos(math.pi / 10.0))
         assert res.lambda_star == pytest.approx(exact, rel=1e-10)
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 8.0, 20.0])
+    @pytest.mark.parametrize("n", [9, 10, 31, 129])
+    def test_sup_uses_closed_form(self, n, p):
+        # the tent peaking at node i has quotient h^(1-p) (i^(1-p) + (n+1-i)^(1-p))
+        inst = SupDirichlet1D(p, n)
+        res = oracle_lambda(inst)
+        exact = min(inst.h ** (1 - p) * (i ** (1 - p) + (n + 1 - i) ** (1 - p)) for i in range(1, n + 1))
+        assert res.method.value == "closed_form"
+        assert res.lambda_star == pytest.approx(exact, rel=1e-14)
+        # the returned tent has max 1, so its entries j/i are rounded; the
+        # kernel amplifies that rounding (p-1)-fold and the total-variation
+        # dual norm sums it over n nodes (1.6e-12 at p = 8, 4.5e-12 at p = 20, n = 129)
+        assert res.certificate <= 1e-12 * max(1.0, (p - 1.0) * n / 256)

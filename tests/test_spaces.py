@@ -12,7 +12,6 @@ from rayflow.spaces import (
     SpaceKind,
     mu_from_lambda,
     optimal_shift,
-    ray_projection_alpha,
     signed_power,
 )
 
@@ -259,39 +258,6 @@ class TestOptimalShift:
     def test_wrong_kind(self):
         with pytest.raises(SpaceMismatchError):
             optimal_shift([1.0, 2.0], wlp(2, 2.0))
-
-
-class TestRayProjectionAlpha:
-    def test_on_ray(self):
-        s = wlp(3, 2.0)
-        rng = np.random.default_rng(10)
-        w = rng.standard_normal(3)
-        for gamma in (0.0, 0.7, 2.5):
-            assert ray_projection_alpha(w, gamma * w, s) == pytest.approx(gamma, abs=1e-8)
-
-    def test_negative_ray_projects_to_zero(self):
-        for s in (wlp(4, 2.0), sup(4, 3.0)):
-            rng = np.random.default_rng(11)
-            w = rng.standard_normal(4)
-            assert ray_projection_alpha(w, -w, s) == pytest.approx(0.0, abs=1e-8)
-
-    def test_positive_homogeneity(self):
-        rng = np.random.default_rng(12)
-        for s in (wlp(5, 2.0), sup(5, 2.0), quot(5, 3.0)):
-            w = rng.standard_normal(5)
-            u = rng.standard_normal(5)
-            a = ray_projection_alpha(w, u, s)
-            for scale in (0.3, 4.0):
-                assert ray_projection_alpha(w, scale * u, s) == pytest.approx(scale * a, abs=1e-8 * max(1, scale * a))
-
-    def test_zero_direction_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            ray_projection_alpha(np.zeros(3), np.ones(3), wlp(3, 2.0))
-
-    def test_coeffvec_arguments(self):
-        s = wlp(3, 2.0)
-        w = CoeffVec(np.array([1.0, 2.0, 0.5]), s)
-        assert ray_projection_alpha(w, 3.0 * w.values) == pytest.approx(3.0, abs=1e-8)
 
 
 class TestTaggedVectors:
