@@ -11,7 +11,7 @@ every computable claim.
 
 from .errors import ConfigError, DegenerateInputError, NumericsError, SpaceMismatchError
 from .flow import FlowOptions, FlowSummary, FlowTrace, check_decay, local_slope, run_flow
-from .inner import SolveReport, SolverOptions, minimize_movement, minimize_phi_minus_linear
+from .inner import SolveReport, minimize_movement, minimize_phi_minus_linear
 from .iterate import (
     IterationTrace,
     IterOptions,
@@ -80,7 +80,6 @@ __all__ = [
     "RunSummary",
     "SchemeFailure",
     "SolveReport",
-    "SolverOptions",
     "SpaceDescriptor",
     "SpaceKind",
     "SpaceMismatchError",

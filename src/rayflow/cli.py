@@ -18,6 +18,7 @@ import argparse
 import math
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,6 @@ import numpy as np
 from .config import RunConfig, load_config, start_vector
 from .errors import ConfigError, DegenerateInputError, NumericsError
 from .flow import FlowOptions, check_step, run_flow
-from .inner import SolverOptions
 from .iterate import IterOptions, SchemeFailure, iterate, rough_mu
 from .oracles import DEFAULT_SEED, oracle_lambda
 from .problems import assemble
@@ -104,22 +104,17 @@ def _oracle_params(cfg: RunConfig):
     return int(restarts), _positive("oracle", "tol", cfg.oracle.get("tol", 1e-8))
 
 
-def _iter_options(cfg: RunConfig) -> IterOptions:
-    c = cfg.iterate
-    with _options_of("iterate"):
-        return IterOptions(
-            rtol=c.get("rtol", 1e-10),
-            dtol=c.get("dtol", 1e-8),
-            max_iters=c.get("max_iters", 500),
-            solver=SolverOptions(grad_tol=c.get("grad_tol", 1e-9)),
-        )
+def _scheme_options(cls, section: str, c: dict):
+    """``cls`` from the keys that ``section`` sets; the rest keep their
+    dataclass defaults."""
+    names = {f.name for f in fields(cls)}
+    with _options_of(section):
+        return cls(**{k: v for k, v in c.items() if k in names})
 
 
 def _flow_params(cfg: RunConfig, inst, u0):
     c = cfg.flow
-    with _options_of("flow"):
-        solver = SolverOptions(grad_tol=c.get("grad_tol", 1e-9))
-        opts = FlowOptions(rtol=c.get("rtol", 1e-9), dtol=c.get("dtol", 1e-8), solver=solver)
+    opts = _scheme_options(FlowOptions, "flow", c)
     tau, t_end = c.get("tau", "auto"), c.get("t_end", "auto")
     if tau == "auto" or t_end == "auto":
         mu = rough_mu(inst, u0)
@@ -136,7 +131,7 @@ def _run_iterate(cfg: RunConfig, out: Path, say):
     inst = assemble(cfg.instance)
     u0 = start_vector(inst, cfg.iterate.get("u0"), cfg.seed, rng_from)
     try:
-        trace, summary = iterate(inst, u0, _iter_options(cfg))
+        trace, summary = iterate(inst, u0, _scheme_options(IterOptions, "iterate", cfg.iterate))
     except SchemeFailure as e:
         _write_trace_csv(out / "iterate_trace.csv", _iterate_rows(e.trace))
         say(f"iterate: {e}")

@@ -13,12 +13,12 @@ and (1 + tau mu)^n v_n is the rescaled state whose limit is a minimizer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateInputError
-from .inner import SolverOptions, minimize_movement
+from .inner import minimize_movement
 from .iterate import SchemeFailure, StopReason, Violation, check_stop_rules, outer_loop
 from .problems import ProblemInstance
 from .spaces import CoeffVec, as_array
@@ -36,17 +36,17 @@ __all__ = [
 
 @dataclass
 class FlowOptions:
-    """Stability thresholds and inner-solver controls for the discrete flow."""
+    """Stability thresholds and the movement solves' tolerance for the discrete flow."""
 
     rtol: float | None = 1e-9
     dtol: float | None = 1e-8
-    solver: SolverOptions = field(default_factory=SolverOptions)
+    grad_tol: float = 1e-9
     min_steps: int = 10
     rq_patience: int = 50
     keep_states: bool = False
 
     def __post_init__(self):
-        check_stop_rules(self.rtol, self.dtol, self.rq_patience)
+        check_stop_rules(self.rtol, self.dtol, self.rq_patience, self.grad_tol)
         if self.min_steps < 1:
             raise DegenerateInputError(f"min_steps: must be >= 1, got {self.min_steps}")
 
@@ -102,12 +102,13 @@ def check_step(tau: float, t_end: float):
 def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOptions | None = None):
     """Advance the minimizing-movement flow from v0; returns (FlowTrace, FlowSummary).
 
-    Each step is one movement solve, warm-started through a solver metric
-    carried across the nearly identical steps.  Stop rules and collapse
-    handling are ``iterate.outer_loop``'s (no stop before min_steps; t_end
-    bounds the run).  The limit is (1 + tau mu)^n v_n at the last step: on
-    the ground ray each step shrinks the state by exactly (1 + tau mu)^(-1),
-    for every p, so a unit ground state keeps unit norm.
+    Each step is one movement solve from the previous state; on sup spaces
+    the last step's box radius starts the next one's root search.  Stop
+    rules and collapse handling are ``iterate.outer_loop``'s (no stop
+    before min_steps; t_end bounds the run).  The limit is
+    (1 + tau mu)^n v_n at the last step: on the ground ray each step
+    shrinks the state by exactly (1 + tau mu)^(-1), for every p, so a unit
+    ground state keeps unit norm.
     """
     opts = opts or FlowOptions()
     check_step(tau, t_end)
@@ -123,11 +124,10 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
     if opts.keep_states:
         trace.states.append(v.copy())
     p, q = inst.exponent.p, inst.exponent.q
-    solver = replace(opts.solver, init=None)
-    carry: dict = {}  # solver metric persists across the nearly-identical steps
+    carry: dict = {}  # the sup radius of the last step
 
     def step(n, v):
-        rep = minimize_movement(inst, v, tau, solver, carry=carry)
+        rep = minimize_movement(inst, v, tau, opts.grad_tol, carry)
         if not rep.converged:
             raise SchemeFailure(
                 f"{inst.kind}: movement solve failed to converge at step {n} (merit {rep.grad_dual_norm:.3e})", trace

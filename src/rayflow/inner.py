@@ -5,21 +5,22 @@ Both outer schemes reduce to strictly convex minimizations:
 * ``minimize_phi_minus_linear``: v |-> Phi(v) - <xi, v>
 * ``minimize_movement``:         v |-> Phi(v) + ||v - g||^p / (p tau^(p-1))
 
+Each solve depends only on its instance, its data and one ``grad_tol``.
 Both run ``descend``, the one line-search loop for smooth problems.  Its
 direction is the Newton direction wherever the instance has a Hessian
 (``ProblemInstance.hessian``: a tridiagonal band for the 1D kinds, solved
 by a Thomas sweep, and a dense matrix for the fractional and matrix
 kinds); the movement solve adds the diagonal curvature of its penalty.
 Where there is no Hessian (2D), or the Newton direction is not finite or
-not a descent direction, an L-BFGS metric in pairing coordinates maps the
-dual residual to the direction instead.  An Armijo backtracking search
-enforces strict decrease, an endgame below the rounding floor of the
-objective backtracks on the residual, and a solve whose residual stops
-improving gives up.  ``oracles`` runs the same loop on the unit sphere
-(with a retraction, without Newton directions) for the direct Rayleigh
-minimization.  Problems are solved in normalized coordinates (unit data
-scale) so the gradient tolerance acts relatively; homogeneity of Phi
-makes the rescaling exact.
+not a descent direction, an L-BFGS metric in pairing coordinates, built
+afresh in each solve, maps the dual residual to the direction instead.
+An Armijo backtracking search enforces strict decrease, an endgame below
+the rounding floor of the objective backtracks on the residual, and a
+solve whose residual stops improving gives up.  ``oracles`` runs the same
+loop on the unit sphere (with a retraction, without Newton directions)
+for the direct Rayleigh minimization.  Problems are solved in normalized
+coordinates (unit data scale) so the gradient tolerance acts relatively;
+homogeneity of Phi makes the rescaling exact.
 
 ``minimize_phi_minus_linear`` first tries the instance's exact solve
 (``ProblemInstance.solve_gradient``): the unsmoothed 1D Dirichlet, sup,
@@ -30,11 +31,11 @@ residual is ill-conditioned) descend starts from it.  Steklov, smoothed
 (eps > 0), 2D, fractional and matrix instances have no exact solve and run
 descend alone.
 
-The sup-norm movement step runs no descent: for each trial radius rho the
-instance solves the energy over the box |v - g|_inf <= rho exactly
-(``ProblemInstance.solve_box``, the discrete taut string of the 1D
-Dirichlet energy), and a bracketed scalar root on rho balances the active
-multiplier mass against the movement penalty.  No descent loop runs
+The sup-norm movement step (``SupDirichlet1D``) runs no descent: for each
+trial radius rho the instance solves the energy over the box
+|v - g|_inf <= rho exactly (``solve_box``, the discrete taut string of the
+1D Dirichlet energy), and a bracketed scalar root on rho balances the
+active multiplier mass against the movement penalty.  No descent loop runs
 apart from ``descend``: the sup oracle in ``oracles`` is a closed form.
 """
 
@@ -46,11 +47,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, NumericsError
-from .problems import ProblemInstance
-from .spaces import SpaceDescriptor, SpaceKind, as_array, smoothed_curvature, smoothed_kernel
+from .problems import ProblemInstance, _power_sum
+from .spaces import SpaceDescriptor, SpaceKind, _scaled_pnorm, as_array, smoothed_curvature, smoothed_kernel
 
-__all__ = ["SolverOptions", "SolveReport", "descend", "minimize_phi_minus_linear", "minimize_movement"]
+__all__ = ["SolveReport", "descend", "minimize_phi_minus_linear", "minimize_movement"]
 
+#: iteration cap of the inner solves; it does not bind, since descend gives
+#: up after STALL_ITERS iterations without halving its merit
+MAX_ITERS = 50_000
 #: Armijo backtracking factor and sufficient-decrease slope
 LS_SHRINK = 0.5
 LS_SLOPE = 1e-4
@@ -62,26 +66,6 @@ STALL_ITERS = 60
 #: for p < 2 a Newton direction is shortened once the Hessian falls short
 #: of the curvature seen along the last step by more than this factor
 SECANT_RATIO = 1.5
-
-
-@dataclass
-class SolverOptions:
-    """Termination controls for the inner solver.
-
-    ``init`` is the warm-start vector; None means the solver's default
-    (zero for the linear-perturbation solve, the anchor g for the
-    movement solve).
-    """
-
-    grad_tol: float = 1e-9
-    max_iters: int = 50_000
-    init: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not (0.0 < self.grad_tol < math.inf):
-            raise DegenerateInputError(f"grad_tol: must be a positive finite number, got {self.grad_tol}")
-        if self.max_iters < 1:
-            raise DegenerateInputError(f"max_iters: must be >= 1, got {self.max_iters}")
 
 
 @dataclass
@@ -104,7 +88,7 @@ class SolveReport:
     newton_steps: int = 0
 
 
-def descend(x, value, grad, merit, tol, max_iters, w, project=None, carry=None, newton=None):
+def descend(x, value, grad, merit, tol, max_iters, w, project=None, newton=None):
     """Monotone limited-memory quasi-Newton descent in pairing coordinates.
 
     The one line-search loop for smooth problems.  ``grad(x)`` is the dual
@@ -120,9 +104,7 @@ def descend(x, value, grad, merit, tol, max_iters, w, project=None, carry=None, 
     without halving its best value (at the rounding floor it can creep
     down by parts in 1e4 for thousands of iterations).  ``project``, if
     given, retracts every trial point onto a constraint set (the start
-    must already lie on it).  ``carry`` is an optional mutable dict holding
-    the metric across closely related solves (successive movement steps);
-    the line search keeps a stale metric safe.
+    must already lie on it).  The metric starts empty in every call.
     Returns (x, f, merit, iters, converged); an unconverged exit returns
     the lowest-merit point visited, the start included.
     """
@@ -132,10 +114,8 @@ def descend(x, value, grad, merit, tol, max_iters, w, project=None, carry=None, 
         raise NumericsError("objective is not finite at the starting point")
     r = grad(x)
     resid = merit(r)
-    if carry is None:
-        carry = {}
-    memory: list[tuple[np.ndarray, np.ndarray, float]] = carry.setdefault("memory", [])
-    gamma = carry.get("gamma", 1.0)
+    memory: list[tuple[np.ndarray, np.ndarray, float]] = []
+    gamma = 1.0
     iters = 0
     best, since_best = resid, 0
     lowest = x, f, resid
@@ -159,67 +139,69 @@ def descend(x, value, grad, merit, tol, max_iters, w, project=None, carry=None, 
         x_new = x + t * d
         return x_new if project is None else project(x_new)
 
-    while resid > tol and iters < max_iters and since_best < STALL_ITERS:
-        d = None if newton is None else newton(x, r)
-        if d is None:
-            d = direction()
-        slope = dot(r, d)
-        if slope >= 0.0:
-            memory.clear()
-            d = -gamma * r
+    # a far trial point may overflow the objective, and the isfinite test
+    # rejects it: no cause for a warning (a non-finite gradient still raises)
+    with np.errstate(over="ignore"):
+        while resid > tol and iters < max_iters and since_best < STALL_ITERS:
+            d = None if newton is None else newton(x, r)
+            if d is None:
+                d = direction()
             slope = dot(r, d)
             if slope >= 0.0:
-                break
-        accepted = False
-        noise = 16.0 * np.finfo(float).eps * (1.0 + abs(f))
-        t = 1.0
-        if -LS_SLOPE * t * slope > noise:
-            for _ in range(200):
-                x_new = trial(t, d)
-                if np.array_equal(x_new, x):
+                memory.clear()
+                d = -gamma * r
+                slope = dot(r, d)
+                if slope >= 0.0:
                     break
-                f_new = value(x_new)
-                if np.isfinite(f_new) and f_new <= f + LS_SLOPE * t * slope:
-                    accepted = True
-                    r_new = grad(x_new)
-                    break
-                t *= LS_SHRINK
-                if -LS_SLOPE * t * slope <= noise:
-                    break  # shrunk into the rounding floor of f
-        if not accepted:
-            # endgame: f-differences are at rounding level, so backtrack on
-            # the merit, which stays well resolved near the minimizer
-            for trial_d in (d, -gamma * r):
-                t = 1.0
-                for _ in range(60):
-                    x_new = trial(t, trial_d)
+            accepted = False
+            noise = 16.0 * np.finfo(float).eps * (1.0 + abs(f))
+            t = 1.0
+            if -LS_SLOPE * t * slope > noise:
+                for _ in range(200):
+                    x_new = trial(t, d)
                     if np.array_equal(x_new, x):
                         break
                     f_new = value(x_new)
-                    r_new = grad(x_new)
-                    if np.isfinite(f_new) and merit(r_new) < resid:
+                    if np.isfinite(f_new) and f_new <= f + LS_SLOPE * t * slope:
                         accepted = True
+                        r_new = grad(x_new)
                         break
                     t *= LS_SHRINK
-                if accepted:
-                    break
-                memory.clear()  # stale metric: retry along the raw residual
-        if not accepted:
-            break  # no resolvable progress in either merit
-        s, y = x_new - x, r_new - r
-        sy = dot(s, y)
-        yy = dot(y, y)
-        if sy > 1e-20 * max(dot(s, s), 1e-300) and yy > 0.0:
-            memory.append((s, y, 1.0 / sy))
-            if len(memory) > LBFGS_MEMORY:
-                memory.pop(0)
-            gamma = sy / yy
-        x, f, r = x_new, f_new, r_new
-        resid = merit(r)
-        iters += 1
-        best, since_best = (resid, 0) if resid < 0.5 * best else (best, since_best + 1)
-        lowest = (x, f, resid) if resid < lowest[2] else lowest
-    carry["gamma"] = gamma
+                    if -LS_SLOPE * t * slope <= noise:
+                        break  # shrunk into the rounding floor of f
+            if not accepted:
+                # endgame: f-differences are at rounding level, so backtrack on
+                # the merit, which stays well resolved near the minimizer
+                for trial_d in (d, -gamma * r):
+                    t = 1.0
+                    for _ in range(60):
+                        x_new = trial(t, trial_d)
+                        if np.array_equal(x_new, x):
+                            break
+                        f_new = value(x_new)
+                        r_new = grad(x_new)
+                        if np.isfinite(f_new) and merit(r_new) < resid:
+                            accepted = True
+                            break
+                        t *= LS_SHRINK
+                    if accepted:
+                        break
+                    memory.clear()  # retry along the raw residual
+            if not accepted:
+                break  # no resolvable progress in either merit
+            s, y = x_new - x, r_new - r
+            sy = dot(s, y)
+            yy = dot(y, y)
+            if sy > 1e-20 * max(dot(s, s), 1e-300) and yy > 0.0:
+                memory.append((s, y, 1.0 / sy))
+                if len(memory) > LBFGS_MEMORY:
+                    memory.pop(0)
+                gamma = sy / yy
+            x, f, r = x_new, f_new, r_new
+            resid = merit(r)
+            iters += 1
+            best, since_best = (resid, 0) if resid < 0.5 * best else (best, since_best + 1)
+            lowest = (x, f, resid) if resid < lowest[2] else lowest
     x, f, resid = (x, f, resid) if resid <= tol else lowest
     return x, f, resid, iters, resid <= tol
 
@@ -307,7 +289,7 @@ class _Newton:
         return shrink * d
 
 
-def minimize_phi_minus_linear(inst: ProblemInstance, xi, opts: SolverOptions | None = None) -> SolveReport:
+def minimize_phi_minus_linear(inst: ProblemInstance, xi, grad_tol: float = 1e-9, init=None) -> SolveReport:
     """Unique minimizer of Phi(v) - <xi, v>, i.e. the point with dPhi(v) = xi.
 
     Terminates when the dual norm of (grad Phi(v) - xi) falls below
@@ -315,9 +297,8 @@ def minimize_phi_minus_linear(inst: ProblemInstance, xi, opts: SolverOptions | N
     residual is in fact below grad_tol * ||xi||_* for nonzero xi.  The
     instance's exact gradient solve, where it has one, is tried first and
     accepted under the same residual test; otherwise ``descend`` starts
-    from it (or from the warm start).
+    from it, or else from the warm start ``init`` (default zero).
     """
-    opts = opts or SolverOptions()
     space = inst.space
     xi = space.check_dim(as_array(xi))
     s = space.dual_norm(xi)
@@ -327,7 +308,7 @@ def minimize_phi_minus_linear(inst: ProblemInstance, xi, opts: SolverOptions | N
     q = inst.exponent.q
     xt = xi / s
     scale = s ** (q - 1.0)
-    v0 = np.zeros(space.dim) if opts.init is None else space.check_dim(opts.init) / scale
+    v0 = np.zeros(space.dim) if init is None else space.check_dim(init) / scale
 
     def value(v):
         return inst.value(v) - space.pairing(xt, v)
@@ -339,11 +320,11 @@ def minimize_phi_minus_linear(inst: ProblemInstance, xi, opts: SolverOptions | N
     if exact is not None:
         v0, iters = exact
         resid = space.dual_norm(grad(v0))
-        if resid <= opts.grad_tol:
+        if resid <= grad_tol:
             return SolveReport(scale * v0, s**q * value(v0), s * resid, iters, True, "exact")
     w = space.pairing_weights()
     newton = _Newton(inst)
-    v, f, resid, iters, ok = descend(v0, value, grad, space.dual_norm, opts.grad_tol, opts.max_iters, w, newton=newton)
+    v, f, resid, iters, ok = descend(v0, value, grad, space.dual_norm, grad_tol, MAX_ITERS, w, newton=newton)
     return SolveReport(scale * v, s**q * f, s * resid, iters, ok, newton_steps=newton.steps)
 
 
@@ -351,51 +332,67 @@ def _movement_penalty(space: SpaceDescriptor, g, tau, p, eps):
     """Value, gradient and Euclidean curvature (the diagonal of its Hessian)
     of ||v - g||^p / (p tau^(p-1)) for the space norm.
 
+    ||u||^p is the power sum of u weighted by m: the pairing weights, or on
+    trace spaces 1 on the boundary nodes and 0 inside.  Differences off the
+    boundary are zeroed, so the dual gradient (m/w) times the kernel is the
+    kernel itself (w is 1 on the boundary), and the p < 2 curvature floor
+    sees the boundary only.
+
+    Quotient spaces use the same plain penalty: Phi is shift-invariant, so
+    the unconstrained minimizer settles on the representative whose
+    movement kernel has zero weighted mean, which is exactly the quotient
+    duality-map inclusion (no per-evaluation shift solves needed).
+
     For p < 2 the power kernel is eps-smoothed (its curvature is unbounded
     through zero movement); eps is scaled to the expected per-step movement,
     so the bias is far below the scheme's O(tau) accuracy.  Sup spaces are
     handled separately by the exact box reformulation.
     """
     c = tau ** (p - 1.0)
-    w = space.pairing_weights()
+    trace = space.kind is SpaceKind.TRACE_BOUNDARY
+    m = space.pairing_weights()
+    if trace:
+        m = np.zeros(space.dim)
+        m[list(space.boundary)] = 1.0
 
-    def phi_eps(t):
-        if eps == 0.0:
-            return np.abs(t) ** p
-        return (t * t + eps * eps) ** (p / 2.0) - eps**p
+    def diff(v):
+        return (v - g) * m if trace else v - g
 
-    if space.kind is SpaceKind.TRACE_BOUNDARY:
-        b = list(space.boundary)
-
-        def value(v):
-            return float(np.sum(phi_eps(v[b] - g[b]))) / (p * c)
-
-        def grad(v):
-            out = np.zeros_like(v)
-            out[b] = smoothed_kernel(v[b] - g[b], p, eps) / c
-            return out
-
-        def curvature(v):
-            out = np.zeros_like(v)
-            out[b] = smoothed_curvature(v[b] - g[b], p, eps) / c
-            return out
-
-        return value, grad, curvature
-
-    # Quotient spaces use the same plain penalty: Phi is shift-invariant, so
-    # the unconstrained minimizer settles on the representative whose
-    # movement kernel has zero weighted mean, which is exactly the quotient
-    # duality-map inclusion (no per-evaluation shift solves needed).
     def value(v):
-        return float(np.sum(w * phi_eps(v - g))) / (p * c)
+        return _power_sum(diff(v), p, eps, m) / (p * c)
 
     def grad(v):
-        return smoothed_kernel(v - g, p, eps) / c
+        return smoothed_kernel(diff(v), p, eps) / c
 
     def curvature(v):
-        return w * smoothed_curvature(v - g, p, eps) / c
+        return m * smoothed_curvature(diff(v), p, eps) / c
 
     return value, grad, curvature
+
+
+def _smooth_movement(inst, g, tau, grad_tol):
+    """The movement step by ``descend`` from the anchor g (normalized)."""
+    space = inst.space
+    p, q = inst.exponent.p, inst.exponent.q
+    ref = space.dual_norm(inst.gradient(g))
+    # the kernel smoothing scale is tied to the expected per-step movement;
+    # 1e-5 of it stays far below the scheme's O(tau) accuracy while keeping
+    # the p < 2 penalty curvature finite at v = g, where each solve starts
+    move_scale = max(tau * ref ** (q - 1.0), 1e-300)
+    eps_pen = 0.0 if p >= 2.0 else 1e-5 * move_scale
+    pen_value, pen_grad, pen_curvature = _movement_penalty(space, g, tau, p, eps_pen)
+
+    def value(v):
+        return inst.value(v) + pen_value(v)
+
+    def grad(v):
+        return inst.gradient(v) + pen_grad(v)
+
+    tol = grad_tol * (1.0 + ref)
+    newton = _Newton(inst, pen_curvature)
+    w = space.pairing_weights()
+    v, f, resid, iters, ok = descend(g.copy(), value, grad, space.dual_norm, tol, MAX_ITERS, w, newton=newton)
+    return SolveReport(v, f, resid, iters, ok, newton_steps=newton.steps)
 
 
 def _box_kkt(v, gr, lo, hi):
@@ -417,7 +414,7 @@ def _box_kkt(v, gr, lo, hi):
     return viol, mass
 
 
-def _sup_movement(inst, g, tau, opts: SolverOptions, carry: dict):
+def _sup_movement(inst, g, tau, grad_tol, carry: dict):
     """Exact sup-norm movement step via the box reformulation.
 
     For rho = ||v - g||_inf the subproblem splits into an energy
@@ -428,23 +425,20 @@ def _sup_movement(inst, g, tau, opts: SolverOptions, carry: dict):
     safeguarded secant steps; the multiplier mass is nonincreasing in rho.
     The KKT violation and the mass are measured from the gradient at each
     box point, so the residual of the returned step is never assumed zero.
+    The last radius is kept in ``carry["sup_rho"]`` to start the next step.
     """
     space = inst.space
     p = inst.exponent.p
     q = inst.exponent.q
     c = tau ** (p - 1.0)
     ref = space.dual_norm(inst.gradient(g))
-    tol = opts.grad_tol * (1.0 + ref)
-    if ref == 0.0:
-        return SolveReport(g.copy(), inst.value(g), 0.0, 0, True, "exact")
+    tol = grad_tol * (1.0 + ref)
     evals = 0
 
     def G(rho):
         nonlocal evals
         lo, hi = g - rho, g + rho
         v = inst.solve_box(lo, hi)
-        if v is None:
-            raise DegenerateInputError(f"{inst.kind}: no exact box solve for the sup-norm movement step")
         evals += 1
         viol, mass = _box_kkt(v, inst.gradient(v), lo, hi)
         return mass - rho ** (p - 1.0) / c, v, viol
@@ -494,58 +488,30 @@ def _sup_movement(inst, g, tau, opts: SolverOptions, carry: dict):
 
 
 def minimize_movement(
-    inst: ProblemInstance, g, tau: float, opts: SolverOptions | None = None, carry: dict | None = None
+    inst: ProblemInstance, g, tau: float, grad_tol: float = 1e-9, carry: dict | None = None
 ) -> SolveReport:
     """One implicit minimizing-movement step from anchor g with step tau.
 
-    Minimizes Phi(v) + ||v - g||^p / (p tau^(p-1)); terminates when the dual
-    norm of the full objective gradient drops below
-    grad_tol * (1 + ||grad Phi(g)||_*).  A flow driver may pass a mutable
-    ``carry`` dict to reuse the solver metric across consecutive steps.
+    Minimizes Phi(v) + ||v - g||^p / (p tau^(p-1)), starting from g;
+    terminates when the dual norm of the full objective gradient drops
+    below grad_tol * (1 + ||grad Phi(g)||_*).  Both paths solve for the
+    anchor normalized to unit norm and the report is scaled back here.
+    ``run_flow`` passes a mutable ``carry`` dict; it holds only the sup
+    radius of the last step, which starts the next sup step's root search.
     """
     if not (tau > 0.0):
         raise DegenerateInputError(f"step size tau must be > 0, got {tau}")
-    opts = opts or SolverOptions()
     space = inst.space
     g = space.check_dim(as_array(g))
     p = inst.exponent.p
-    q = inst.exponent.q
-    w = space.pairing_weights()
-    scale = float(np.sum(w * np.abs(g) ** p) ** (1.0 / p))
+    scale = _scaled_pnorm(g, space.pairing_weights(), p)
     if scale == 0.0:
-        zero = np.zeros(space.dim)
-        return SolveReport(zero, 0.0, 0.0, 0, True)
-    gt = g / scale
-    if carry is None:
-        carry = {}
+        return SolveReport(np.zeros(space.dim), 0.0, 0.0, 0, True)
     if space.kind is SpaceKind.SUP:
-        rep = _sup_movement(inst, gt, tau, opts, carry)
-        return SolveReport(
-            scale * rep.minimizer,
-            scale**p * rep.objective,
-            scale ** (p - 1.0) * rep.grad_dual_norm,
-            rep.iters,
-            rep.converged,
-            rep.path,
-        )
-    ref = space.dual_norm(inst.gradient(gt))
-    # the kernel smoothing scale is tied to the expected per-step movement;
-    # 1e-5 of it stays far below the scheme's O(tau) accuracy while keeping
-    # the p < 2 penalty curvature finite at v = g, where each solve starts
-    move_scale = max(tau * ref ** (q - 1.0), 1e-300)
-    eps_pen = 0.0 if p >= 2.0 else 1e-5 * move_scale
-    pen_value, pen_grad, pen_curvature = _movement_penalty(space, gt, tau, p, eps_pen)
-
-    def value(v):
-        return inst.value(v) + pen_value(v)
-
-    def grad(v):
-        return inst.gradient(v) + pen_grad(v)
-
-    v0 = gt.copy() if opts.init is None else space.check_dim(opts.init) / scale
-    tol = opts.grad_tol * (1.0 + ref)
-    newton = _Newton(inst, pen_curvature)
-    v, f, resid, iters, ok = descend(
-        v0, value, grad, space.dual_norm, tol, opts.max_iters, w, carry=carry, newton=newton
-    )
-    return SolveReport(scale * v, scale**p * f, scale ** (p - 1.0) * resid, iters, ok, newton_steps=newton.steps)
+        rep = _sup_movement(inst, g / scale, tau, grad_tol, {} if carry is None else carry)
+    else:
+        rep = _smooth_movement(inst, g / scale, tau, grad_tol)
+    s = np.float64(scale)
+    with np.errstate(over="ignore"):  # the objective may leave the double range where v does not
+        objective, resid = float(s**p * rep.objective), float(s ** (p - 1.0) * rep.grad_dual_norm)
+    return SolveReport(s * rep.minimizer, objective, resid, rep.iters, rep.converged, rep.path, rep.newton_steps)

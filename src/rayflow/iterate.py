@@ -10,14 +10,14 @@ mu = lambda^(1/(p-1)), and mu^k u_k converges to a minimizer (or to zero).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateInputError
-from .inner import SolverOptions, minimize_phi_minus_linear
+from .inner import minimize_phi_minus_linear
 from .problems import ProblemInstance
 from .spaces import CoeffVec, as_array, mu_from_lambda, unit_representative
 
@@ -56,11 +56,14 @@ COLLAPSE_NORM = 1e-300
 TAIL_WINDOW = 10
 
 
-def check_stop_rules(rtol, dtol, rq_patience):
-    """Validate the stability thresholds shared by both schemes."""
+def check_stop_rules(rtol, dtol, rq_patience, grad_tol):
+    """Validate the stability thresholds and the inner-solve tolerance
+    shared by both schemes."""
     for key, tol in (("rtol", rtol), ("dtol", dtol)):
         if tol is not None and not (0.0 < tol < math.inf):
             raise DegenerateInputError(f"{key}: must be a positive finite number or None, got {tol}")
+    if not (0.0 < grad_tol < math.inf):
+        raise DegenerateInputError(f"grad_tol: must be a positive finite number, got {grad_tol}")
     if rq_patience < 1:
         raise DegenerateInputError(f"rq_patience: must be >= 1, got {rq_patience}")
 
@@ -74,17 +77,18 @@ class IterOptions:
     continues to max_iters or norm underflow).  ``rq_patience`` is the
     number of consecutive Rayleigh-stable steps after which a run whose
     direction never settles (non-simple instances) terminates as RQ_STABLE.
+    ``grad_tol`` is the relative residual tolerance of each inner solve.
     """
 
     rtol: float | None = 1e-10
     dtol: float | None = 1e-8
     max_iters: int = 500
-    solver: SolverOptions = field(default_factory=SolverOptions)
+    grad_tol: float = 1e-9
     rq_patience: int = 30
     keep_iterates: bool = False
 
     def __post_init__(self):
-        check_stop_rules(self.rtol, self.dtol, self.rq_patience)
+        check_stop_rules(self.rtol, self.dtol, self.rq_patience, self.grad_tol)
         if self.max_iters < 1:
             raise DegenerateInputError(f"max_iters: must be >= 1, got {self.max_iters}")
 
@@ -107,9 +111,6 @@ class IterationTrace:
 
     def __len__(self):
         return len(self.rows)
-
-    def column(self, name) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows])
 
 
 @dataclass
@@ -207,7 +208,7 @@ def iterate(inst: ProblemInstance, u0, opts: IterOptions | None = None):
 
     def step(k, u):
         warm = u / mu_from_lambda(trace.rows[-1].rq, inst.exponent)
-        rep = minimize_phi_minus_linear(inst, space.duality_map(u), replace(opts.solver, init=warm))
+        rep = minimize_phi_minus_linear(inst, space.duality_map(u), opts.grad_tol, init=warm)
         if not rep.converged:
             raise SchemeFailure(
                 f"{inst.kind}: inner solve failed to converge at outer step {k} (merit {rep.grad_dual_norm:.3e})", trace
@@ -254,11 +255,6 @@ def check_monotonicity(trace: IterationTrace, mu_hat: float | None = None, slack
 
 def rough_mu(inst: ProblemInstance, u0, steps: int = 5) -> float:
     """Crude mu estimate from a few loose inverse-iteration steps."""
-    opts = IterOptions(
-        rtol=None,
-        dtol=None,
-        max_iters=steps,
-        solver=SolverOptions(grad_tol=1e-6, max_iters=10_000),
-    )
+    opts = IterOptions(rtol=None, dtol=None, max_iters=steps, grad_tol=1e-6)
     _, summary = iterate(inst, u0, opts)
     return summary.mu_hat

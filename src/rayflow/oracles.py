@@ -70,7 +70,7 @@ def eigen_residual(inst: ProblemInstance, u, lam: float) -> float:
     m = float(np.max(np.abs(u)))
     if m == 0.0:
         raise DegenerateInputError("eigen residual undefined at zero")
-    u = u / m
+    u = u / 2.0 ** math.frexp(m)[1]  # a power of 2 at or above max |u|: the scaling is exact
     g = inst.gradient(u)
     j = space.duality_map(u).values
     ref = lam * space.dual_norm(j)

@@ -141,15 +141,10 @@ class ProblemInstance:
         where the kind has no exact solve (the inner solver then descends)."""
         return None
 
-    def solve_box(self, lo, hi):
-        """The minimizer of Phi over the box lo <= u <= hi in closed form, or
-        None where the kind has none (the sup movement step then fails)."""
-        return None
-
     def hessian(self, u):
         """The Euclidean Hessian of Phi at u: a dense matrix, or the
         (diagonal, off-diagonal) pair of a symmetric tridiagonal band.  None
-        where the kind has none (descend then keeps its quasi-Newton metric)."""
+        where the kind has none (descend then takes L-BFGS directions)."""
         return None
 
     def rayleigh(self, u) -> float:
@@ -171,7 +166,7 @@ class MatrixQuadratic(ProblemInstance):
 
     kind = "matrix"
 
-    def __init__(self, matrix, eps: float = 0.0):
+    def __init__(self, matrix):
         a = np.asarray(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
             raise ConfigError("matrix: must be square and nonempty")
@@ -186,7 +181,7 @@ class MatrixQuadratic(ProblemInstance):
         self.matrix = a
         exp = Exponent(2.0)
         space = SpaceDescriptor(SpaceKind.WEIGHTED_LP, a.shape[0], exp, weight=1.0)
-        super().__init__(exp, space, eps)
+        super().__init__(exp, space)
 
     def value(self, u) -> float:
         u = self.space.check_dim(u)
@@ -566,18 +561,20 @@ _KINDS = {
     )
 }
 
+#: keys of the grid kinds; the matrix kind has no smoothing, so no eps
+_GRID_KEYS = {"p", "n", "L", "eps"}
 _KIND_KEYS = {
     "matrix": {"matrix", "diag", "p"},
-    "pdirichlet1d": {"p", "n", "L"},
-    "pdirichlet2d": {"p", "n", "L"},
-    "fractional1d": {"p", "n", "L", "s"},
-    "robin1d": {"p", "n", "L", "beta"},
-    "neumann1d": {"p", "n", "L"},
-    "supdirichlet1d": {"p", "n", "L"},
-    "steklov1d": {"p", "n", "L"},
+    "pdirichlet1d": _GRID_KEYS,
+    "pdirichlet2d": _GRID_KEYS,
+    "fractional1d": _GRID_KEYS | {"s"},
+    "robin1d": _GRID_KEYS | {"beta"},
+    "neumann1d": _GRID_KEYS,
+    "supdirichlet1d": _GRID_KEYS,
+    "steklov1d": _GRID_KEYS,
 }
 #: every key an instance description may carry, for any kind
-INSTANCE_KEYS = {"kind", "eps"}.union(*_KIND_KEYS.values())
+INSTANCE_KEYS = {"kind"}.union(*_KIND_KEYS.values())
 
 
 def assemble(config: dict) -> ProblemInstance:
@@ -591,9 +588,8 @@ def assemble(config: dict) -> ProblemInstance:
     kind = cfg.pop("kind", None)
     if kind not in _KINDS:
         raise ConfigError(f"kind: unknown instance kind {kind!r}")
-    allowed = _KIND_KEYS[kind] | {"eps"}
     for key in cfg:
-        if key not in allowed:
+        if key not in _KIND_KEYS[kind]:
             raise ConfigError(f"{key}: unknown key for kind {kind!r}")
 
     def as_float(key, default=None):
@@ -626,7 +622,7 @@ def assemble(config: dict) -> ProblemInstance:
             if a.ndim != 1 or a.size == 0:
                 raise ConfigError(f"diag: expected a nonempty list of numbers, got shape {a.shape}")
             a = np.diag(a)
-        inst = MatrixQuadratic(a, eps=eps)
+        inst = MatrixQuadratic(a)
     else:
         p = as_float("p")
         if not (p > 1.0):

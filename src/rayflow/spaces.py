@@ -238,9 +238,6 @@ class CoeffVec:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    def norm(self) -> float:
-        return self.space.norm(self.values)
-
 
 @dataclass(frozen=True)
 class DualVec:
@@ -269,9 +266,6 @@ class DualVec:
                 )
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-    def norm(self) -> float:
-        return self.space.dual_norm(self.values)
 
 
 def mu_from_lambda(lam: float, exp: Exponent) -> float:

@@ -6,8 +6,12 @@ import pytest
 
 import rayflow.cli
 from rayflow.cli import CSV_HEADER, main
+from rayflow.config import start_vector
+from rayflow.iterate import rough_mu
 from rayflow.oracles import OracleMethod, OracleResult
+from rayflow.problems import PDirichlet1D
 from rayflow.spaces import CoeffVec
+from rayflow.util import rng_from
 
 MATRIX_COMPARE = """
 [instance]
@@ -96,8 +100,20 @@ class TestConfigErrors:
             ("L", "kind = pdirichlet1d\np = 2.0\nn = 4\nL = nan\n"),
             ("L", "kind = pdirichlet1d\np = 2.0\nn = 4\nL = inf\n"),
             ("seed", "kind = pdirichlet1d\np = 2.0\nn = 4\nseed = 3\n"),
+            ("eps", "kind = matrix\ndiag = 1 2\neps = 0.7\n"),
         ],
-        ids=["diag-word", "diag-empty", "matrix-word", "matrix-ragged", "n-inf", "n-nan", "L-nan", "L-inf", "seed"],
+        ids=[
+            "diag-word",
+            "diag-empty",
+            "matrix-word",
+            "matrix-ragged",
+            "n-inf",
+            "n-nan",
+            "L-nan",
+            "L-inf",
+            "seed",
+            "matrix-eps",
+        ],
     )
     def test_bad_instance_value_exits_2_naming_key(self, tmp_path, capsys, key, body):
         cfg = write(tmp_path, "[instance]\n" + body)
@@ -180,8 +196,9 @@ class TestOutputs:
         assert oracle["method"] == "jacobi_eig"
         assert (tmp_path / "flow_trace.csv").read_text().split("\n")[0] == CSV_HEADER
 
-    def test_determinism_byte_identical(self, tmp_path):
-        cfg = write(tmp_path, PD_ITERATE)
+    @pytest.mark.parametrize("u0", ["ones", "random"])
+    def test_determinism_byte_identical(self, tmp_path, u0):
+        cfg = write(tmp_path, PD_ITERATE + f"u0 = {u0}\n")
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
             assert main(["iterate", "--config", cfg, "--out", str(out), "--seed", "7", "--quiet"]) == 0
@@ -200,3 +217,45 @@ class TestOutputs:
         oracle = json.loads((tmp_path / "oracle_result.json").read_text())
         assert oracle["certificate"] == 0.52
         assert oracle["lambda_star"] == 1.5
+
+    @pytest.mark.parametrize("u0", ["ramp", "random"])
+    def test_start_policy_and_run_seed(self, tmp_path, u0):
+        # the first trace row is the start; a random start draws from [run] seed
+        cfg = write(tmp_path, PD_ITERATE + f"u0 = {u0}\n\n[run]\nseed = 11\n")
+        assert main(["iterate", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        inst = PDirichlet1D(3.0, 9)
+        start = (tmp_path / "iterate_trace.csv").read_text().split("\n")[1].split(",")
+        assert float(start[1]) == inst.space.norm(start_vector(inst, u0, 11, rng_from))
+        if u0 == "random":
+            assert float(start[1]) != inst.space.norm(start_vector(inst, u0, 0, rng_from))
+
+    def test_disabled_rq_stop_runs_to_max_iters(self, tmp_path):
+        cfg = write(tmp_path, PD_ITERATE.replace("rtol = 1e-11", "rtol = none") + "max_iters = 12\n")
+        assert main(["iterate", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        summary = json.loads((tmp_path / "iterate_summary.json").read_text())
+        assert summary["iters"] == 12 and summary["stop_reason"] == "max_iters"
+
+    @pytest.mark.parametrize("tau, t_end", [("auto", "0.05"), ("0.25", "auto")])
+    def test_auto_step_and_horizon_from_rough_mu(self, tmp_path, tau, t_end):
+        flow = f"[flow]\ntau = {tau}\nt_end = {t_end}\nrtol = none\ndtol = none\n"
+        cfg = write(tmp_path, "[instance]\nkind = pdirichlet1d\np = 3.0\nn = 9\n" + flow)
+        assert main(["flow", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        summary = json.loads((tmp_path / "flow_summary.json").read_text())
+        mu = rough_mu(PDirichlet1D(3.0, 9), np.ones(9))
+        if tau == "auto":
+            assert summary["tau"] == 0.01 / mu
+            assert summary["steps"] == round(0.05 / (0.01 / mu))
+        else:
+            assert summary["steps"] == round(50.0 / mu / 0.25)
+
+    @pytest.mark.parametrize(
+        "command, section", [("iterate", ""), ("flow", "[flow]\ntau = 0.001\nt_end = 0.01\n")], ids=["iterate", "flow"]
+    )
+    def test_numeric_failure_exits_1_keeping_start_row(self, tmp_path, command, section):
+        # near p = 1 the first inner solve fails: the trace keeps the start
+        # row, and no summary is written
+        cfg = write(tmp_path, "[instance]\nkind = pdirichlet1d\np = 1.1\nn = 31\n" + section)
+        assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+        lines = (tmp_path / f"{command}_trace.csv").read_text().split("\n")
+        assert lines[0] == CSV_HEADER and lines[1].startswith("0,") and lines[2:] == [""]
+        assert not (tmp_path / f"{command}_summary.json").exists()

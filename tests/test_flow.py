@@ -6,12 +6,11 @@ import pytest
 
 from rayflow.errors import DegenerateInputError
 from rayflow.flow import FlowOptions, FlowRow, FlowTrace, check_decay, local_slope, run_flow
-from rayflow.inner import SolverOptions
 from rayflow.iterate import StopReason, iterate, IterOptions, rough_mu
 from rayflow.config import start_vector
 from rayflow.problems import MatrixQuadratic, PDirichlet1D, SupDirichlet1D
 
-TIGHT = FlowOptions(rtol=1e-12, dtol=1e-7, solver=SolverOptions(grad_tol=1e-11), keep_states=True)
+TIGHT = FlowOptions(rtol=1e-12, dtol=1e-7, grad_tol=1e-11, keep_states=True)
 
 
 class TestImplicitEulerClosedForm:
@@ -44,7 +43,7 @@ class TestRayConfinement:
     def test_flow_from_minimizer_stays_on_ray(self):
         inst = MatrixQuadratic(np.diag([1.0, 2.0, 5.0]))
         w = np.array([1.0, 0.0, 0.0])
-        opts = FlowOptions(rtol=None, dtol=None, solver=SolverOptions(grad_tol=1e-12), keep_states=True, min_steps=1)
+        opts = FlowOptions(rtol=None, dtol=None, grad_tol=1e-12, keep_states=True, min_steps=1)
         trace, _ = run_flow(inst, w, 0.01, 10 * 0.01, opts)
         for v in trace.states:
             direction = v / np.linalg.norm(v)
@@ -90,7 +89,7 @@ class TestEnergyLaws:
 
     def test_energy_residual_halves_with_tau(self):
         inst = MatrixQuadratic(np.diag([1.0, 4.0]))
-        opts = FlowOptions(rtol=None, dtol=None, solver=SolverOptions(grad_tol=1e-12))
+        opts = FlowOptions(rtol=None, dtol=None, grad_tol=1e-12)
         r = {}
         for tau in (1e-3, 5e-4):
             trace, _ = run_flow(inst, np.ones(2), tau, 1.0, opts)

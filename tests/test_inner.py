@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,13 +7,13 @@ from hypothesis import strategies as st
 
 from rayflow.errors import DegenerateInputError
 from rayflow.inner import (
-    SolverOptions,
     _box_kkt,
     _Newton,
     descend,
     minimize_movement,
     minimize_phi_minus_linear,
 )
+from rayflow.iterate import rough_mu
 from rayflow.problems import (
     FractionalSeminorm1D,
     MatrixQuadratic,
@@ -109,7 +111,7 @@ def test_unconverged_descend_returns_lowest_merit_point():
 class TestPhiMinusLinear:
     def test_matrix_closed_form(self):
         inst = MatrixQuadratic(np.diag([1.0, 4.0]))
-        rep = minimize_phi_minus_linear(inst, np.array([1.0, 4.0]), SolverOptions(grad_tol=1e-12))
+        rep = minimize_phi_minus_linear(inst, np.array([1.0, 4.0]), 1e-12)
         assert rep.converged
         np.testing.assert_allclose(rep.minimizer, [1.0, 1.0], atol=1e-10)
 
@@ -117,7 +119,7 @@ class TestPhiMinusLinear:
     @pytest.mark.parametrize("c", [2.0, -0.7])
     def test_scalar_power(self, p, c):
         inst = ScalarPower(p)
-        rep = minimize_phi_minus_linear(inst, np.array([c]), SolverOptions(grad_tol=1e-12))
+        rep = minimize_phi_minus_linear(inst, np.array([c]), 1e-12)
         q = inst.exponent.q
         expect = np.sign(c) * abs(c) ** (q - 1.0)
         assert rep.converged
@@ -132,7 +134,7 @@ class TestPhiMinusLinear:
         rng = np.random.default_rng(0)
         for _ in range(5):
             xi = rng.standard_normal(3)
-            rep = minimize_phi_minus_linear(inst, xi, SolverOptions(grad_tol=1e-12))
+            rep = minimize_phi_minus_linear(inst, xi, 1e-12)
             expect = np.linalg.solve(T, xi)
             assert rep.converged
             np.testing.assert_allclose(rep.minimizer, expect, rtol=1e-8, atol=1e-12)
@@ -146,10 +148,10 @@ class TestPhiMinusLinear:
     def test_report_contract(self):
         inst = Robin1D(3.0, 7, beta=0.4)
         xi = inst.space.duality_map(np.ones(7)).values
-        opts = SolverOptions(grad_tol=1e-10)
-        rep = minimize_phi_minus_linear(inst, xi, opts)
+        tol = 1e-10
+        rep = minimize_phi_minus_linear(inst, xi, tol)
         assert rep.converged
-        assert rep.grad_dual_norm <= opts.grad_tol * (1.0 + inst.space.dual_norm(xi))
+        assert rep.grad_dual_norm <= tol * (1.0 + inst.space.dual_norm(xi))
 
     def test_uniqueness_across_starts(self):
         # the exact-solve kinds ignore the start; the smoothed, Steklov and
@@ -160,8 +162,8 @@ class TestPhiMinusLinear:
         exact = (PDirichlet1D(1.5, 7), PDirichlet1D(3.0, 7), Robin1D(2.0, 7), NeumannQuotient1D(3.0, 7))
         for inst in exact + descents:
             xi = inst.space.duality_map(rng.standard_normal(inst.space.dim)).values
-            a = minimize_phi_minus_linear(inst, xi, SolverOptions(grad_tol=tol))
-            b = minimize_phi_minus_linear(inst, xi, SolverOptions(grad_tol=tol, init=rng.standard_normal(inst.space.dim)))
+            a = minimize_phi_minus_linear(inst, xi, tol)
+            b = minimize_phi_minus_linear(inst, xi, tol, init=rng.standard_normal(inst.space.dim))
             assert a.converged and b.converged
             if inst in descents:
                 assert a.path == b.path == "descent"
@@ -173,7 +175,7 @@ class TestPhiMinusLinear:
         rng = np.random.default_rng(2)
         xi = inst.space.duality_map(rng.standard_normal(9)).values
         warm = rng.standard_normal(9)
-        rep = minimize_phi_minus_linear(inst, xi, SolverOptions(init=warm))
+        rep = minimize_phi_minus_linear(inst, xi, init=warm)
         start_obj = inst.value(warm) - inst.space.pairing(xi, warm)
         assert rep.objective <= start_obj + 1e-12 * max(1.0, abs(start_obj))
 
@@ -197,7 +199,7 @@ class TestExactGradientSolve:
         space = inst.space
         xi = space.duality_map(np.random.default_rng(7).standard_normal(n)).values
         scale = space.dual_norm(xi)
-        rep = minimize_phi_minus_linear(inst, xi, SolverOptions(grad_tol=tol))
+        rep = minimize_phi_minus_linear(inst, xi, tol)
         assert rep.path == "exact" and rep.converged
         assert space.dual_norm(inst.gradient(rep.minimizer) - xi) <= tol * scale
 
@@ -222,7 +224,7 @@ class TestExactGradientSolve:
     def test_uncovered_kinds_descend(self, inst):
         xi = inst.space.duality_map(np.ones(inst.space.dim)).values
         assert inst.solve_gradient(xi) is None
-        rep = minimize_phi_minus_linear(inst, xi, SolverOptions(grad_tol=1e-10))
+        rep = minimize_phi_minus_linear(inst, xi, 1e-10)
         assert rep.path == "descent" and rep.converged and rep.iters > 0
 
 
@@ -276,19 +278,8 @@ class TestExactBoxSolve:
     def test_sup_movement_reports_exact_path(self):
         inst = SupDirichlet1D(3.0, 15)
         g = np.random.default_rng(4).standard_normal(15)
-        rep = minimize_movement(inst, g, 0.01, SolverOptions(grad_tol=1e-11))
+        rep = minimize_movement(inst, g, 0.01, 1e-11)
         assert rep.path == "exact" and rep.converged and rep.iters > 0
-
-    def test_sup_space_without_box_solve_raises_naming_kind(self):
-        class SupScalar(ScalarPower):
-            kind = "sup_scalar"
-
-            def __init__(self, p):
-                exp = Exponent(p)
-                ProblemInstance.__init__(self, exp, SpaceDescriptor(SpaceKind.SUP, 1, exp))
-
-        with pytest.raises(DegenerateInputError, match="sup_scalar"):
-            minimize_movement(SupScalar(3.0), np.array([1.0]), 0.1)
 
 
 class TestMovement:
@@ -296,18 +287,18 @@ class TestMovement:
         # Phi = sigma v^2 / 2: step gives g / (1 + sigma tau)
         for sigma, tau in ((1.0, 0.1), (4.0, 0.05)):
             inst = MatrixQuadratic(np.array([[sigma]]))
-            rep = minimize_movement(inst, np.array([1.0]), tau, SolverOptions(grad_tol=1e-13))
+            rep = minimize_movement(inst, np.array([1.0]), tau, 1e-13)
             assert rep.converged
             assert rep.minimizer[0] == pytest.approx(1.0 / (1.0 + sigma * tau), rel=1e-10)
 
     def test_diagonal_closed_form(self):
         inst = MatrixQuadratic(np.diag([1.0, 4.0]))
-        rep = minimize_movement(inst, np.array([1.0, 1.0]), 0.1, SolverOptions(grad_tol=1e-13))
+        rep = minimize_movement(inst, np.array([1.0, 1.0]), 0.1, 1e-13)
         np.testing.assert_allclose(rep.minimizer, [1 / 1.1, 1 / 1.4], rtol=1e-10)
 
     def test_large_tau_approaches_global_minimum(self):
         inst = MatrixQuadratic(np.diag([1.0, 4.0]))
-        rep = minimize_movement(inst, np.array([1.0, 1.0]), 1e6, SolverOptions(grad_tol=1e-12))
+        rep = minimize_movement(inst, np.array([1.0, 1.0]), 1e6, 1e-12)
         assert np.max(np.abs(rep.minimizer)) <= 1e-5
         assert inst.value(rep.minimizer) <= 1e-10
 
@@ -316,6 +307,32 @@ class TestMovement:
         rep = minimize_movement(inst, np.zeros(5), 0.1)
         assert rep.converged
         np.testing.assert_array_equal(rep.minimizer, 0.0)
+
+    @pytest.mark.parametrize("anchor", ["sine", "noisy"])
+    @pytest.mark.parametrize("p", [1.5, 8.0, 20.0])
+    def test_anchor_scale_equivariance(self, p, anchor):
+        # the step is p-homogeneous in (v, g); the anchor's norm must not
+        # under- or overflow on the way to the normalized solve
+        inst = PDirichlet1D(p, 15)
+        g = np.sin(np.pi * np.arange(1, 16) / 16)
+        if anchor == "noisy":
+            g += 0.3 * np.random.default_rng(6).standard_normal(15)
+        ref = minimize_movement(inst, g, 0.01, 1e-13)
+        for scale in (1e-60, 1e60):
+            rep = minimize_movement(inst, scale * g, 0.01, 1e-13)
+            assert rep.converged
+            gap = np.max(np.abs(rep.minimizer / scale - ref.minimizer))
+            assert gap <= 1e-12 * np.max(np.abs(ref.minimizer)), (scale, gap)
+
+    def test_far_trial_points_raise_no_warning(self):
+        # at p = 20 the first line-search trial overflows |du|^p; the search
+        # rejects it as non-finite, and that is no cause for a RuntimeWarning
+        inst = PDirichlet1D(20.0, 15)
+        tau = 0.01 / rough_mu(inst, np.ones(15))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = minimize_movement(inst, np.ones(15), tau)
+        assert rep.converged
 
     def test_rejects_bad_tau(self):
         inst = PDirichlet1D(2.0, 5)
@@ -338,7 +355,7 @@ class TestMovement:
         rng = np.random.default_rng(4)
         g = rng.standard_normal(9)
         tau = 0.05
-        rep = minimize_movement(inst, g, tau, SolverOptions(grad_tol=1e-11))
+        rep = minimize_movement(inst, g, tau, 1e-11)
         v = rep.minimizer
         m = (v - g) / tau
         kernel = signed_power(m, inst.p - 1.0)
@@ -352,7 +369,7 @@ class TestMovement:
         inst = SupDirichlet1D(2.0, 4)
         g = np.array([0.4, 1.0, 0.9, 0.2])
         tau = 0.1
-        rep = minimize_movement(inst, g, tau, SolverOptions(grad_tol=1e-11))
+        rep = minimize_movement(inst, g, tau, 1e-11)
         v = rep.minimizer
         pen = lambda v_: inst.space.norm(v_ - g) ** 2 / (2 * tau)
         best = inst.value(v) + pen(v)
@@ -479,9 +496,8 @@ class TestNewtonSolves:
     def test_movement_matches_lbfgs(self, case):
         inst = NEWTON_CASES[case]()
         g = np.random.default_rng(13).standard_normal(inst.space.dim)
-        opts = SolverOptions(grad_tol=self.TOL)
-        rep = minimize_movement(inst, g, 0.05, opts)
-        ref = minimize_movement(_no_hook(NEWTON_CASES[case]()), g, 0.05, opts)
+        rep = minimize_movement(inst, g, 0.05, self.TOL)
+        ref = minimize_movement(_no_hook(NEWTON_CASES[case]()), g, 0.05, self.TOL)
         assert rep.converged and ref.converged
         assert rep.newton_steps > 0 and ref.newton_steps == 0
         assert rep.iters < ref.iters
@@ -494,7 +510,7 @@ class TestNewtonSolves:
         inst = FractionalSeminorm1D(1.5, 7)
         rng = np.random.default_rng(1)
         xi = inst.space.duality_map(rng.standard_normal(7)).values
-        rep = minimize_phi_minus_linear(inst, xi, SolverOptions(grad_tol=1e-11, init=50.0 * rng.standard_normal(7)))
+        rep = minimize_phi_minus_linear(inst, xi, 1e-11, init=50.0 * rng.standard_normal(7))
         assert rep.converged and rep.iters <= 50
 
     @pytest.mark.parametrize(
@@ -513,9 +529,9 @@ class TestNewtonSolves:
     def test_reports_newton_steps(self, inst, solve):
         x = np.random.default_rng(5).standard_normal(inst.space.dim)
         if solve == "phi":
-            rep = minimize_phi_minus_linear(inst, inst.space.duality_map(x).values, SolverOptions(grad_tol=1e-10))
+            rep = minimize_phi_minus_linear(inst, inst.space.duality_map(x).values, 1e-10)
         else:
-            rep = minimize_movement(inst, x, 0.05, SolverOptions(grad_tol=1e-10))
+            rep = minimize_movement(inst, x, 0.05, 1e-10)
         assert rep.converged and rep.path == "descent" and rep.iters > 0
         if inst.kind == "pdirichlet2d":
             assert rep.newton_steps == 0

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from rayflow.errors import DegenerateInputError
-from rayflow.inner import SolverOptions
 from rayflow.iterate import (
     IterationRow,
     IterationTrace,
@@ -19,7 +18,7 @@ from rayflow.iterate import (
 from rayflow.oracles import direct_rayleigh_min, hilbert_closed_form
 from rayflow.problems import MatrixQuadratic, NeumannQuotient1D, PDirichlet1D, Robin1D, Steklov1D
 
-TIGHT = IterOptions(rtol=1e-13, dtol=1e-10, max_iters=200, solver=SolverOptions(grad_tol=1e-12), keep_iterates=True)
+TIGHT = IterOptions(rtol=1e-13, dtol=1e-10, max_iters=200, grad_tol=1e-12, keep_iterates=True)
 
 
 class TestMatrixGroundTruth:
@@ -44,7 +43,7 @@ class TestMatrixGroundTruth:
         # from an exact minimizer w the unique solution is u_k = mu^-k w
         inst = MatrixQuadratic(np.diag([1.0, 2.0, 5.0]))
         w = np.array([1.0, 0.0, 0.0])
-        opts = IterOptions(rtol=None, dtol=None, max_iters=10, solver=SolverOptions(grad_tol=1e-13), keep_iterates=True)
+        opts = IterOptions(rtol=None, dtol=None, max_iters=10, grad_tol=1e-13, keep_iterates=True)
         trace, summary = iterate(inst, w, opts)
         for k, u in enumerate(trace.iterates):
             np.testing.assert_allclose(u, w, rtol=0, atol=1e-10)
@@ -53,7 +52,7 @@ class TestMatrixGroundTruth:
 class TestCollapse:
     def test_second_eigenvector_collapses(self):
         inst = MatrixQuadratic(np.diag([1.0, 2.0, 5.0]))
-        opts = IterOptions(rtol=None, dtol=None, max_iters=1100, solver=SolverOptions(grad_tol=1e-12))
+        opts = IterOptions(rtol=None, dtol=None, max_iters=1100, grad_tol=1e-12)
         trace, summary = iterate(inst, np.array([0.0, 1.0, 0.0]), opts)
         assert summary.stop_reason is StopReason.COLLAPSED_TO_ZERO
         assert not summary.converged
@@ -95,6 +94,7 @@ class TestInvariants:
         assert summary.lambda_hat >= res.lambda_star * (1.0 - 1e-6)
         for rtol in (1e-4, 1e-6):
             _, s = iterate(inst, np.ones(9), IterOptions(rtol=rtol, dtol=None, rq_patience=1))
+            assert s.stop_reason is StopReason.RQ_STABLE
             assert s.lambda_hat >= res.lambda_star * (1.0 - 1e-6)
 
 

@@ -137,6 +137,17 @@ class TestDirectRayleighMin:
         tent = (0.5 - np.abs(x - 0.5)) / 0.5
         assert np.max(np.abs(u - tent)) <= 0.02
 
+    @pytest.mark.parametrize("p", [8.0, 20.0])
+    def test_exact_tent_has_rounding_level_residual(self, p):
+        # the integer tent j (n+1-i), i(n+1-j) peaking mid-interval is exact
+        # in doubles; a power-of-two rescaling keeps it exact, so only the
+        # residual's own rounding is left (1.1e-15 at p = 20)
+        n, i = 129, 65
+        inst = SupDirichlet1D(p, n)
+        j = np.arange(1, n + 1)
+        u = np.where(j <= i, j * (n + 1 - i), i * (n + 1 - j)).astype(float)
+        assert eigen_residual(inst, u, inst.rayleigh(u)) <= 1e-14
+
     def test_poincare_with_oracle_constant(self):
         rng = np.random.default_rng(2)
         for inst in (PDirichlet1D(2.0, 9), NeumannQuotient1D(1.5, 9)):
