@@ -21,7 +21,7 @@ from .errors import DegenerateInputError
 from .inner import minimize_movement
 from .iterate import SchemeFailure, StopReason, Violation, check_stop_rules, outer_loop
 from .problems import ProblemInstance
-from .spaces import CoeffVec, as_array
+from .spaces import CoeffVec, SpaceKind, as_array, mu_from_lambda
 
 __all__ = [
     "FlowOptions",
@@ -102,9 +102,17 @@ def check_step(tau: float, t_end: float):
 def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOptions | None = None):
     """Advance the minimizing-movement flow from v0; returns (FlowTrace, FlowSummary).
 
-    Each step is one movement solve from the previous state; on sup spaces
-    the last step's box radius starts the next one's root search.  Stop
-    rules and collapse handling are ``iterate.outer_loop``'s (no stop
+    Each step is one movement solve anchored at the previous state v_n.
+    On smooth spaces the solve starts at a predicted state, with
+    s = 1 + tau mu and mu from the quotient of v_n: on the ground ray each
+    step divides the state by exactly s, so the first step starts at v_0/s.
+    Later steps extrapolate e = v_n + (v_n - v_{n-1})/s, which also follows
+    the part off the ray to O(tau^2), and rescale it to the radial norm
+    ||v_n||/s: a prediction within the inner tolerance is accepted
+    uncorrected, and an unscaled one would drift along the ray.  A zero
+    state starts at the anchor.  On sup spaces the last step's box radius
+    starts the next one's root search instead.  Stop rules and collapse
+    handling are ``iterate.outer_loop``'s (no stop
     before min_steps; t_end bounds the run).  The limit is
     (1 + tau mu)^n v_n at the last step: on the ground ray each step
     shrinks the state by exactly (1 + tau mu)^(-1), for every p, so a unit
@@ -125,9 +133,22 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
         trace.states.append(v.copy())
     p, q = inst.exponent.p, inst.exponent.q
     carry: dict = {}  # the sup radius of the last step
+    v_prev = None  # the state before v, for the predictor
+
+    def predict(v):
+        rq, norm = trace.rows[-1].rq, trace.rows[-1].norm
+        if space.kind is SpaceKind.SUP or not (0.0 < rq < math.inf):
+            return None
+        s = 1.0 + tau * mu_from_lambda(rq, inst.exponent)
+        if v_prev is None:
+            return v / s
+        e = v + (v - v_prev) / s
+        return e * (norm / s / space.norm(e))
 
     def step(n, v):
-        rep = minimize_movement(inst, v, tau, opts.grad_tol, carry)
+        nonlocal v_prev
+        rep = minimize_movement(inst, v, tau, opts.grad_tol, carry, init=predict(v))
+        v_prev = v
         if not rep.converged:
             raise SchemeFailure(
                 f"{inst.kind}: movement solve failed to converge at step {n} (merit {rep.grad_dual_norm:.3e})", trace

@@ -11,6 +11,8 @@ direction is the Newton direction wherever the instance has a Hessian
 (``ProblemInstance.hessian``: a tridiagonal band for the 1D kinds, solved
 by a Thomas sweep, and a dense matrix for the fractional and matrix
 kinds); the movement solve adds the diagonal curvature of its penalty.
+The movement solve starts at the caller's warm start (``run_flow``
+passes its predicted next state) or else at the anchor g.
 Where there is no Hessian (2D), or the Newton direction is not finite or
 not a descent direction, an L-BFGS metric in pairing coordinates, built
 afresh in each solve, maps the dual residual to the direction instead.
@@ -370,14 +372,15 @@ def _movement_penalty(space: SpaceDescriptor, g, tau, p, eps):
     return value, grad, curvature
 
 
-def _smooth_movement(inst, g, tau, grad_tol):
-    """The movement step by ``descend`` from the anchor g (normalized)."""
+def _smooth_movement(inst, g, tau, grad_tol, v0):
+    """The movement step by ``descend`` from v0, for the anchor g (both normalized)."""
     space = inst.space
     p, q = inst.exponent.p, inst.exponent.q
     ref = space.dual_norm(inst.gradient(g))
     # the kernel smoothing scale is tied to the expected per-step movement;
     # 1e-5 of it stays far below the scheme's O(tau) accuracy while keeping
-    # the p < 2 penalty curvature finite at v = g, where each solve starts
+    # the p < 2 penalty curvature finite where v = g (the start when no
+    # prediction is given)
     move_scale = max(tau * ref ** (q - 1.0), 1e-300)
     eps_pen = 0.0 if p >= 2.0 else 1e-5 * move_scale
     pen_value, pen_grad, pen_curvature = _movement_penalty(space, g, tau, p, eps_pen)
@@ -391,7 +394,7 @@ def _smooth_movement(inst, g, tau, grad_tol):
     tol = grad_tol * (1.0 + ref)
     newton = _Newton(inst, pen_curvature)
     w = space.pairing_weights()
-    v, f, resid, iters, ok = descend(g.copy(), value, grad, space.dual_norm, tol, MAX_ITERS, w, newton=newton)
+    v, f, resid, iters, ok = descend(v0, value, grad, space.dual_norm, tol, MAX_ITERS, w, newton=newton)
     return SolveReport(v, f, resid, iters, ok, newton_steps=newton.steps)
 
 
@@ -488,16 +491,19 @@ def _sup_movement(inst, g, tau, grad_tol, carry: dict):
 
 
 def minimize_movement(
-    inst: ProblemInstance, g, tau: float, grad_tol: float = 1e-9, carry: dict | None = None
+    inst: ProblemInstance, g, tau: float, grad_tol: float = 1e-9, carry: dict | None = None, init=None
 ) -> SolveReport:
     """One implicit minimizing-movement step from anchor g with step tau.
 
-    Minimizes Phi(v) + ||v - g||^p / (p tau^(p-1)), starting from g;
-    terminates when the dual norm of the full objective gradient drops
-    below grad_tol * (1 + ||grad Phi(g)||_*).  Both paths solve for the
-    anchor normalized to unit norm and the report is scaled back here.
-    ``run_flow`` passes a mutable ``carry`` dict; it holds only the sup
-    radius of the last step, which starts the next sup step's root search.
+    Minimizes Phi(v) + ||v - g||^p / (p tau^(p-1)); terminates when the
+    dual norm of the full objective gradient drops below
+    grad_tol * (1 + ||grad Phi(g)||_*).  The smooth path starts ``descend``
+    at the warm start ``init`` (default: the anchor g); ``run_flow`` passes
+    its predicted next state.  Both paths solve for the anchor normalized
+    to unit norm and the report is scaled back here.  The sup path ignores
+    ``init``: ``run_flow`` passes a mutable ``carry`` dict, which holds only
+    the sup radius of the last step, and that radius starts the next sup
+    step's root search.
     """
     if not (tau > 0.0):
         raise DegenerateInputError(f"step size tau must be > 0, got {tau}")
@@ -510,7 +516,8 @@ def minimize_movement(
     if space.kind is SpaceKind.SUP:
         rep = _sup_movement(inst, g / scale, tau, grad_tol, {} if carry is None else carry)
     else:
-        rep = _smooth_movement(inst, g / scale, tau, grad_tol)
+        v0 = g if init is None else space.check_dim(as_array(init))
+        rep = _smooth_movement(inst, g / scale, tau, grad_tol, v0 / scale)
     s = np.float64(scale)
     with np.errstate(over="ignore"):  # the objective may leave the double range where v does not
         objective, resid = float(s**p * rep.objective), float(s ** (p - 1.0) * rep.grad_dual_norm)

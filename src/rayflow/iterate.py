@@ -145,7 +145,8 @@ def outer_loop(inst, x, trace, step, rescale, max_steps, rtol, dtol, rq_patience
     """
     space = inst.space
     rq = trace.rows[-1].rq
-    x_hat = unit_representative(space, x)[0] if trace.rows[-1].norm > 0.0 else None
+    norm = trace.rows[-1].norm
+    x_hat = unit_representative(space, x, norm) if norm > 0.0 else None
     stop = StopReason.MAX_ITERS
     rq_stable_run = 0
     for k in range(1, max_steps + 1):
@@ -156,7 +157,7 @@ def outer_loop(inst, x, trace, step, rescale, max_steps, rtol, dtol, rq_patience
         if norm_new < COLLAPSE_NORM:
             stop = StopReason.COLLAPSED_TO_ZERO
             break
-        x_hat_new = unit_representative(space, x_new)[0]
+        x_hat_new = unit_representative(space, x_new, norm_new)
         dir_dist = space.norm(x_hat_new - x_hat) if x_hat is not None else math.inf
         rq_stable = rtol is not None and abs(rq_new - rq) <= rtol * abs(rq_new)
         dir_stable = dtol is not None and dir_dist <= dtol

@@ -326,14 +326,13 @@ def optimal_shift(u, space: SpaceDescriptor) -> float:
     return float(c * m)
 
 
-def unit_representative(space: SpaceDescriptor, u) -> tuple[np.ndarray, float]:
-    """Sign-normalized unit-norm representative of u, plus ||u||.
+def unit_representative(space: SpaceDescriptor, u, n: float) -> np.ndarray:
+    """Sign-normalized unit-norm representative of u, given n = ||u||.
 
     Quotient vectors are shifted to the zero-mean representative first; the
     sign is fixed so the largest-magnitude entry is positive.
     """
     u = space.check_dim(u)
-    n = space.norm(u)
     if n == 0.0:
         raise DegenerateInputError("cannot normalize a zero-norm vector")
     rep = u + optimal_shift(u, space) if space.kind is SpaceKind.QUOTIENT_LP else u
@@ -341,4 +340,4 @@ def unit_representative(space: SpaceDescriptor, u) -> tuple[np.ndarray, float]:
     i = int(np.argmax(np.abs(rep)))
     if rep[i] < 0.0:
         rep = -rep
-    return rep, n
+    return rep

@@ -4,11 +4,12 @@ import time
 import numpy as np
 import pytest
 
+import rayflow.flow
 from rayflow.errors import DegenerateInputError
 from rayflow.flow import FlowOptions, FlowRow, FlowTrace, check_decay, local_slope, run_flow
 from rayflow.iterate import StopReason, iterate, IterOptions, rough_mu
 from rayflow.config import start_vector
-from rayflow.problems import MatrixQuadratic, PDirichlet1D, SupDirichlet1D
+from rayflow.problems import FractionalSeminorm1D, MatrixQuadratic, NeumannQuotient1D, PDirichlet1D, SupDirichlet1D
 
 TIGHT = FlowOptions(rtol=1e-12, dtol=1e-7, grad_tol=1e-11, keep_states=True)
 
@@ -219,3 +220,38 @@ class TestSchemeCrossCheck:
         _, s_it = iterate(inst, np.ones(9), IterOptions(rtol=1e-12, dtol=1e-9))
         _, s_fl = run_flow(inst, np.ones(9), 1e-3, 50.0, FlowOptions(rtol=1e-11, dtol=1e-8))
         assert s_fl.lambda_hat == pytest.approx(s_it.lambda_hat, rel=1e-4)
+
+
+class TestPredictedStart:
+    """The movement solves start at the predicted state, with the CLI's automatic step and horizon."""
+
+    @staticmethod
+    def _run(inst, u0):
+        mu = rough_mu(inst, u0)
+        return run_flow(inst, u0, 0.01 / mu, 50.0 / mu)
+
+    def test_p8_flow_converges(self):
+        # from the anchor, a movement solve of this run stalls at step 30
+        inst = PDirichlet1D(8.0, 31)
+        trace, summary = self._run(inst, np.ones(31))
+        _, ref = iterate(inst, np.ones(31))
+        assert summary.converged
+        assert abs(summary.lambda_hat - ref.lambda_hat) <= 1e-10 * ref.lambda_hat
+        assert check_decay(trace, summary.mu_hat, trace.rows[0].phi) == []
+
+    @pytest.mark.parametrize("make", [FractionalSeminorm1D, NeumannQuotient1D], ids=["fractional", "neumann"])
+    def test_few_inner_iterations_per_step(self, make, monkeypatch):
+        # about 5.2 iterations per solve when every solve starts at its anchor
+        inst = make(3.0, 31)
+        iters = []
+        solve = rayflow.flow.minimize_movement
+
+        def counted(*args, **kwargs):
+            rep = solve(*args, **kwargs)
+            iters.append(rep.iters)
+            return rep
+
+        monkeypatch.setattr(rayflow.flow, "minimize_movement", counted)
+        _, summary = self._run(inst, start_vector(inst, "auto", 0, None))
+        assert summary.converged
+        assert np.mean(iters) <= 2.5

@@ -537,3 +537,42 @@ class TestNewtonSolves:
             assert rep.newton_steps == 0
         else:
             assert 0 < rep.newton_steps <= rep.iters
+
+
+class TestMovementWarmStart:
+    """``minimize_movement(..., init=)``: where the smooth solve starts, not what it finds."""
+
+    TOL = 1e-11
+
+    @pytest.mark.parametrize("case", list(NEWTON_CASES))
+    def test_warm_start_reaches_anchor_start_minimizer(self, case):
+        inst = NEWTON_CASES[case]()
+        rng = np.random.default_rng(17)
+        g = rng.standard_normal(inst.space.dim)
+        init = g / 1.1 + 0.1 * rng.standard_normal(inst.space.dim)
+        ref = minimize_movement(inst, g, 0.05, self.TOL)
+        rep = minimize_movement(inst, g, 0.05, self.TOL, init=init)
+        assert rep.converged and ref.converged
+        gap = inst.space.norm(rep.minimizer - ref.minimizer) / inst.space.norm(ref.minimizer)
+        assert gap <= 1e3 * self.TOL
+
+    def test_ground_ray_prediction_accepted_without_iterations(self):
+        # on the ground ray the step divides the state by exactly 1 + tau mu
+        inst = MatrixQuadratic(np.diag([2.0, 5.0, 9.0]))
+        g = np.array([1.0, 0.0, 0.0])
+        tau = 0.005
+        predicted = g / (1.0 + 2.0 * tau)
+        rep = minimize_movement(inst, g, tau, init=predicted)
+        assert rep.converged and rep.iters == 0
+        np.testing.assert_allclose(rep.minimizer, predicted, rtol=1e-15, atol=0.0)
+        assert minimize_movement(inst, g, tau).iters > 0
+
+    def test_sup_step_ignores_init(self):
+        inst = SupDirichlet1D(3.0, 15)
+        g = np.random.default_rng(19).standard_normal(15)
+        carry, carry_init = {}, {}
+        ref = minimize_movement(inst, g, 0.01, 1e-11, carry)
+        rep = minimize_movement(inst, g, 0.01, 1e-11, carry_init, init=0.5 * g)
+        fields, ref_fields = vars(rep).copy(), vars(ref).copy()
+        assert fields.pop("minimizer").tobytes() == ref_fields.pop("minimizer").tobytes()
+        assert fields == ref_fields and carry_init == carry
