@@ -27,7 +27,6 @@ from .oracles import (
     OracleResult,
     direct_rayleigh_min,
     eigen_residual,
-    hilbert_closed_form,
     oracle_lambda,
     symmetric_eigs,
 )
@@ -42,11 +41,8 @@ from .problems import (
     Steklov1D,
     SupDirichlet1D,
     assemble,
-    euler_identity_residual,
 )
 from .spaces import (
-    CoeffVec,
-    DualVec,
     Exponent,
     SpaceDescriptor,
     SpaceKind,
@@ -57,10 +53,8 @@ from .spaces import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoeffVec",
     "ConfigError",
     "DegenerateInputError",
-    "DualVec",
     "Exponent",
     "FlowOptions",
     "FlowSummary",
@@ -91,8 +85,6 @@ __all__ = [
     "check_monotonicity",
     "direct_rayleigh_min",
     "eigen_residual",
-    "euler_identity_residual",
-    "hilbert_closed_form",
     "iterate",
     "local_slope",
     "minimize_movement",

@@ -29,7 +29,7 @@ from .flow import FlowOptions, check_step, run_flow
 from .iterate import IterOptions, SchemeFailure, iterate, rough_mu
 from .oracles import DEFAULT_SEED, oracle_lambda
 from .problems import assemble
-from .util import derive_seed, rng_from
+from .util import derive_seed
 
 __all__ = ["main"]
 
@@ -129,7 +129,7 @@ def _flow_params(cfg: RunConfig, inst, u0):
 
 def _run_iterate(cfg: RunConfig, out: Path, say):
     inst = assemble(cfg.instance)
-    u0 = start_vector(inst, cfg.iterate.get("u0"), cfg.seed, rng_from)
+    u0 = start_vector(inst, cfg.iterate.get("u0"), cfg.seed)
     try:
         trace, summary = iterate(inst, u0, _scheme_options(IterOptions, "iterate", cfg.iterate))
     except SchemeFailure as e:
@@ -146,7 +146,7 @@ def _run_iterate(cfg: RunConfig, out: Path, say):
             "iters": summary.iters,
             "converged": summary.converged,
             "stop_reason": summary.stop_reason.value,
-            "limit_vec": summary.limit_vec.values,
+            "limit_vec": summary.limit_vec,
         },
     )
     say(f"iterate: lambda_hat={_g17(summary.lambda_hat)} ({summary.stop_reason.value}, {summary.iters} steps)")
@@ -155,7 +155,7 @@ def _run_iterate(cfg: RunConfig, out: Path, say):
 
 def _run_flow(cfg: RunConfig, out: Path, say):
     inst = assemble(cfg.instance)
-    u0 = start_vector(inst, cfg.flow.get("u0"), cfg.seed, rng_from)
+    u0 = start_vector(inst, cfg.flow.get("u0"), cfg.seed)
     tau, t_end, opts = _flow_params(cfg, inst, u0)
     try:
         trace, summary = run_flow(inst, u0, tau, t_end, opts)
@@ -174,7 +174,7 @@ def _run_flow(cfg: RunConfig, out: Path, say):
             "tau": tau,
             "converged": summary.converged,
             "stop_reason": summary.stop_reason.value,
-            "limit_vec": summary.limit_vec.values,
+            "limit_vec": summary.limit_vec,
         },
     )
     say(f"flow: lambda_hat={_g17(summary.lambda_hat)} ({summary.stop_reason.value}, {summary.steps} steps)")
@@ -193,7 +193,7 @@ def _run_oracle(cfg: RunConfig, out: Path, say):
             "lambda_star": result.lambda_star,
             "method": result.method.value,
             "certificate": result.certificate,
-            "minimizer": result.minimizer.values,
+            "minimizer": result.minimizer,
         },
     )
     say(f"oracle: lambda_star={_g17(result.lambda_star)} (cert {_g17(result.certificate)})")

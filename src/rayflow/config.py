@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .problems import INSTANCE_KEYS
+from .util import rng_from
 
 __all__ = ["RunConfig", "load_config"]
 
@@ -157,7 +158,7 @@ def load_config(path) -> RunConfig:
     return cfg
 
 
-def start_vector(inst, policy, seed, rng_maker) -> np.ndarray:
+def start_vector(inst, policy, seed) -> np.ndarray:
     """Resolve the configured start-vector policy for an instance.
 
     ``auto`` (the default) picks a generic start per space kind: a linear
@@ -179,5 +180,5 @@ def start_vector(inst, policy, seed, rng_maker) -> np.ndarray:
         t = (np.arange(dim) + 0.5) / dim
         return t * (1.0 - t)
     if policy == "random":
-        return rng_maker(seed, "u0").standard_normal(dim)
+        return rng_from(seed, "u0").standard_normal(dim)
     raise ConfigError(f"u0: unknown start policy {policy!r}")

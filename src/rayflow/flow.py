@@ -21,7 +21,7 @@ from .errors import DegenerateInputError
 from .inner import minimize_movement
 from .iterate import SchemeFailure, StopReason, Violation, check_stop_rules, outer_loop
 from .problems import ProblemInstance
-from .spaces import CoeffVec, SpaceKind, as_array, mu_from_lambda
+from .spaces import SpaceKind, mu_from_lambda
 
 __all__ = [
     "FlowOptions",
@@ -33,6 +33,11 @@ __all__ = [
     "check_decay",
 ]
 
+#: the flow takes no stop before this step
+MIN_STEPS = 10
+#: Rayleigh-stable steps in a row that stop a flow whose direction never settles
+RQ_PATIENCE = 50
+
 
 @dataclass
 class FlowOptions:
@@ -41,14 +46,10 @@ class FlowOptions:
     rtol: float | None = 1e-9
     dtol: float | None = 1e-8
     grad_tol: float = 1e-9
-    min_steps: int = 10
-    rq_patience: int = 50
     keep_states: bool = False
 
     def __post_init__(self):
-        check_stop_rules(self.rtol, self.dtol, self.rq_patience, self.grad_tol)
-        if self.min_steps < 1:
-            raise DegenerateInputError(f"min_steps: must be >= 1, got {self.min_steps}")
+        check_stop_rules(self.rtol, self.dtol, self.grad_tol)
 
 
 @dataclass
@@ -80,7 +81,7 @@ class FlowTrace:
 class FlowSummary:
     lambda_hat: float
     mu_hat: float
-    limit_vec: CoeffVec
+    limit_vec: np.ndarray
     steps: int
     converged: bool
     stop_reason: StopReason
@@ -88,7 +89,7 @@ class FlowSummary:
 
 def local_slope(inst: ProblemInstance, u) -> float:
     """|dPhi|(u): the dual norm of the (unique) gradient of the smooth energy."""
-    return inst.space.dual_norm(inst.gradient(as_array(u)))
+    return inst.space.dual_norm(inst.gradient(u))
 
 
 def check_step(tau: float, t_end: float):
@@ -113,7 +114,7 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
     state starts at the anchor.  On sup spaces the last step's box radius
     starts the next one's root search instead.  Stop rules and collapse
     handling are ``iterate.outer_loop``'s (no stop
-    before min_steps; t_end bounds the run).  The limit is
+    before MIN_STEPS; t_end bounds the run).  The limit is
     (1 + tau mu)^n v_n at the last step: on the ground ray each step
     shrinks the state by exactly (1 + tau mu)^(-1), for every p, so a unit
     ground state keeps unit norm.
@@ -121,7 +122,7 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
     opts = opts or FlowOptions()
     check_step(tau, t_end)
     space = inst.space
-    v = space.check_dim(as_array(v0))
+    v = space.check_dim(v0)
     phi = inst.value(v)
     if not math.isfinite(phi):
         raise DegenerateInputError("Phi(v0) must be finite")
@@ -172,9 +173,7 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
         return math.exp(last.n * math.log1p(tau * mu_hat) + math.log(last.norm))
 
     max_steps = max(1, int(round(t_end / tau)))
-    summary = outer_loop(
-        inst, v, trace, step, rescale, max_steps, opts.rtol, opts.dtol, opts.rq_patience, opts.min_steps
-    )
+    summary = outer_loop(inst, v, trace, step, rescale, max_steps, opts.rtol, opts.dtol, RQ_PATIENCE, MIN_STEPS)
     return trace, FlowSummary(*summary)
 
 

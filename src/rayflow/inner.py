@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, NumericsError
 from .problems import ProblemInstance, _power_sum
-from .spaces import SpaceDescriptor, SpaceKind, _scaled_pnorm, as_array, smoothed_curvature, smoothed_kernel
+from .spaces import SpaceDescriptor, SpaceKind, _scaled_pnorm, smoothed_curvature, smoothed_kernel
 
 __all__ = ["SolveReport", "descend", "minimize_phi_minus_linear", "minimize_movement"]
 
@@ -302,7 +302,7 @@ def minimize_phi_minus_linear(inst: ProblemInstance, xi, grad_tol: float = 1e-9,
     from it, or else from the warm start ``init`` (default zero).
     """
     space = inst.space
-    xi = space.check_dim(as_array(xi))
+    xi = space.check_dim(xi)
     s = space.dual_norm(xi)
     if s == 0.0:
         zero = np.zeros(space.dim)
@@ -508,7 +508,7 @@ def minimize_movement(
     if not (tau > 0.0):
         raise DegenerateInputError(f"step size tau must be > 0, got {tau}")
     space = inst.space
-    g = space.check_dim(as_array(g))
+    g = space.check_dim(g)
     p = inst.exponent.p
     scale = _scaled_pnorm(g, space.pairing_weights(), p)
     if scale == 0.0:
@@ -516,7 +516,7 @@ def minimize_movement(
     if space.kind is SpaceKind.SUP:
         rep = _sup_movement(inst, g / scale, tau, grad_tol, {} if carry is None else carry)
     else:
-        v0 = g if init is None else space.check_dim(as_array(init))
+        v0 = g if init is None else space.check_dim(init)
         rep = _smooth_movement(inst, g / scale, tau, grad_tol, v0 / scale)
     s = np.float64(scale)
     with np.errstate(over="ignore"):  # the objective may leave the double range where v does not

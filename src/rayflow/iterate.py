@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DegenerateInputError
 from .inner import minimize_phi_minus_linear
 from .problems import ProblemInstance
-from .spaces import CoeffVec, as_array, mu_from_lambda, unit_representative
+from .spaces import mu_from_lambda, unit_representative
 
 __all__ = [
     "IterOptions",
@@ -54,9 +54,11 @@ class StopReason(Enum):
 COLLAPSE_NORM = 1e-300
 #: trailing steps whose mu^k ||u_k|| are averaged into the limit scale
 TAIL_WINDOW = 10
+#: Rayleigh-stable steps in a row that stop a run whose direction never settles
+RQ_PATIENCE = 30
 
 
-def check_stop_rules(rtol, dtol, rq_patience, grad_tol):
+def check_stop_rules(rtol, dtol, grad_tol):
     """Validate the stability thresholds and the inner-solve tolerance
     shared by both schemes."""
     for key, tol in (("rtol", rtol), ("dtol", dtol)):
@@ -64,8 +66,6 @@ def check_stop_rules(rtol, dtol, rq_patience, grad_tol):
             raise DegenerateInputError(f"{key}: must be a positive finite number or None, got {tol}")
     if not (0.0 < grad_tol < math.inf):
         raise DegenerateInputError(f"grad_tol: must be a positive finite number, got {grad_tol}")
-    if rq_patience < 1:
-        raise DegenerateInputError(f"rq_patience: must be >= 1, got {rq_patience}")
 
 
 @dataclass
@@ -74,21 +74,18 @@ class IterOptions:
 
     ``rtol``/``dtol`` are the Rayleigh- and direction-stability thresholds;
     either may be None to disable that stop (a run with both disabled
-    continues to max_iters or norm underflow).  ``rq_patience`` is the
-    number of consecutive Rayleigh-stable steps after which a run whose
-    direction never settles (non-simple instances) terminates as RQ_STABLE.
-    ``grad_tol`` is the relative residual tolerance of each inner solve.
+    continues to max_iters or norm underflow).  ``grad_tol`` is the relative
+    residual tolerance of each inner solve.
     """
 
     rtol: float | None = 1e-10
     dtol: float | None = 1e-8
     max_iters: int = 500
     grad_tol: float = 1e-9
-    rq_patience: int = 30
     keep_iterates: bool = False
 
     def __post_init__(self):
-        check_stop_rules(self.rtol, self.dtol, self.rq_patience, self.grad_tol)
+        check_stop_rules(self.rtol, self.dtol, self.grad_tol)
         if self.max_iters < 1:
             raise DegenerateInputError(f"max_iters: must be >= 1, got {self.max_iters}")
 
@@ -117,7 +114,7 @@ class IterationTrace:
 class RunSummary:
     lambda_hat: float
     mu_hat: float
-    limit_vec: CoeffVec
+    limit_vec: np.ndarray
     iters: int
     converged: bool
     stop_reason: StopReason
@@ -141,7 +138,8 @@ def outer_loop(inst, x, trace, step, rescale, max_steps, rtol, dtol, rq_patience
     Rayleigh-stable steps in a row (neither before ``min_steps``), or at
     ``max_steps``; a norm underflow stops it as CollapsedToZero.  The limit
     is ``rescale(mu_hat)`` times the unit representative of the last state,
-    or zero after a collapse.
+    or zero after a collapse; a limit outside the double range raises
+    DegenerateInputError.
     """
     space = inst.space
     rq = trace.rows[-1].rq
@@ -176,7 +174,7 @@ def outer_loop(inst, x, trace, step, rescale, max_steps, rtol, dtol, rq_patience
     steps = len(trace) - 1
     converged = stop in (StopReason.DIRECTION_STABLE, StopReason.RQ_STABLE)
     finite_rq = [r.rq for r in trace.rows if math.isfinite(r.rq)]
-    zero = CoeffVec(np.zeros(space.dim), space)
+    zero = np.zeros(space.dim)
     if not finite_rq:
         # started at (and stayed on) the zero element
         return math.nan, math.nan, zero, steps, False, stop
@@ -184,7 +182,10 @@ def outer_loop(inst, x, trace, step, rescale, max_steps, rtol, dtol, rq_patience
     mu_hat = mu_from_lambda(lambda_hat, inst.exponent)
     if stop is StopReason.COLLAPSED_TO_ZERO:
         return lambda_hat, mu_hat, zero, steps, converged, stop
-    return lambda_hat, mu_hat, CoeffVec(rescale(mu_hat) * x_hat, space), steps, converged, stop
+    limit = rescale(mu_hat) * x_hat
+    if not np.all(np.isfinite(limit)):
+        raise DegenerateInputError("rescaled limit vector has non-finite entries")
+    return lambda_hat, mu_hat, limit, steps, converged, stop
 
 
 def iterate(inst: ProblemInstance, u0, opts: IterOptions | None = None):
@@ -198,7 +199,7 @@ def iterate(inst: ProblemInstance, u0, opts: IterOptions | None = None):
     """
     opts = opts or IterOptions()
     space = inst.space
-    u = space.check_dim(as_array(u0))
+    u = space.check_dim(u0)
     norm = space.norm(u)
     if norm == 0.0:
         raise DegenerateInputError("u0 must have nonzero norm")
@@ -228,7 +229,7 @@ def iterate(inst: ProblemInstance, u0, opts: IterOptions | None = None):
         logs = [r.k * math.log(mu_hat) + math.log(r.norm) for r in rows]
         return math.exp(sum(logs) / len(logs))
 
-    summary = outer_loop(inst, u, trace, step, rescale, opts.max_iters, opts.rtol, opts.dtol, opts.rq_patience)
+    summary = outer_loop(inst, u, trace, step, rescale, opts.max_iters, opts.rtol, opts.dtol, RQ_PATIENCE)
     return trace, RunSummary(*summary)
 
 

@@ -9,8 +9,6 @@ None of these go through the iteration or flow schemes:
   form instead: with the peak u_i = 1 fixed, Jensen's inequality makes the
   tent (equal differences on each side of i) the minimizer of the convex
   energy, and lambda is the least quotient over the n tents.
-* ``hilbert_closed_form``: the explicit diagonal-quadratic solution
-  sequences used to cross-check both schemes step by step.
 
 What the direct route shares with the schemes is the line search only:
 it runs ``inner.descend``, the loop the inner convex solves use.  The
@@ -32,7 +30,7 @@ import numpy as np
 from .errors import DegenerateInputError
 from .inner import descend
 from .problems import ProblemInstance
-from .spaces import CoeffVec, SpaceKind, as_array, optimal_shift
+from .spaces import SpaceKind, optimal_shift, unit_representative
 
 __all__ = [
     "OracleMethod",
@@ -40,7 +38,6 @@ __all__ = [
     "symmetric_eigs",
     "direct_rayleigh_min",
     "oracle_lambda",
-    "hilbert_closed_form",
     "eigen_residual",
 ]
 
@@ -58,7 +55,7 @@ class OracleMethod(Enum):
 @dataclass
 class OracleResult:
     lambda_star: float
-    minimizer: CoeffVec
+    minimizer: np.ndarray
     method: OracleMethod
     certificate: float
 
@@ -66,13 +63,13 @@ class OracleResult:
 def eigen_residual(inst: ProblemInstance, u, lam: float) -> float:
     """Relative dual-norm residual of the eigen-relation dPhi(u) = lam J_p(u)."""
     space = inst.space
-    u = space.check_dim(as_array(u))
+    u = space.check_dim(u)
     m = float(np.max(np.abs(u)))
     if m == 0.0:
         raise DegenerateInputError("eigen residual undefined at zero")
     u = u / 2.0 ** math.frexp(m)[1]  # a power of 2 at or above max |u|: the scaling is exact
     g = inst.gradient(u)
-    j = space.duality_map(u).values
+    j = space.duality_map(u)
     ref = lam * space.dual_norm(j)
     return space.dual_norm(g - lam * j) / max(ref, 1e-300)
 
@@ -155,7 +152,7 @@ def _spg(inst, u0, tol, max_iters):
 
     def residual(u):
         lam = inst.rayleigh(u)
-        j = space.duality_map(u).values
+        j = space.duality_map(u)
         return (inst.gradient(u) - lam * j) / max(lam * space.dual_norm(j), 1e-300)
 
     w = space.pairing_weights()
@@ -195,7 +192,7 @@ def direct_rayleigh_min(
         j = np.arange(1, n + 1)
         tents = (np.where(j <= i, j / i, (n + 1 - j) / (n + 1 - i)) for i in range(1, n + 1))
         lam, u = min(((inst.rayleigh(t), t) for t in tents), key=lambda c: c[0])
-        return OracleResult(lam, CoeffVec(u, space), OracleMethod.CLOSED_FORM, eigen_residual(inst, u, lam))
+        return OracleResult(lam, u, OracleMethod.CLOSED_FORM, eigen_residual(inst, u, lam))
 
     rng = np.random.default_rng(seed)
     starts = [np.ones(space.dim)]
@@ -215,7 +212,7 @@ def direct_rayleigh_min(
     if best is None:
         raise DegenerateInputError("all oracle starts were degenerate")
     u, lam, cert = _spg(inst, best[2], tol, 50_000)
-    return OracleResult(lam, CoeffVec(u, space), OracleMethod.PROJECTED_GRADIENT, cert)
+    return OracleResult(lam, u, OracleMethod.PROJECTED_GRADIENT, cert)
 
 
 def oracle_lambda(inst: ProblemInstance, restarts: int = 16, tol: float = 1e-8, seed: int = DEFAULT_SEED) -> OracleResult:
@@ -226,30 +223,7 @@ def oracle_lambda(inst: ProblemInstance, restarts: int = 16, tol: float = 1e-8, 
     """
     if inst.kind == "matrix":
         w, v = symmetric_eigs(inst.matrix)
-        u = v[:, 0]
-        i = int(np.argmax(np.abs(u)))
-        if u[i] < 0.0:
-            u = -u
+        u = unit_representative(inst.space, v[:, 0], 1.0)  # a unit vector, sign-normalized
         lam = float(w[0])
-        return OracleResult(lam, CoeffVec(u, inst.space), OracleMethod.JACOBI_EIG, eigen_residual(inst, u, lam))
+        return OracleResult(lam, u, OracleMethod.JACOBI_EIG, eigen_residual(inst, u, lam))
     return direct_rayleigh_min(inst, restarts, tol, seed)
-
-
-def hilbert_closed_form(sigmas, a, k: int | None = None, t: float | None = None) -> np.ndarray:
-    """Eigenbasis coordinates of the explicit diagonal-quadratic solutions.
-
-    With spectrum ``sigmas`` (ascending, positive) and initial coordinates
-    ``a``, returns a_j sigma_j^(-k) for the iteration or a_j e^(-sigma_j t)
-    for the flow; exactly one of k and t must be given.
-    """
-    sig = np.asarray(sigmas, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if sig.shape != a.shape or sig.ndim != 1:
-        raise DegenerateInputError("sigmas and a must be 1-d arrays of equal length")
-    if np.any(sig <= 0.0) or np.any(np.diff(sig) < 0.0):
-        raise DegenerateInputError("sigmas must be ascending and positive")
-    if (k is None) == (t is None):
-        raise DegenerateInputError("give exactly one of k (step) or t (time)")
-    if k is not None:
-        return a * sig ** (-float(k))
-    return a * np.exp(-sig * float(t))

@@ -48,7 +48,6 @@ __all__ = [
     "SupDirichlet1D",
     "Steklov1D",
     "assemble",
-    "euler_identity_residual",
 ]
 
 
@@ -647,12 +646,3 @@ def assemble(config: dict) -> ProblemInstance:
             raise ConfigError(f"n: kind {kind!r} needs n >= 2, got {n}")
         inst = _KINDS[kind](**kwargs)
     return inst
-
-
-def euler_identity_residual(inst: ProblemInstance, u) -> float:
-    """|p Phi(u) - <grad Phi(u), u>| / max(1, p Phi(u)); exact homogeneity check."""
-    u = inst.space.check_dim(u)
-    pphi = inst.p * inst.value(u)
-    paired = inst.space.pairing(inst.gradient(u), u)
-    return abs(pphi - paired) / max(1.0, abs(pphi))
-

@@ -32,8 +32,6 @@ __all__ = [
     "Exponent",
     "SpaceKind",
     "SpaceDescriptor",
-    "CoeffVec",
-    "DualVec",
     "signed_power",
     "smoothed_kernel",
     "smoothed_curvature",
@@ -135,10 +133,8 @@ class SpaceDescriptor:
             if any(i < 0 or i >= self.dim for i in self.boundary):
                 raise DegenerateInputError("boundary index out of range")
 
-    # -- coefficient plumbing -------------------------------------------------
-
     def check_dim(self, values) -> np.ndarray:
-        v = np.asarray(as_array(values), dtype=float)
+        v = np.asarray(values, dtype=float)
         if v.shape != (self.dim,):
             raise SpaceMismatchError(f"expected vector of length {self.dim}, got shape {v.shape}")
         return v
@@ -151,8 +147,6 @@ class SpaceDescriptor:
         if self.kind is SpaceKind.TRACE_BOUNDARY:
             w[list(self.boundary)] = 1.0
         return w
-
-    # -- norms, pairings, duality map -----------------------------------------
 
     def norm(self, u) -> float:
         u = self.check_dim(u)
@@ -184,88 +178,46 @@ class SpaceDescriptor:
         return _scaled_pnorm(xi, w, q)
 
     def pairing(self, xi, u) -> float:
-        xi = self.check_dim(xi)
-        u = self.check_dim(u)
-        return float(np.sum(self.pairing_weights() * xi * u))
+        return float(np.sum(self.pairing_weights() * self.check_dim(xi) * self.check_dim(u)))
 
-    def duality_map(self, u) -> "DualVec":
+    def duality_map(self, u) -> np.ndarray:
         """One element of J_p(u), the subdifferential of ||.||^p / p.
 
         Ties on sup spaces are broken at the lowest argmax index of |u_i|.
+        Raises DegenerateInputError where |u|^(p-1) leaves the double range.
         """
         u = self.check_dim(u)
         p = self.exponent.p
-        if self.kind is SpaceKind.SUP:
+        if self.kind in (SpaceKind.SUP, SpaceKind.TRACE_BOUNDARY):
+            # supported on the first peak of |u| (sup) or on the boundary (trace)
+            b = [int(np.argmax(np.abs(u)))] if self.kind is SpaceKind.SUP else list(self.boundary)
             xi = np.zeros(self.dim)
-            i = int(np.argmax(np.abs(u)))
-            xi[i] = signed_power(u[i], p - 1.0)
-            return DualVec(xi, self)
-        if self.kind is SpaceKind.TRACE_BOUNDARY:
-            xi = np.zeros(self.dim)
-            b = list(self.boundary)
             xi[b] = signed_power(u[b], p - 1.0)
-            return DualVec(xi, self)
-        if self.kind is SpaceKind.QUOTIENT_LP:
-            u = u + optimal_shift(u, self)
+        elif self.kind is SpaceKind.QUOTIENT_LP:
+            xi = _zero_mean_dual(u + optimal_shift(u, self), p, self.pairing_weights())
+        else:
             xi = signed_power(u, p - 1.0)
-            # the exact element has zero weighted mean; remove the shift
-            # solver's floating-point drift so the invariant is structural
-            w = self.pairing_weights()
-            return DualVec(xi - np.sum(w * xi) / np.sum(w), self)
-        return DualVec(signed_power(u, p - 1.0), self)
-
-
-def as_array(u) -> np.ndarray:
-    """Accept a CoeffVec/DualVec or any array-like and return the ndarray."""
-    if isinstance(u, (CoeffVec, DualVec)):
-        return u.values
-    return np.asarray(u, dtype=float)
-
-
-@dataclass(frozen=True)
-class CoeffVec:
-    """A primal coefficient vector tagged with its space."""
-
-    values: np.ndarray
-    space: SpaceDescriptor
-
-    def __post_init__(self):
-        v = np.array(as_array(self.values), dtype=float)
-        if v.shape != (self.space.dim,):
-            raise SpaceMismatchError(f"expected length {self.space.dim}, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise DegenerateInputError("coefficient vector has non-finite entries")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class DualVec:
-    """A dual coefficient vector tagged with its space.
-
-    For quotient spaces the entries must have zero weighted sum (the dual
-    of the quotient is the annihilator of constants).
-    """
-
-    values: np.ndarray
-    space: SpaceDescriptor
-
-    def __post_init__(self):
-        v = np.array(as_array(self.values), dtype=float)
-        if v.shape != (self.space.dim,):
-            raise SpaceMismatchError(f"expected length {self.space.dim}, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.all(np.isfinite(xi)):
             raise DegenerateInputError("dual vector has non-finite entries")
-        if self.space.kind is SpaceKind.QUOTIENT_LP:
-            w = self.space.pairing_weights()
-            drift = abs(float(np.sum(w * v)))
-            scale = _scaled_pnorm(v, w, self.space.exponent.q)
-            if drift > 1e-10 * max(scale, 1e-300):
-                raise DegenerateInputError(
-                    f"quotient dual vector must have zero weighted sum (drift {drift:.3e})"
-                )
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        return xi
+
+
+def _zero_mean_dual(t, p, w) -> np.ndarray:
+    """|t|^(p-2) t for t = u + c, with zero weighted sum like the exact element.
+
+    The shift solver's drift r = sum w xi is removed as the linearized
+    Newton correction of c: entry i moves in proportion to d xi_i / dc =
+    (p-1) |t_i|^(p-2), taken on t scaled by a power of 2; for p < 2 with
+    some t_i = 0 those entries take the whole correction.  At p = 2 the
+    correction is uniform; the zero vector is returned unchanged.
+    """
+    xi = signed_power(t, p - 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        sens = (p - 1.0) * (np.abs(t) / 2.0 ** math.frexp(float(np.max(np.abs(t))))[1]) ** (p - 2.0)
+    if np.isinf(sens).any():
+        sens = np.isinf(sens).astype(float)
+    total = np.sum(w * sens)
+    return xi - sens * (np.sum(w * xi) / total) if total > 0.0 else xi
 
 
 def mu_from_lambda(lam: float, exp: Exponent) -> float:
@@ -286,8 +238,9 @@ def optimal_shift(u, space: SpaceDescriptor) -> float:
     power a^(p-1) of a = |u + c| per iteration gives r, its scale
     sum h a^(p-1) and r' = (p-1) sum h a^(p-2).  Bisection replaces a Newton
     point outside the bracket or a step over half the one before last
-    (rtsafe, Numerical Recipes).  Stops at |r| <= 1e-13 scale, or with no
-    float left inside the bracket at the end of smaller |r|.
+    (rtsafe, Numerical Recipes).  Stops at |r| <= 1e-13 scale or at the
+    rounding floor of r at c, 4 r'(c) ulp(c), whichever is larger, or with
+    no float left inside the bracket at the end of smaller |r|.
     """
     if space.kind is not SpaceKind.QUOTIENT_LP:
         raise SpaceMismatchError("optimal_shift applies to quotient-Lp spaces only")
@@ -307,14 +260,14 @@ def optimal_shift(u, space: SpaceDescriptor) -> float:
         a = np.abs(t)
         ap = a ** (p - 1.0)
         r = float(w @ np.copysign(ap, t))
-        if abs(r) <= 1e-13 * float(w @ ap):
+        # a^(p-2) is taken as 0 at a = 0: exact for p > 2; the bracket guards the rest
+        deriv = (p - 1.0) * float(w @ np.divide(ap, a, out=np.zeros_like(a), where=a > 0.0))
+        if abs(r) <= max(1e-13 * float(w @ ap), 4.0 * deriv * math.ulp(c)):
             break
         if r > 0.0:
             hi, r_hi = c, r
         else:
             lo, r_lo = c, r
-        # a^(p-2) is taken as 0 at a = 0: exact for p > 2; the bracket guards the rest
-        deriv = (p - 1.0) * float(w @ np.divide(ap, a, out=np.zeros_like(a), where=a > 0.0))
         c_next = c - r / deriv if deriv > 0.0 else math.nan
         if not lo < c_next < hi or abs(c_next - c) > 0.5 * step_before[0]:
             c_next = 0.5 * (lo + hi)
@@ -335,8 +288,7 @@ def unit_representative(space: SpaceDescriptor, u, n: float) -> np.ndarray:
     u = space.check_dim(u)
     if n == 0.0:
         raise DegenerateInputError("cannot normalize a zero-norm vector")
-    rep = u + optimal_shift(u, space) if space.kind is SpaceKind.QUOTIENT_LP else u
-    rep = rep / n
+    rep = (u + optimal_shift(u, space) if space.kind is SpaceKind.QUOTIENT_LP else u) / n
     i = int(np.argmax(np.abs(rep)))
     if rep[i] < 0.0:
         rep = -rep

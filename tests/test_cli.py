@@ -10,8 +10,6 @@ from rayflow.config import start_vector
 from rayflow.iterate import rough_mu
 from rayflow.oracles import OracleMethod, OracleResult
 from rayflow.problems import PDirichlet1D
-from rayflow.spaces import CoeffVec
-from rayflow.util import rng_from
 
 MATRIX_COMPARE = """
 [instance]
@@ -209,8 +207,7 @@ class TestOutputs:
         cfg = write(tmp_path, MATRIX_COMPARE + "\n[oracle]\ntol = 1e-8\n")
 
         def uncertified(inst, restarts, tol, seed):
-            u = CoeffVec(np.array([1.0, 0.0]), inst.space)
-            return OracleResult(1.5, u, OracleMethod.JACOBI_EIG, 0.52)
+            return OracleResult(1.5, np.array([1.0, 0.0]), OracleMethod.JACOBI_EIG, 0.52)
 
         monkeypatch.setattr(rayflow.cli, "oracle_lambda", uncertified)
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
@@ -225,9 +222,9 @@ class TestOutputs:
         assert main(["iterate", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
         inst = PDirichlet1D(3.0, 9)
         start = (tmp_path / "iterate_trace.csv").read_text().split("\n")[1].split(",")
-        assert float(start[1]) == inst.space.norm(start_vector(inst, u0, 11, rng_from))
+        assert float(start[1]) == inst.space.norm(start_vector(inst, u0, 11))
         if u0 == "random":
-            assert float(start[1]) != inst.space.norm(start_vector(inst, u0, 0, rng_from))
+            assert float(start[1]) != inst.space.norm(start_vector(inst, u0, 0))
 
     def test_disabled_rq_stop_runs_to_max_iters(self, tmp_path):
         cfg = write(tmp_path, PD_ITERATE.replace("rtol = 1e-11", "rtol = none") + "max_iters = 12\n")

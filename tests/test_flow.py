@@ -44,7 +44,7 @@ class TestRayConfinement:
     def test_flow_from_minimizer_stays_on_ray(self):
         inst = MatrixQuadratic(np.diag([1.0, 2.0, 5.0]))
         w = np.array([1.0, 0.0, 0.0])
-        opts = FlowOptions(rtol=None, dtol=None, grad_tol=1e-12, keep_states=True, min_steps=1)
+        opts = FlowOptions(rtol=None, dtol=None, grad_tol=1e-12, keep_states=True)
         trace, _ = run_flow(inst, w, 0.01, 10 * 0.01, opts)
         for v in trace.states:
             direction = v / np.linalg.norm(v)
@@ -62,14 +62,14 @@ class TestRayConfinement:
         opts = FlowOptions(rtol=None, dtol=None)
         _, summary = run_flow(inst, np.array([1.0, 0.0, 0.0]), 0.01 / mu, horizon / mu, opts)
         assert summary.steps == round(100 * horizon)
-        assert abs(np.linalg.norm(summary.limit_vec.values) - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(summary.limit_vec) - 1.0) <= 1e-12
 
     def test_zero_start_is_fixed(self):
         inst = PDirichlet1D(2.0, 5)
         trace, summary = run_flow(inst, np.zeros(5), 0.1, 1.0)
         assert all(r.norm == 0.0 for r in trace.rows)
         assert not summary.converged
-        np.testing.assert_array_equal(summary.limit_vec.values, 0.0)
+        np.testing.assert_array_equal(summary.limit_vec, 0.0)
 
 
 class TestEnergyLaws:
@@ -164,7 +164,7 @@ class TestSupFlow:
     def test_bump_start_reaches_closed_form(self, p):
         # the ground state is the tent, whose sup quotient is 2^p on (0, 1)
         inst = SupDirichlet1D(p, 15)
-        _, trace, summary, elapsed = self._run(p, start_vector(inst, "auto", 0, None))
+        _, trace, summary, elapsed = self._run(p, start_vector(inst, "auto", 0))
         assert summary.converged
         assert abs(summary.lambda_hat - 2.0**p) <= 1e-9 * 2.0**p
         assert check_decay(trace, summary.mu_hat, trace.rows[0].phi) == []
@@ -177,7 +177,7 @@ class TestSupFlow:
         assert summary.stop_reason is StopReason.DIRECTION_STABLE
         assert summary.steps == 10
         assert summary.lambda_hat == pytest.approx(2.0 * inst.h ** (1.0 - inst.p), rel=1e-12)
-        v = summary.limit_vec.values
+        v = summary.limit_vec
         np.testing.assert_allclose(v / v.max(), 1.0, rtol=1e-12)
 
 
@@ -252,6 +252,6 @@ class TestPredictedStart:
             return rep
 
         monkeypatch.setattr(rayflow.flow, "minimize_movement", counted)
-        _, summary = self._run(inst, start_vector(inst, "auto", 0, None))
+        _, summary = self._run(inst, start_vector(inst, "auto", 0))
         assert summary.converged
         assert np.mean(iters) <= 2.5

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from helpers import hilbert_closed_form
 from rayflow.errors import DegenerateInputError
 from rayflow.iterate import (
     IterationRow,
@@ -13,9 +14,10 @@ from rayflow.iterate import (
     StopReason,
     check_monotonicity,
     iterate,
+    outer_loop,
     rough_mu,
 )
-from rayflow.oracles import direct_rayleigh_min, hilbert_closed_form
+from rayflow.oracles import direct_rayleigh_min
 from rayflow.problems import MatrixQuadratic, NeumannQuotient1D, PDirichlet1D, Robin1D, Steklov1D
 
 TIGHT = IterOptions(rtol=1e-13, dtol=1e-10, max_iters=200, grad_tol=1e-12, keep_iterates=True)
@@ -36,7 +38,7 @@ class TestMatrixGroundTruth:
     def test_limit_direction(self):
         inst = MatrixQuadratic(np.diag([1.0, 2.0, 5.0]))
         _, summary = iterate(inst, np.ones(3), TIGHT)
-        w = summary.limit_vec.values
+        w = summary.limit_vec
         assert np.linalg.norm(w / np.linalg.norm(w) - np.array([1.0, 0.0, 0.0])) <= 1e-8
 
     def test_restarting_from_minimizer_is_separable(self):
@@ -56,7 +58,7 @@ class TestCollapse:
         trace, summary = iterate(inst, np.array([0.0, 1.0, 0.0]), opts)
         assert summary.stop_reason is StopReason.COLLAPSED_TO_ZERO
         assert not summary.converged
-        np.testing.assert_array_equal(summary.limit_vec.values, 0.0)
+        np.testing.assert_array_equal(summary.limit_vec, 0.0)
         # norms contract exactly at rate 1/2 (the sigma = 2 eigenray)
         for row in trace.rows[: summary.iters]:
             assert row.norm == pytest.approx(0.5**row.k, rel=1e-10)
@@ -69,8 +71,8 @@ class TestInvariants:
         _, s2 = iterate(inst, 250.0 * np.ones(9), TIGHT)
         assert s1.lambda_hat == pytest.approx(s2.lambda_hat, rel=1e-10)
         np.testing.assert_allclose(
-            s1.limit_vec.values / np.linalg.norm(s1.limit_vec.values),
-            s2.limit_vec.values / np.linalg.norm(s2.limit_vec.values),
+            s1.limit_vec / np.linalg.norm(s1.limit_vec),
+            s2.limit_vec / np.linalg.norm(s2.limit_vec),
             atol=1e-9,
         )
 
@@ -93,7 +95,7 @@ class TestInvariants:
         _, summary = iterate(inst, np.ones(9))
         assert summary.lambda_hat >= res.lambda_star * (1.0 - 1e-6)
         for rtol in (1e-4, 1e-6):
-            _, s = iterate(inst, np.ones(9), IterOptions(rtol=rtol, dtol=None, rq_patience=1))
+            _, s = iterate(inst, np.ones(9), IterOptions(rtol=rtol, dtol=None))
             assert s.stop_reason is StopReason.RQ_STABLE
             assert s.lambda_hat >= res.lambda_star * (1.0 - 1e-6)
 
@@ -139,6 +141,20 @@ class TestGuards:
         with pytest.raises(DegenerateInputError):
             iterate(inst, u0)
 
+    def test_non_finite_limit_is_refused(self):
+        # a rescale factor outside the double range must not hand back a
+        # non-finite limit vector
+        inst = MatrixQuadratic(np.diag([1.0, 4.0]))
+        x = np.array([1.0, 0.0])
+        trace = IterationTrace([IterationRow(0, 1.0, inst.value(x), inst.rayleigh(x), math.nan, 0, math.nan)])
+
+        def step(k, x):  # stays on the ground ray
+            return x, lambda norm, phi, rq: IterationRow(k, norm, phi, rq, 1.0, 0, 0.0)
+
+        with pytest.warns(RuntimeWarning, match="invalid value"):  # inf * 0
+            with pytest.raises(DegenerateInputError, match="rescaled limit vector has non-finite entries"):
+                outer_loop(inst, x, trace, step, lambda mu: math.inf, 5, 1e-10, 1e-8, 30)
+
     def test_rough_mu(self):
         inst = MatrixQuadratic(np.diag([1.0, 4.0]))
         mu = rough_mu(inst, np.ones(2))
@@ -171,12 +187,21 @@ class TestGuards:
         assert time.perf_counter() - start < 2.0
         # descend starts from the exact flux point and reports no worse a
         # merit than that point's (up to the 4 printed digits)
-        xi = inst.space.duality_map(u0).values
+        xi = inst.space.duality_map(u0)
         s = inst.space.dual_norm(xi)
         v0, _ = inst.solve_gradient(xi / s)
         start_merit = s * inst.space.dual_norm(inst.gradient(v0) - xi / s)
         reported = float(str(failure.value).rsplit("merit ", 1)[1].rstrip(")"))
         assert reported <= start_merit * (1.0 + 5e-4)
+
+    def test_overflowing_dual_is_refused(self):
+        # |u|^19 overflows at this scale: the duality map refuses the
+        # non-finite dual instead of passing it to the inner solve
+        n = 15
+        u0 = 1e20 * np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(DegenerateInputError, match="dual vector has non-finite entries"):
+                iterate(PDirichlet1D(20.0, n), u0)
 
     def test_neumann_p12_converges(self):
         # the iterate shrinks about 346x per step: the quotient shift must stay

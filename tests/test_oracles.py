@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import rayflow.oracles
+from helpers import hilbert_closed_form
 from rayflow.errors import DegenerateInputError
 from rayflow.oracles import (
     direct_rayleigh_min,
     eigen_residual,
-    hilbert_closed_form,
     oracle_lambda,
     symmetric_eigs,
 )
@@ -109,7 +109,7 @@ class TestDirectRayleighMin:
     def test_matrix_ground_state(self):
         res = direct_rayleigh_min(MatrixQuadratic(np.diag([2.0, 3.0])))
         assert res.lambda_star == pytest.approx(2.0, rel=1e-9)
-        np.testing.assert_allclose(np.abs(res.minimizer.values), [1.0, 0.0], atol=1e-6)
+        np.testing.assert_allclose(np.abs(res.minimizer), [1.0, 0.0], atol=1e-6)
 
     def test_infimum_property(self):
         rng = np.random.default_rng(1)
@@ -123,14 +123,14 @@ class TestDirectRayleighMin:
         for inst in (PDirichlet1D(2.0, 9), NeumannQuotient1D(3.0, 9), SupDirichlet1D(1.5, 9)):
             res = direct_rayleigh_min(inst)
             assert res.certificate <= 1e-8
-            assert eigen_residual(inst, res.minimizer.values, res.lambda_star) <= 1e-6
+            assert eigen_residual(inst, res.minimizer, res.lambda_star) <= 1e-6
 
     def test_sup_ball_profile(self):
         # the sup-norm ground state on a symmetric interval is the tent
         # a (r - |x - L/2|); discretization error below 2% in sup norm
         inst = SupDirichlet1D(4.0, 129)
         res = direct_rayleigh_min(inst)
-        u = res.minimizer.values
+        u = res.minimizer
         if u[len(u) // 2] < 0:
             u = -u
         x = np.arange(1, 130) * inst.h

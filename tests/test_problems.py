@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import euler_identity_residual
 from rayflow.errors import ConfigError, DegenerateInputError
 from rayflow.problems import (
     FractionalSeminorm1D,
@@ -14,7 +15,6 @@ from rayflow.problems import (
     Steklov1D,
     SupDirichlet1D,
     assemble,
-    euler_identity_residual,
 )
 from rayflow.spaces import SpaceKind, smoothed_curvature
 
