@@ -20,9 +20,10 @@ An Armijo backtracking search enforces strict decrease, an endgame below
 the rounding floor of the objective backtracks on the residual, and a
 solve whose residual stops improving gives up.  ``oracles`` runs the same
 loop on the unit sphere (with a retraction, without Newton directions)
-for the direct Rayleigh minimization.  Problems are solved in normalized
-coordinates (unit data scale) so the gradient tolerance acts relatively;
-homogeneity of Phi makes the rescaling exact.
+for the direct Rayleigh minimization; it descends on log(R)/p, whose
+gradient there is the relative eigen residual.  Problems are solved in
+normalized coordinates (unit data scale) so the gradient tolerance acts
+relatively; homogeneity of Phi makes the rescaling exact.
 
 ``minimize_phi_minus_linear`` first tries the instance's exact solve
 (``ProblemInstance.solve_gradient``): the unsmoothed 1D Dirichlet, sup,
@@ -309,7 +310,9 @@ def minimize_phi_minus_linear(inst: ProblemInstance, xi, grad_tol: float = 1e-9,
         return SolveReport(zero, 0.0, space.dual_norm(inst.gradient(zero)), 0, True)
     q = inst.exponent.q
     xt = xi / s
-    scale = s ** (q - 1.0)
+    s = np.float64(s)
+    with np.errstate(over="ignore"):  # the objective may leave the double range where v does not
+        scale, scale_f = s ** (q - 1.0), s**q
     v0 = np.zeros(space.dim) if init is None else space.check_dim(init) / scale
 
     def value(v):
@@ -323,11 +326,11 @@ def minimize_phi_minus_linear(inst: ProblemInstance, xi, grad_tol: float = 1e-9,
         v0, iters = exact
         resid = space.dual_norm(grad(v0))
         if resid <= grad_tol:
-            return SolveReport(scale * v0, s**q * value(v0), s * resid, iters, True, "exact")
+            return SolveReport(scale * v0, float(scale_f * value(v0)), float(s * resid), iters, True, "exact")
     w = space.pairing_weights()
     newton = _Newton(inst)
     v, f, resid, iters, ok = descend(v0, value, grad, space.dual_norm, grad_tol, MAX_ITERS, w, newton=newton)
-    return SolveReport(scale * v, s**q * f, s * resid, iters, ok, newton_steps=newton.steps)
+    return SolveReport(scale * v, float(scale_f * f), float(s * resid), iters, ok, newton_steps=newton.steps)
 
 
 def _movement_penalty(space: SpaceDescriptor, g, tau, p, eps):

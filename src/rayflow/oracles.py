@@ -2,13 +2,16 @@
 
 None of these go through the iteration or flow schemes:
 
-* ``symmetric_eigs``: cyclic Jacobi rotations for dense symmetric matrices.
-* ``direct_rayleigh_min``: quasi-Newton descent of p Phi(u)/||u||^p on the
-  unit sphere of the space norm, multi-start.  The sup-sphere is nonsmooth
-  exactly at the minimizers, so ``SupDirichlet1D`` is solved in closed
-  form instead: with the peak u_i = 1 fixed, Jensen's inequality makes the
-  tent (equal differences on each side of i) the minimizer of the convex
-  energy, and lambda is the least quotient over the n tents.
+* ``symmetric_eigs``: Jacobi rotations for dense symmetric matrices, swept
+  in round-robin rounds of disjoint pairs, each round applied at once.
+  It does not call LAPACK.
+* ``direct_rayleigh_min``: quasi-Newton descent of log R, for the
+  quotient R(u) = p Phi(u)/||u||^p, on the unit sphere of the space norm,
+  multi-start.  The sup-sphere is nonsmooth exactly at the minimizers, so
+  ``SupDirichlet1D`` is solved in closed form instead: with the peak
+  u_i = 1 fixed, Jensen's inequality makes the tent (equal differences on
+  each side of i) the minimizer of the convex energy, and lambda is the
+  least quotient over the n tents.
 
 What the direct route shares with the schemes is the line search only:
 it runs ``inner.descend``, the loop the inner convex solves use.  The
@@ -42,7 +45,8 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 0x5EED
-#: sweep budget of symmetric_eigs; dense dim-32 SPD matrices converge in 7-8
+#: sweep budget of symmetric_eigs; dense dim-32 SPD matrices B'B/32 + I
+#: converge in 7-8 round-robin sweeps
 JACOBI_MAX_SWEEPS = 60
 
 
@@ -74,11 +78,38 @@ def eigen_residual(inst: ProblemInstance, u, lam: float) -> float:
     return space.dual_norm(g - lam * j) / max(ref, 1e-300)
 
 
+def _round_robin(n):
+    """The rounds of one Jacobi sweep over an n x n matrix, as (P, Q) index arrays.
+
+    Round-robin (circle) order of Brent and Luk (SIAM J. Sci. Stat. Comput.
+    6, 1985): index 0 stays put while the others turn one place per round,
+    and position i is paired with position m - 1 - i, for m = n rounded up
+    to even.  An odd n gets a dummy index n whose pairs are dropped.  The
+    m - 1 rounds rotate every unordered pair p < q exactly once, and the
+    pairs of one round are disjoint.
+    """
+    m = n + n % 2
+    rounds = []
+    for r in range(m - 1):
+        order = np.concatenate(([0], np.roll(np.arange(1, m), -r)))
+        p, q = order[: m // 2], order[::-1][: m // 2]
+        p, q = np.minimum(p, q), np.maximum(p, q)
+        rounds.append((p[q < n], q[q < n]))
+    return rounds
+
+
 def symmetric_eigs(a):
-    """Eigendecomposition of a dense symmetric matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a dense symmetric matrix by Jacobi sweeps in rounds.
 
     Each rotation is the symmetric Schur step A <- J^T A J of Golub and
-    Van Loan (Matrix Computations, sec. 8.5), which zeroes a_pq.  Returns
+    Van Loan (Matrix Computations, sec. 8.5), which zeroes a_pq.  A sweep
+    rotates every pair once, in the round-robin rounds of ``_round_robin``.
+    The rotations of a round act on disjoint index pairs, so they form one
+    orthogonal J, and their angles come from the entries before the round;
+    pairs with |a_pq| <= 1e-14 ||A||_F / n are skipped.  A round is applied
+    as row-pair updates: J^T to the rows of A and of V^T, a transpose of A,
+    and J^T to its rows again.  That gives J^T (J^T A)^T = (J^T A J)^T,
+    which is the rotated matrix up to rounding, as A is symmetric.  Returns
     (eigenvalues ascending, eigenvectors as columns).  Sweeps stop when the
     off-diagonal Frobenius norm, summed directly over the off-diagonal
     entries, drops below 1e-12 ||A||_F; if JACOBI_MAX_SWEEPS sweeps leave it
@@ -93,17 +124,24 @@ def symmetric_eigs(a):
     scale = float(np.linalg.norm(a))
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, scale)):
         raise DegenerateInputError("matrix must be symmetric")
-    a = 0.5 * (a + a.T)
-    v = np.eye(n)
     if scale == 0.0:
-        return np.zeros(n), v
+        return np.zeros(n), np.eye(n)
+    av = np.hstack((0.5 * (a + a.T), np.eye(n)))  # [A | V^T]: one row update rotates both
+    a = av[:, :n]
 
     def offdiag(m):
         # not sqrt(||m||_F^2 - ||diag m||^2): that difference cancels to
         # about sqrt(eps) ||m||_F and would never reach the stop rule
         return float(np.linalg.norm(m - np.diag(np.diag(m))))
 
+    def rotate_rows(m, p, q, c, s):
+        rp, rq = m[p], m[q]
+        m[p] = c * rp - s * rq
+        m[q] = s * rp + c * rq
+
     stop = 1e-12 * scale
+    skip = 1e-14 * scale / max(n, 1)
+    rounds = _round_robin(n)
     sweeps = 0
     while (off := offdiag(a)) > stop:
         if sweeps == JACOBI_MAX_SWEEPS:
@@ -112,22 +150,20 @@ def symmetric_eigs(a):
                 f"{off:.3g} > {stop:.3g}"
             )
         sweeps += 1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-14 * scale / max(n, 1):
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.array([[c, -s], [s, c]])  # J^T restricted to rows p, q
-                a[[p, q], :] = rot @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ rot.T
-                v[:, [p, q]] = v[:, [p, q]] @ rot.T
+        for p, q in rounds:
+            keep = np.abs(a[p, q]) > skip
+            p, q = p[keep], q[keep]
+            apq = a[p, q]
+            theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+            t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(1.0, theta))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            c, s = c[:, None], (t * c)[:, None]
+            rotate_rows(av, p, q, c, s)
+            a[...] = a.T.copy()
+            rotate_rows(a, p, q, c, s)
     w = np.diag(a).copy()
     order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return w[order], av[:, n:].T[:, order]
 
 
 def _unit(inst, u):
@@ -144,22 +180,37 @@ def _unit(inst, u):
 def _spg(inst, u0, tol, max_iters):
     """Descent of the Rayleigh quotient on the unit sphere of the space norm.
 
-    ``inner.descend`` with the sphere retraction ``_unit``; the gradient is
-    the eigen residual dPhi(u) - lam J_p(u) relative to lam ||J_p(u)||_*,
-    so its dual norm is the certificate.  Returns (u, lam, certificate).
+    ``inner.descend`` with the sphere retraction ``_unit`` on log(R)/p.
+    On the unit sphere the gradient of log(R)/p is exactly the eigen
+    residual dPhi(u) - lam J_p(u) relative to lam ||J_p(u)||_*, so its dual
+    norm is the certificate.  The logarithm keeps the Armijo test resolved
+    where R itself is huge (R ~ 1e12 at large p), and the value and the
+    residual of one point share one quotient evaluation.  Returns (u, lam,
+    certificate), lam the quotient at u.
     """
     space = inst.space
+    last = None  # (u, R(u)) of the last point: descend hands value and residual one array
+
+    def quotient(u):
+        nonlocal last
+        if last is None or last[0] is not u:
+            last = u, inst.rayleigh(u)
+        return last[1]
+
+    def value(u):
+        lam = quotient(u)
+        return math.log(lam) / inst.p if lam > 0.0 else -math.inf
 
     def residual(u):
-        lam = inst.rayleigh(u)
+        lam = quotient(u)
         j = space.duality_map(u)
         return (inst.gradient(u) - lam * j) / max(lam * space.dual_norm(j), 1e-300)
 
     w = space.pairing_weights()
-    u, lam, cert, _, _ = descend(
-        _unit(inst, u0), inst.rayleigh, residual, space.dual_norm, tol, max_iters, w, project=lambda u: _unit(inst, u)
+    u, _, cert, _, _ = descend(
+        _unit(inst, u0), value, residual, space.dual_norm, tol, max_iters, w, project=lambda u: _unit(inst, u)
     )
-    return u, lam, cert
+    return u, inst.rayleigh(u), cert
 
 
 def direct_rayleigh_min(

@@ -203,6 +203,22 @@ class TestGuards:
             with pytest.raises(DegenerateInputError, match="dual vector has non-finite entries"):
                 iterate(PDirichlet1D(20.0, n), u0)
 
+    @pytest.mark.parametrize(
+        "inst, u0, lam",
+        [
+            (MatrixQuadratic(np.diag([1.0, 4.0])), 1e300 * np.ones(2), 1.0),
+            (PDirichlet1D(2.0, 3, L=1e-3), 1e305 * np.ones(3), 4.0 / 2.5e-4**2 * math.sin(math.pi / 8.0) ** 2),
+        ],
+        ids=["matrix-1e300", "pdirichlet1d-1e305"],
+    )
+    def test_huge_start_converges(self, inst, u0, lam):
+        # Phi of the start overflows, and so does the inner report's
+        # objective scale s^q; the report takes it as inf, not an OverflowError
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            _, summary = iterate(inst, u0)
+        assert summary.converged
+        assert summary.lambda_hat == pytest.approx(lam, rel=1e-12)
+
     def test_neumann_p12_converges(self):
         # the iterate shrinks about 346x per step: the quotient shift must stay
         # exact down to max|u| ~ 1e-16, or the quotient falls into a 2-cycle

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ import pytest
 import rayflow.oracles
 from helpers import hilbert_closed_form
 from rayflow.errors import DegenerateInputError
+from rayflow.iterate import iterate
 from rayflow.oracles import (
+    _round_robin,
+    _spg,
     direct_rayleigh_min,
     eigen_residual,
     oracle_lambda,
@@ -72,6 +76,57 @@ class TestSymmetricEigs:
         b = np.random.default_rng(10).standard_normal((32, 32))
         with pytest.raises(DegenerateInputError, match="Jacobi sweeps"):
             symmetric_eigs(b.T @ b / 32 + np.eye(32))
+
+    @pytest.mark.parametrize("n", [2, 3, 32, 33])
+    def test_round_robin_rotates_each_pair_once(self, n):
+        rounds = _round_robin(n)
+        assert len(rounds) == n - 1 + n % 2
+        pairs = []
+        for p, q in rounds:
+            assert len(np.unique(np.concatenate((p, q)))) == 2 * len(p)  # disjoint
+            pairs += list(zip(p.tolist(), q.tolist()))
+        assert sorted(pairs) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+    @pytest.mark.parametrize("n", [5, 33])
+    def test_odd_dims(self, n):
+        b = np.random.default_rng(n).standard_normal((n, n))
+        a = b.T @ b / n + np.eye(n)
+        w, v = symmetric_eigs(a)
+        scale = np.linalg.norm(a)
+        np.testing.assert_allclose(w, np.linalg.eigvalsh(a), rtol=1e-10)
+        for i in range(n):
+            assert np.linalg.norm(a @ v[:, i] - w[i] * v[:, i]) <= 1e-12 * scale
+
+    def test_block_diagonal_stays_block_diagonal(self):
+        # the skipped pairs across the blocks are never touched, and the
+        # rotations inside a block combine zeros only outside it
+        rng = np.random.default_rng(4)
+        a = np.zeros((11, 11))
+        for lo, hi in ((0, 4), (4, 11)):
+            b = rng.standard_normal((hi - lo, hi - lo))
+            a[lo:hi, lo:hi] = b.T @ b + np.eye(hi - lo)
+        w, v = symmetric_eigs(a)
+        np.testing.assert_allclose(w, np.linalg.eigvalsh(a), rtol=1e-10)
+        for i in range(11):
+            assert np.all(v[:4, i] == 0.0) or np.all(v[4:, i] == 0.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_dense_spd_dim32_within_8_sweeps(self, seed, monkeypatch):
+        # cyclic and round-robin orders both take 7-8 sweeps here; an order
+        # that leaves pairs out of a sweep needs more
+        monkeypatch.setattr(rayflow.oracles, "JACOBI_MAX_SWEEPS", 8)
+        b = np.random.default_rng(seed).standard_normal((32, 32))
+        a = b.T @ b / 32 + np.eye(32)
+        w, _ = symmetric_eigs(a)
+        np.testing.assert_allclose(w, np.linalg.eigvalsh(a), rtol=1e-10)
+
+    def test_dim128_within_1_5s(self):
+        # a Python loop over single rotations takes about 2.2 s here
+        b = np.random.default_rng(128).standard_normal((128, 128))
+        a = b.T @ b / 128 + np.eye(128)
+        start = time.perf_counter()
+        symmetric_eigs(a)
+        assert time.perf_counter() - start < 1.5
 
     def test_rejects_asymmetric(self):
         with pytest.raises(DegenerateInputError):
@@ -147,6 +202,46 @@ class TestDirectRayleighMin:
         j = np.arange(1, n + 1)
         u = np.where(j <= i, j * (n + 1 - i), i * (n + 1 - j)).astype(float)
         assert eigen_residual(inst, u, inst.rayleigh(u)) <= 1e-14
+
+    @pytest.mark.parametrize("p, n", [(8.0, 31), (20.0, 15)])
+    def test_large_p_certifies(self, p, n):
+        # R is about 1e12 at the starts: descending on R itself, the Armijo
+        # test drowned in the rounding floor of R and the certificate stuck
+        # near 1 (lambda 2.4e10 at p = 8, 3.8e24 at p = 20)
+        inst = PDirichlet1D(p, n)
+        res = oracle_lambda(inst)
+        _, summary = iterate(inst, np.ones(n))
+        assert res.certificate <= 1e-8
+        assert res.lambda_star == pytest.approx(summary.lambda_hat, rel=1e-9)
+
+    def test_spg_one_quotient_per_point(self, monkeypatch):
+        # the value and the residual of a point share its quotient; one
+        # more evaluation gives the returned lambda
+        inst = NeumannQuotient1D(3.0, 11)
+        rayleigh, quotients, points = inst.rayleigh, [], []
+
+        def counted(u):
+            quotients.append(u)
+            return rayleigh(u)
+
+        def seen(f):
+            def g(u):
+                if not any(u is x for x in points):
+                    points.append(u)
+                return f(u)
+
+            return g
+
+        descend = rayflow.oracles.descend
+
+        def spy(x, value, grad, *args, **kwargs):
+            return descend(x, seen(value), seen(grad), *args, **kwargs)
+
+        monkeypatch.setattr(inst, "rayleigh", counted)
+        monkeypatch.setattr(rayflow.oracles, "descend", spy)
+        _, lam, cert = _spg(inst, np.linspace(-1.0, 1.0, 11), 1e-8, 800)
+        assert cert <= 1e-8 and len(points) > 10
+        assert len(quotients) <= len(points) + 1
 
     def test_poincare_with_oracle_constant(self):
         rng = np.random.default_rng(2)
