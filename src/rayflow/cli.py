@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import RunConfig, load_config, start_vector
 from .errors import ConfigError, DegenerateInputError, NumericsError
-from .flow import FlowOptions, check_step, run_flow
+from .flow import FlowOptions, FlowTrace, check_step, run_flow
 from .iterate import IterOptions, SchemeFailure, iterate, rough_mu
 from .oracles import DEFAULT_SEED, oracle_lambda
 from .problems import assemble
@@ -113,11 +113,16 @@ def _scheme_options(cls, section: str, c: dict):
 
 
 def _flow_params(cfg: RunConfig, inst, u0):
+    """(tau, t_end, options) of [flow]; a failed ``auto`` estimate is the
+    flow's own SchemeFailure, with an empty trace."""
     c = cfg.flow
     opts = _scheme_options(FlowOptions, "flow", c)
     tau, t_end = c.get("tau", "auto"), c.get("t_end", "auto")
     if tau == "auto" or t_end == "auto":
-        mu = rough_mu(inst, u0)
+        try:
+            mu = rough_mu(inst, u0)
+        except SchemeFailure as e:
+            raise SchemeFailure(f"automatic step: {e}", FlowTrace(inst.p)) from None
         if tau == "auto":
             tau = 0.01 / mu
         if t_end == "auto":
@@ -156,8 +161,8 @@ def _run_iterate(cfg: RunConfig, out: Path, say):
 def _run_flow(cfg: RunConfig, out: Path, say):
     inst = assemble(cfg.instance)
     u0 = start_vector(inst, cfg.flow.get("u0"), cfg.seed)
-    tau, t_end, opts = _flow_params(cfg, inst, u0)
     try:
+        tau, t_end, opts = _flow_params(cfg, inst, u0)
         trace, summary = run_flow(inst, u0, tau, t_end, opts)
     except SchemeFailure as e:
         _write_trace_csv(out / "flow_trace.csv", _flow_rows(e.trace))

@@ -106,14 +106,21 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
     Each step is one movement solve anchored at the previous state v_n.
     On smooth spaces the solve starts at a predicted state, with
     s = 1 + tau mu and mu from the quotient of v_n: on the ground ray each
-    step divides the state by exactly s, so the first step starts at v_0/s.
-    Later steps extrapolate e = v_n + (v_n - v_{n-1})/s, which also follows
-    the part off the ray to O(tau^2), and rescale it to the radial norm
-    ||v_n||/s: a prediction within the inner tolerance is accepted
+    step divides the state by exactly s, so the first two steps start at
+    v_n/s; on it the rescaled states a_k = v_{n-k}/s^k coincide, and off it
+    they vary smoothly in k.  The third step extrapolates
+    e = v_2 + (v_2 - v_1)/s, to O(tau^2) off the ray; later steps take the
+    quadratic through three rescaled states, e = 3 a_0 - 3 a_1 + a_2, to
+    O(tau^3).  Neither reads the start v_0, which one step can move far off
+    the smooth path (a Steklov start's interior is free, its first state's
+    is fixed by the boundary).  Either prediction is rescaled to the radial
+    norm ||v_n||/s: a prediction within the inner tolerance is accepted
     uncorrected, and an unscaled one would drift along the ray.  A zero
-    state starts at the anchor.  On sup spaces the last step's box radius
-    starts the next one's root search instead.  Stop rules and collapse
-    handling are ``iterate.outer_loop``'s (no stop
+    state starts at the anchor.  Each solve takes its tolerance scale from
+    the last row's slope and returns the next row's, so a smooth step
+    evaluates the gradient only inside ``descend``.  On sup spaces the last
+    step's box radius starts the next one's root search instead.  Stop
+    rules and collapse handling are ``iterate.outer_loop``'s (no stop
     before MIN_STEPS; t_end bounds the run).  The limit is
     (1 + tau mu)^n v_n at the last step: on the ground ray each step
     shrinks the state by exactly (1 + tau mu)^(-1), for every p, so a unit
@@ -126,7 +133,7 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
     phi = inst.value(v)
     if not math.isfinite(phi):
         raise DegenerateInputError("Phi(v0) must be finite")
-    norm = space.norm(v)
+    rep0, norm = space.representative_norm(v)
     rq = inst.rayleigh(v) if norm > 0.0 else math.nan
     trace = FlowTrace(p=inst.p)
     trace.rows.append(FlowRow(0, 0.0, phi, norm, rq, math.nan, local_slope(inst, v), math.nan))
@@ -134,22 +141,25 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
         trace.states.append(v.copy())
     p, q = inst.exponent.p, inst.exponent.q
     carry: dict = {}  # the sup radius of the last step
-    v_prev = None  # the state before v, for the predictor
+    past: list[np.ndarray] = []  # v_{n-1} and v_{n-2} for the predictor, never the start
 
     def predict(v):
         rq, norm = trace.rows[-1].rq, trace.rows[-1].norm
         if space.kind is SpaceKind.SUP or not (0.0 < rq < math.inf):
             return None
         s = 1.0 + tau * mu_from_lambda(rq, inst.exponent)
-        if v_prev is None:
+        if not past:
             return v / s
-        e = v + (v - v_prev) / s
+        if len(past) == 1:
+            e = v + (v - past[0]) / s
+        else:
+            e = 3.0 * (v - past[0] / s) + past[1] / (s * s)
         return e * (norm / s / space.norm(e))
 
     def step(n, v):
-        nonlocal v_prev
-        rep = minimize_movement(inst, v, tau, opts.grad_tol, carry, init=predict(v))
-        v_prev = v
+        rep = minimize_movement(inst, v, tau, opts.grad_tol, carry, init=predict(v), slope=trace.rows[-1].slope)
+        if n > 1:
+            past[:] = [v] + past[:1]
         if not rep.converged:
             raise SchemeFailure(
                 f"{inst.kind}: movement solve failed to converge at step {n} (merit {rep.grad_dual_norm:.3e})", trace
@@ -158,7 +168,7 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
         if opts.keep_states:
             trace.states.append(v_new.copy())
         speed = space.norm(v_new - v) / tau
-        slope_new = local_slope(inst, v_new)
+        slope_new = local_slope(inst, v_new) if rep.slope is None else rep.slope
 
         def row(norm_new, phi_new, rq_new):
             prev = trace.rows[-1]
@@ -173,7 +183,7 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
         return math.exp(last.n * math.log1p(tau * mu_hat) + math.log(last.norm))
 
     max_steps = max(1, int(round(t_end / tau)))
-    summary = outer_loop(inst, v, trace, step, rescale, max_steps, opts.rtol, opts.dtol, RQ_PATIENCE, MIN_STEPS)
+    summary = outer_loop(inst, v, rep0, trace, step, rescale, max_steps, opts.rtol, opts.dtol, RQ_PATIENCE, MIN_STEPS)
     return trace, FlowSummary(*summary)
 
 

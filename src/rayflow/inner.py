@@ -12,7 +12,10 @@ direction is the Newton direction wherever the instance has a Hessian
 by a Thomas sweep, and a dense matrix for the fractional and matrix
 kinds); the movement solve adds the diagonal curvature of its penalty.
 The movement solve starts at the caller's warm start (``run_flow``
-passes its predicted next state) or else at the anchor g.
+passes its predicted next state) or else at the anchor g.  Its tolerance
+scale ||dPhi(g)||_* is the caller's slope at g (``run_flow``: the last
+trace row's), and it reports the slope at its minimizer from descend's
+last accepted gradient, so the step evaluates no gradient of its own.
 Where there is no Hessian (2D), or the Newton direction is not finite or
 not a descent direction, an L-BFGS metric in pairing coordinates, built
 afresh in each solve, maps the dual residual to the direction instead.
@@ -80,6 +83,8 @@ class SolveReport:
     iterations) and for the sup-norm movement step (``iters`` then counts
     its exact box solves), "descent" for ``descend``.  ``newton_steps``
     counts the descent iterations that took the Newton direction.
+    ``slope`` is ||dPhi||_* at the minimizer where the solve already has
+    the gradient there (the smooth movement step at eps = 0), else None.
     """
 
     minimizer: np.ndarray
@@ -89,6 +94,7 @@ class SolveReport:
     converged: bool
     path: str = "descent"
     newton_steps: int = 0
+    slope: float | None = None
 
 
 def descend(x, value, grad, merit, tol, max_iters, w, project=None, newton=None):
@@ -375,11 +381,14 @@ def _movement_penalty(space: SpaceDescriptor, g, tau, p, eps):
     return value, grad, curvature
 
 
-def _smooth_movement(inst, g, tau, grad_tol, v0):
-    """The movement step by ``descend`` from v0, for the anchor g (both normalized)."""
+def _smooth_movement(inst, g, tau, grad_tol, v0, ref):
+    """The movement step by ``descend`` from v0, for the anchor g (both
+    normalized) with ref = ||dPhi(g)||_* (evaluated here if None).  The
+    report's slope is read from the gradient at descend's last accepted point."""
     space = inst.space
     p, q = inst.exponent.p, inst.exponent.q
-    ref = space.dual_norm(inst.gradient(g))
+    if ref is None:
+        ref = space.dual_norm(inst.gradient(g))
     # the kernel smoothing scale is tied to the expected per-step movement;
     # 1e-5 of it stays far below the scheme's O(tau) accuracy while keeping
     # the p < 2 penalty curvature finite where v = g (the start when no
@@ -391,14 +400,18 @@ def _smooth_movement(inst, g, tau, grad_tol, v0):
     def value(v):
         return inst.value(v) + pen_value(v)
 
+    last = [None, None]  # the point of the last gradient call and dPhi there
+
     def grad(v):
-        return inst.gradient(v) + pen_grad(v)
+        last[:] = v, inst.gradient(v)
+        return last[1] + pen_grad(v)
 
     tol = grad_tol * (1.0 + ref)
     newton = _Newton(inst, pen_curvature)
     w = space.pairing_weights()
     v, f, resid, iters, ok = descend(v0, value, grad, space.dual_norm, tol, MAX_ITERS, w, newton=newton)
-    return SolveReport(v, f, resid, iters, ok, newton_steps=newton.steps)
+    slope = space.dual_norm(last[1] if v is last[0] else inst.gradient(v))
+    return SolveReport(v, f, resid, iters, ok, newton_steps=newton.steps, slope=slope)
 
 
 def _box_kkt(v, gr, lo, hi):
@@ -494,7 +507,7 @@ def _sup_movement(inst, g, tau, grad_tol, carry: dict):
 
 
 def minimize_movement(
-    inst: ProblemInstance, g, tau: float, grad_tol: float = 1e-9, carry: dict | None = None, init=None
+    inst: ProblemInstance, g, tau: float, grad_tol: float = 1e-9, carry: dict | None = None, init=None, slope=None
 ) -> SolveReport:
     """One implicit minimizing-movement step from anchor g with step tau.
 
@@ -503,10 +516,13 @@ def minimize_movement(
     grad_tol * (1 + ||grad Phi(g)||_*).  The smooth path starts ``descend``
     at the warm start ``init`` (default: the anchor g); ``run_flow`` passes
     its predicted next state.  Both paths solve for the anchor normalized
-    to unit norm and the report is scaled back here.  The sup path ignores
-    ``init``: ``run_flow`` passes a mutable ``carry`` dict, which holds only
-    the sup radius of the last step, and that radius starts the next sup
-    step's root search.
+    to unit norm and the report is scaled back here.  At eps = 0, dPhi is
+    (p-1)-homogeneous, so the caller's ``slope`` = ||grad Phi(g)||_* gives
+    the smooth path's tolerance scale without a gradient at g, and the
+    report's slope scales back the same way.  The sup path ignores
+    ``init`` and ``slope``: ``run_flow`` passes a mutable ``carry`` dict,
+    which holds only the sup radius of the last step, and that radius
+    starts the next sup step's root search.
     """
     if not (tau > 0.0):
         raise DegenerateInputError(f"step size tau must be > 0, got {tau}")
@@ -516,12 +532,19 @@ def minimize_movement(
     scale = _scaled_pnorm(g, space.pairing_weights(), p)
     if scale == 0.0:
         return SolveReport(np.zeros(space.dim), 0.0, 0.0, 0, True)
+    s = np.float64(scale)
+    with np.errstate(over="ignore"):  # the objective may leave the double range where v does not
+        s_p, s_p1 = s**p, s ** (p - 1.0)
+    homogeneous = inst.eps == 0.0 and np.finfo(float).tiny <= s_p1 < math.inf
     if space.kind is SpaceKind.SUP:
         rep = _sup_movement(inst, g / scale, tau, grad_tol, {} if carry is None else carry)
     else:
         v0 = g if init is None else space.check_dim(init)
-        rep = _smooth_movement(inst, g / scale, tau, grad_tol, v0 / scale)
-    s = np.float64(scale)
-    with np.errstate(over="ignore"):  # the objective may leave the double range where v does not
-        objective, resid = float(s**p * rep.objective), float(s ** (p - 1.0) * rep.grad_dual_norm)
-    return SolveReport(s * rep.minimizer, objective, resid, rep.iters, rep.converged, rep.path, rep.newton_steps)
+        ref = float(slope / s_p1) if slope is not None and homogeneous else None
+        rep = _smooth_movement(inst, g / scale, tau, grad_tol, v0 / scale, ref)
+    with np.errstate(over="ignore"):
+        objective, resid = float(s_p * rep.objective), float(s_p1 * rep.grad_dual_norm)
+        slope_new = float(s_p1 * rep.slope) if homogeneous and rep.slope is not None else None
+    return SolveReport(
+        s * rep.minimizer, objective, resid, rep.iters, rep.converged, rep.path, rep.newton_steps, slope_new
+    )

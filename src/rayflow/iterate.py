@@ -126,13 +126,16 @@ class Violation(NamedTuple):
     magnitude: float
 
 
-def outer_loop(inst, x, trace, step, rescale, max_steps, rtol, dtol, rq_patience, min_steps=1):
+def outer_loop(inst, x, x_rep, trace, step, rescale, max_steps, rtol, dtol, rq_patience, min_steps=1):
     """The outer loop both schemes share; returns the summary fields
     (lambda_hat, mu_hat, limit_vec, steps, converged, stop_reason).
 
-    ``trace`` holds the row of the start x.  ``step(k, x)`` runs one scheme
-    step from x and returns (x_new, row), where ``row(norm_new, phi_new,
-    rq_new)`` builds the trace row of x_new (the row of x is still last).
+    ``trace`` holds the row of the start x, and ``x_rep`` is the
+    representative its norm was taken on (``representative_norm``): the
+    norm and the direction of each state share one quotient shift solve.
+    ``step(k, x)`` runs one scheme step from x and returns (x_new, row),
+    where ``row(norm_new, phi_new, rq_new)`` builds the trace row of x_new
+    (the row of x is still last).
     The run stops once the Rayleigh quotient is rtol-stable and the
     sign-normalized direction dtol-stable, or after ``rq_patience``
     Rayleigh-stable steps in a row (neither before ``min_steps``), or at
@@ -144,18 +147,18 @@ def outer_loop(inst, x, trace, step, rescale, max_steps, rtol, dtol, rq_patience
     space = inst.space
     rq = trace.rows[-1].rq
     norm = trace.rows[-1].norm
-    x_hat = unit_representative(space, x, norm) if norm > 0.0 else None
+    x_hat = unit_representative(space, x_rep, norm) if norm > 0.0 else None
     stop = StopReason.MAX_ITERS
     rq_stable_run = 0
     for k in range(1, max_steps + 1):
         x_new, row = step(k, x)
-        norm_new = space.norm(x_new)
+        rep_new, norm_new = space.representative_norm(x_new)
         rq_new = inst.rayleigh(x_new) if norm_new > 0.0 else math.nan
         trace.rows.append(row(norm_new, inst.value(x_new), rq_new))
         if norm_new < COLLAPSE_NORM:
             stop = StopReason.COLLAPSED_TO_ZERO
             break
-        x_hat_new = unit_representative(space, x_new, norm_new)
+        x_hat_new = unit_representative(space, rep_new, norm_new)
         dir_dist = space.norm(x_hat_new - x_hat) if x_hat is not None else math.inf
         rq_stable = rtol is not None and abs(rq_new - rq) <= rtol * abs(rq_new)
         dir_stable = dtol is not None and dir_dist <= dtol
@@ -200,7 +203,7 @@ def iterate(inst: ProblemInstance, u0, opts: IterOptions | None = None):
     opts = opts or IterOptions()
     space = inst.space
     u = space.check_dim(u0)
-    norm = space.norm(u)
+    rep, norm = space.representative_norm(u)
     if norm == 0.0:
         raise DegenerateInputError("u0 must have nonzero norm")
     trace = IterationTrace()
@@ -229,7 +232,7 @@ def iterate(inst: ProblemInstance, u0, opts: IterOptions | None = None):
         logs = [r.k * math.log(mu_hat) + math.log(r.norm) for r in rows]
         return math.exp(sum(logs) / len(logs))
 
-    summary = outer_loop(inst, u, trace, step, rescale, opts.max_iters, opts.rtol, opts.dtol, RQ_PATIENCE)
+    summary = outer_loop(inst, u, rep, trace, step, rescale, opts.max_iters, opts.rtol, opts.dtol, RQ_PATIENCE)
     return trace, RunSummary(*summary)
 
 

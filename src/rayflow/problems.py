@@ -500,7 +500,9 @@ class FractionalSeminorm1D(ProblemInstance):
     principal-value integral.  The collar values are zero, so the energy is
     (h^2/p) [sum_{i,j} phi(u_i - u_j) K_ij + 2 sum_i phi(u_i) c_i] over the
     interior, with the collar weight c_i = sum_{j in collar} K_ij stored as
-    an extra kernel column paired with u_i - 0.
+    an extra kernel column paired with u_i - 0.  The n x (n+1) pair
+    differences of the last point are kept, so value, gradient and Hessian
+    at one point build them once.
     """
 
     kind = "fractional1d"
@@ -523,10 +525,18 @@ class FractionalSeminorm1D(ProblemInstance):
         k = 1.0 / d ** (1.0 + p * s)
         collar = np.delete(k, interior, axis=1).sum(axis=1)
         self._kernel = np.column_stack((k[:, interior], collar))
+        self._last_pairs = (None, None)
 
     def _pairs(self, u) -> np.ndarray:
-        """u_i - u_j for interior i, j, then u_i - 0 in the collar column."""
-        return u[:, None] - np.append(u, 0.0)
+        """u_i - u_j for interior i, j, then u_i - 0 in the collar column (read-only)."""
+        key = u.tobytes()
+        if key != self._last_pairs[0]:
+            t = np.empty((self.n, self.n + 1))
+            np.subtract(u[:, None], u, out=t[:, :-1])
+            t[:, -1] = u
+            t.flags.writeable = False
+            self._last_pairs = (key, t)
+        return self._last_pairs[1]
 
     def value(self, u) -> float:
         u = self.space.check_dim(u)

@@ -113,7 +113,8 @@ class SpaceDescriptor:
 
     ``weight`` is the uniform cell measure h used by the Lp-type norms and
     pairings.  ``boundary`` lists the indices carrying the trace norm and is
-    required (only) for trace-boundary spaces.
+    required (only) for trace-boundary spaces.  The pairing weights are
+    built once, as a read-only array.
     """
 
     kind: SpaceKind
@@ -132,6 +133,11 @@ class SpaceDescriptor:
                 raise DegenerateInputError("trace-boundary space needs boundary indices")
             if any(i < 0 or i >= self.dim for i in self.boundary):
                 raise DegenerateInputError("boundary index out of range")
+        w = np.full(self.dim, 1.0 if self.kind is SpaceKind.SUP else self.weight)
+        if self.kind is SpaceKind.TRACE_BOUNDARY:
+            w[list(self.boundary)] = 1.0
+        w.flags.writeable = False
+        object.__setattr__(self, "_weights", w)
 
     def check_dim(self, values) -> np.ndarray:
         v = np.asarray(values, dtype=float)
@@ -140,24 +146,24 @@ class SpaceDescriptor:
         return v
 
     def pairing_weights(self) -> np.ndarray:
-        """Weights w_i of the duality pairing <xi, u> = sum w_i xi_i u_i."""
-        if self.kind is SpaceKind.SUP:
-            return np.ones(self.dim)
-        w = np.full(self.dim, self.weight)
-        if self.kind is SpaceKind.TRACE_BOUNDARY:
-            w[list(self.boundary)] = 1.0
-        return w
+        """Weights w_i of the duality pairing <xi, u> = sum w_i xi_i u_i (read-only)."""
+        return self._weights
 
     def norm(self, u) -> float:
+        return self.representative_norm(u)[1]
+
+    def representative_norm(self, u) -> tuple[np.ndarray, float]:
+        """(t, ||u||) with t the representative of u the norm is taken on:
+        u + optimal_shift(u) on quotient spaces (one shift solve), else u."""
         u = self.check_dim(u)
         p = self.exponent.p
         if self.kind is SpaceKind.SUP:
-            return float(np.max(np.abs(u)))
+            return u, float(np.max(np.abs(u)))
         if self.kind is SpaceKind.TRACE_BOUNDARY:
-            return _scaled_pnorm(u[list(self.boundary)], np.ones(len(self.boundary)), p)
+            return u, _scaled_pnorm(u[list(self.boundary)], np.ones(len(self.boundary)), p)
         if self.kind is SpaceKind.QUOTIENT_LP:
             u = u + optimal_shift(u, self)
-        return _scaled_pnorm(u, self.weight, p)
+        return u, _scaled_pnorm(u, self.weight, p)
 
     def dual_norm(self, xi) -> float:
         """Norm on the dual space, sup{<xi,u> : ||u|| <= 1}, in closed form.
@@ -279,16 +285,15 @@ def optimal_shift(u, space: SpaceDescriptor) -> float:
     return float(c * m)
 
 
-def unit_representative(space: SpaceDescriptor, u, n: float) -> np.ndarray:
-    """Sign-normalized unit-norm representative of u, given n = ||u||.
-
-    Quotient vectors are shifted to the zero-mean representative first; the
+def unit_representative(space: SpaceDescriptor, t, n: float) -> np.ndarray:
+    """Sign-normalized unit-norm vector t/n, for (t, n) from
+    ``representative_norm``: on quotient spaces t is already shifted.  The
     sign is fixed so the largest-magnitude entry is positive.
     """
-    u = space.check_dim(u)
+    t = space.check_dim(t)
     if n == 0.0:
         raise DegenerateInputError("cannot normalize a zero-norm vector")
-    rep = (u + optimal_shift(u, space) if space.kind is SpaceKind.QUOTIENT_LP else u) / n
+    rep = t / n
     i = int(np.argmax(np.abs(rep)))
     if rep[i] < 0.0:
         rep = -rep

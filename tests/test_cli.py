@@ -245,6 +245,18 @@ class TestOutputs:
         else:
             assert summary["steps"] == round(50.0 / mu / 0.25)
 
+    @pytest.mark.parametrize("command", ["flow", "compare"])
+    def test_failed_auto_step_exits_1_with_empty_flow_trace(self, tmp_path, capsys, command):
+        # the loose inverse iteration behind tau = auto fails near p = 1; the
+        # flow reports it as its own failure, before its first row
+        cfg = write(tmp_path, "[instance]\nkind = pdirichlet1d\np = 1.1\nn = 31\n[oracle]\nrestarts = 0\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        [line] = [line for line in out if line.startswith("flow: ")]
+        assert line.startswith("flow: automatic step: pdirichlet1d: inner solve failed to converge at outer step 1")
+        assert (tmp_path / "flow_trace.csv").read_text() == CSV_HEADER + "\n"
+        assert not (tmp_path / "flow_summary.json").exists() and not (tmp_path / "compare.json").exists()
+
     @pytest.mark.parametrize(
         "command, section", [("iterate", ""), ("flow", "[flow]\ntau = 0.001\nt_end = 0.01\n")], ids=["iterate", "flow"]
     )

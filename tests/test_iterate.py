@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+import rayflow.spaces
 from helpers import hilbert_closed_form
 from rayflow.errors import DegenerateInputError
 from rayflow.iterate import (
@@ -17,6 +18,7 @@ from rayflow.iterate import (
     outer_loop,
     rough_mu,
 )
+from rayflow.flow import FlowOptions, run_flow
 from rayflow.oracles import direct_rayleigh_min
 from rayflow.problems import MatrixQuadratic, NeumannQuotient1D, PDirichlet1D, Robin1D, Steklov1D
 
@@ -127,6 +129,39 @@ class TestCheckMonotonicity:
         assert [v.quantity for v in bad] == ["scaled_norm"]
 
 
+class TestShiftSolves:
+    """outer_loop takes a state's norm and its direction from one quotient shift solve."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls: dict[bytes, int] = {}
+        shift = rayflow.spaces.optimal_shift
+
+        def counted(u, space):
+            key = np.asarray(u, dtype=float).tobytes()
+            calls[key] = calls.get(key, 0) + 1
+            return shift(u, space)
+
+        monkeypatch.setattr(rayflow.spaces, "optimal_shift", counted)
+        return calls
+
+    def test_iterate_solves_each_state_once_per_use(self, monkeypatch):
+        # each iterate: one solve in outer_loop, one in the next step's
+        # duality map (the start also in its Rayleigh quotient: max|ramp| = 1)
+        calls = self._count(monkeypatch)
+        inst = NeumannQuotient1D(3.0, 31)
+        trace, _ = iterate(inst, np.linspace(-1.0, 1.0, 31), IterOptions(keep_iterates=True))
+        counts = [calls.get(u.tobytes(), 0) for u in trace.iterates]
+        assert counts == [3] + [2] * (len(counts) - 2) + [1]
+
+    def test_flow_solves_each_state_once(self, monkeypatch):
+        # the start also in its Rayleigh quotient, as above
+        calls = self._count(monkeypatch)
+        inst = NeumannQuotient1D(3.0, 31)
+        trace, _ = run_flow(inst, np.linspace(-1.0, 1.0, 31), 1e-3, 0.02, FlowOptions(keep_states=True))
+        assert [calls.get(v.tobytes(), 0) for v in trace.states] == [2] + [1] * (len(trace.states) - 1)
+
+
 class TestGuards:
     def test_zero_start_rejected(self):
         inst = PDirichlet1D(2.0, 5)
@@ -153,7 +188,7 @@ class TestGuards:
 
         with pytest.warns(RuntimeWarning, match="invalid value"):  # inf * 0
             with pytest.raises(DegenerateInputError, match="rescaled limit vector has non-finite entries"):
-                outer_loop(inst, x, trace, step, lambda mu: math.inf, 5, 1e-10, 1e-8, 30)
+                outer_loop(inst, x, x, trace, step, lambda mu: math.inf, 5, 1e-10, 1e-8, 30)
 
     def test_rough_mu(self):
         inst = MatrixQuadratic(np.diag([1.0, 4.0]))

@@ -132,6 +132,19 @@ class TestPairing:
         xi -= np.mean(xi)  # zero weighted mean (uniform weights)
         assert s.pairing(xi, u + 7.5) == pytest.approx(s.pairing(xi, u), abs=1e-12 * max(1, abs(s.pairing(xi, u))))
 
+    @pytest.mark.parametrize("kind", list(SpaceKind))
+    def test_weights_built_once_and_read_only(self, kind):
+        s = SpaceDescriptor(kind, 4, Exponent(3.0), weight=0.25, boundary=(0, 3))
+        w = s.pairing_weights()
+        assert s.pairing_weights() is w
+        want = {SpaceKind.SUP: [1.0] * 4, SpaceKind.TRACE_BOUNDARY: [1.0, 0.25, 0.25, 1.0]}.get(kind, [0.25] * 4)
+        assert w.tolist() == want
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            w *= 2.0
+        assert w.tolist() == want
+
     def test_holder(self):
         rng = np.random.default_rng(6)
         for s in ALL_SPACES:
