@@ -118,9 +118,9 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
     uncorrected, and an unscaled one would drift along the ray.  A zero
     state starts at the anchor.  Each solve takes its tolerance scale from
     the last row's slope and returns the next row's, so a smooth step
-    evaluates the gradient only inside ``descend``.  On sup spaces the last
-    step's box radius starts the next one's root search instead.  Stop
-    rules and collapse handling are ``iterate.outer_loop``'s (no stop
+    evaluates the gradient only inside ``descend`` and a sup step only in
+    its box checks, where the last step's radius starts the root search.
+    Stop rules and collapse handling are ``iterate.outer_loop``'s (no stop
     before MIN_STEPS; t_end bounds the run).  The limit is
     (1 + tau mu)^n v_n at the last step: on the ground ray each step
     shrinks the state by exactly (1 + tau mu)^(-1), for every p, so a unit

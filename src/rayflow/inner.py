@@ -12,10 +12,10 @@ direction is the Newton direction wherever the instance has a Hessian
 by a Thomas sweep, and a dense matrix for the fractional and matrix
 kinds); the movement solve adds the diagonal curvature of its penalty.
 The movement solve starts at the caller's warm start (``run_flow``
-passes its predicted next state) or else at the anchor g.  Its tolerance
-scale ||dPhi(g)||_* is the caller's slope at g (``run_flow``: the last
-trace row's), and it reports the slope at its minimizer from descend's
-last accepted gradient, so the step evaluates no gradient of its own.
+passes its predicted next state) or else at the anchor g.  Both movement
+steps take the tolerance scale ||dPhi(g)||_* from the caller's slope at g
+(``run_flow``: the last trace row's) and report the slope at their
+minimizer from a gradient they evaluated there, and no other gradient.
 Where there is no Hessian (2D), or the Newton direction is not finite or
 not a descent direction, an L-BFGS metric in pairing coordinates, built
 afresh in each solve, maps the dual residual to the direction instead.
@@ -29,13 +29,12 @@ normalized coordinates (unit data scale) so the gradient tolerance acts
 relatively; homogeneity of Phi makes the rescaling exact.
 
 ``minimize_phi_minus_linear`` first tries the instance's exact solve
-(``ProblemInstance.solve_gradient``): the unsmoothed 1D Dirichlet, sup,
-Neumann and Robin energies integrate dPhi(v) = xi along the flux up to one
-monotone scalar root.  The exact point is accepted only under descend's
+(``ProblemInstance.solve_gradient``): the 1D Dirichlet, sup, Neumann and
+Robin energies integrate dPhi(v) = xi along the flux up to one monotone
+scalar root.  The exact point is accepted only under descend's
 dual-norm residual test; where it fails that test (near p = 1 the primal
-residual is ill-conditioned) descend starts from it.  Steklov, smoothed
-(eps > 0), 2D, fractional and matrix instances have no exact solve and run
-descend alone.
+residual is ill-conditioned) descend starts from it.  Steklov, 2D,
+fractional and matrix instances have no exact solve and run descend alone.
 
 The sup-norm movement step (``SupDirichlet1D``) runs no descent: for each
 trial radius rho the instance solves the energy over the box
@@ -83,12 +82,12 @@ class SolveReport:
     iterations) and for the sup-norm movement step (``iters`` then counts
     its exact box solves), "descent" for ``descend``.  ``newton_steps``
     counts the descent iterations that took the Newton direction.
-    ``slope`` is ||dPhi||_* at the minimizer where the solve already has
-    the gradient there (the smooth movement step at eps = 0), else None.
+    ``slope`` is ||dPhi||_* at a movement step's minimizer, from a gradient
+    the step evaluated there; None for the phi-minus-linear solve and for
+    an anchor whose scale^(p-1) leaves the normal double range.
     """
 
     minimizer: np.ndarray
-    objective: float
     grad_dual_norm: float
     iters: int
     converged: bool
@@ -313,12 +312,10 @@ def minimize_phi_minus_linear(inst: ProblemInstance, xi, grad_tol: float = 1e-9,
     s = space.dual_norm(xi)
     if s == 0.0:
         zero = np.zeros(space.dim)
-        return SolveReport(zero, 0.0, space.dual_norm(inst.gradient(zero)), 0, True)
+        return SolveReport(zero, space.dual_norm(inst.gradient(zero)), 0, True)
     q = inst.exponent.q
     xt = xi / s
-    s = np.float64(s)
-    with np.errstate(over="ignore"):  # the objective may leave the double range where v does not
-        scale, scale_f = s ** (q - 1.0), s**q
+    scale = np.float64(s) ** (q - 1.0)
     v0 = np.zeros(space.dim) if init is None else space.check_dim(init) / scale
 
     def value(v):
@@ -332,11 +329,11 @@ def minimize_phi_minus_linear(inst: ProblemInstance, xi, grad_tol: float = 1e-9,
         v0, iters = exact
         resid = space.dual_norm(grad(v0))
         if resid <= grad_tol:
-            return SolveReport(scale * v0, float(scale_f * value(v0)), float(s * resid), iters, True, "exact")
+            return SolveReport(scale * v0, float(s * resid), iters, True, "exact")
     w = space.pairing_weights()
     newton = _Newton(inst)
-    v, f, resid, iters, ok = descend(v0, value, grad, space.dual_norm, grad_tol, MAX_ITERS, w, newton=newton)
-    return SolveReport(scale * v, float(scale_f * f), float(s * resid), iters, ok, newton_steps=newton.steps)
+    v, _, resid, iters, ok = descend(v0, value, grad, space.dual_norm, grad_tol, MAX_ITERS, w, newton=newton)
+    return SolveReport(scale * v, float(s * resid), iters, ok, newton_steps=newton.steps)
 
 
 def _movement_penalty(space: SpaceDescriptor, g, tau, p, eps):
@@ -370,7 +367,7 @@ def _movement_penalty(space: SpaceDescriptor, g, tau, p, eps):
         return (v - g) * m if trace else v - g
 
     def value(v):
-        return _power_sum(diff(v), p, eps, m) / (p * c)
+        return _power_sum(diff(v), p, m, eps) / (p * c)
 
     def grad(v):
         return smoothed_kernel(diff(v), p, eps) / c
@@ -381,14 +378,12 @@ def _movement_penalty(space: SpaceDescriptor, g, tau, p, eps):
     return value, grad, curvature
 
 
-def _smooth_movement(inst, g, tau, grad_tol, v0, ref):
+def _smooth_movement(inst, g, tau, grad_tol, ref, v0):
     """The movement step by ``descend`` from v0, for the anchor g (both
-    normalized) with ref = ||dPhi(g)||_* (evaluated here if None).  The
-    report's slope is read from the gradient at descend's last accepted point."""
+    normalized) with ref = ||dPhi(g)||_*.  The report's slope is read from
+    the gradient at descend's last accepted point."""
     space = inst.space
     p, q = inst.exponent.p, inst.exponent.q
-    if ref is None:
-        ref = space.dual_norm(inst.gradient(g))
     # the kernel smoothing scale is tied to the expected per-step movement;
     # 1e-5 of it stays far below the scheme's O(tau) accuracy while keeping
     # the p < 2 penalty curvature finite where v = g (the start when no
@@ -409,9 +404,9 @@ def _smooth_movement(inst, g, tau, grad_tol, v0, ref):
     tol = grad_tol * (1.0 + ref)
     newton = _Newton(inst, pen_curvature)
     w = space.pairing_weights()
-    v, f, resid, iters, ok = descend(v0, value, grad, space.dual_norm, tol, MAX_ITERS, w, newton=newton)
+    v, _, resid, iters, ok = descend(v0, value, grad, space.dual_norm, tol, MAX_ITERS, w, newton=newton)
     slope = space.dual_norm(last[1] if v is last[0] else inst.gradient(v))
-    return SolveReport(v, f, resid, iters, ok, newton_steps=newton.steps, slope=slope)
+    return SolveReport(v, resid, iters, ok, newton_steps=newton.steps, slope=slope)
 
 
 def _box_kkt(v, gr, lo, hi):
@@ -433,8 +428,9 @@ def _box_kkt(v, gr, lo, hi):
     return viol, mass
 
 
-def _sup_movement(inst, g, tau, grad_tol, carry: dict):
-    """Exact sup-norm movement step via the box reformulation.
+def _sup_movement(inst, g, tau, grad_tol, ref, carry: dict):
+    """Exact sup-norm movement step via the box reformulation, for the
+    normalized anchor g with ref = ||dPhi(g)||_*.
 
     For rho = ||v - g||_inf the subproblem splits into an energy
     minimization over the box |v - g|_inf <= rho (all nonsmoothness absorbed
@@ -442,15 +438,12 @@ def _sup_movement(inst, g, tau, grad_tol, carry: dict):
     and a scalar optimality condition on rho: the active multiplier mass
     must equal rho^(p-1)/tau^(p-1).  The root is bracketed and polished with
     safeguarded secant steps; the multiplier mass is nonincreasing in rho.
-    The KKT violation and the mass are measured from the gradient at each
-    box point, so the residual of the returned step is never assumed zero.
+    The KKT violation, the mass and the report's slope are measured from
+    the gradient at each box point, so the residual is never assumed zero.
     The last radius is kept in ``carry["sup_rho"]`` to start the next step.
     """
-    space = inst.space
-    p = inst.exponent.p
-    q = inst.exponent.q
+    p, q = inst.exponent.p, inst.exponent.q
     c = tau ** (p - 1.0)
-    ref = space.dual_norm(inst.gradient(g))
     tol = grad_tol * (1.0 + ref)
     evals = 0
 
@@ -459,12 +452,12 @@ def _sup_movement(inst, g, tau, grad_tol, carry: dict):
         lo, hi = g - rho, g + rho
         v = inst.solve_box(lo, hi)
         evals += 1
-        viol, mass = _box_kkt(v, inst.gradient(v), lo, hi)
-        return mass - rho ** (p - 1.0) / c, v, viol
+        gr = inst.gradient(v)
+        viol, mass = _box_kkt(v, gr, lo, hi)
+        return mass - rho ** (p - 1.0) / c, v, viol, gr
 
-    rho = carry.get("sup_rho", tau * ref ** (q - 1.0))
-    rho = max(rho, 1e-300)
-    g_mid, v_mid, viol_mid = G(rho)
+    rho = max(carry.get("sup_rho", tau * ref ** (q - 1.0)), 1e-300)
+    g_mid, v_mid, viol_mid, gr_mid = G(rho)
     # bracket the radius: mass decreases with rho, the power term grows
     lo_r, hi_r = rho, rho
     g_lo, g_hi = g_mid, g_mid
@@ -472,30 +465,28 @@ def _sup_movement(inst, g, tau, grad_tol, carry: dict):
         if g_lo > 0.0:
             break
         lo_r *= 0.5
-        g_lo, _, _ = G(lo_r)
+        g_lo = G(lo_r)[0]
     for _ in range(200):
         if g_hi < 0.0:
             break
         hi_r *= 2.0
-        g_hi, _, _ = G(hi_r)
+        g_hi = G(hi_r)[0]
 
-    def report(v, resid):
-        actual = float(np.max(np.abs(v - g)))
-        objective = inst.value(v) + actual**p / (p * c)
-        return SolveReport(v, objective, resid, evals, resid <= tol, "exact")
+    def report(v, gr, resid):
+        return SolveReport(v, resid, evals, resid <= tol, "exact", slope=inst.space.dual_norm(gr))
 
     if not (g_lo > 0.0 > g_hi):
-        return report(v_mid, viol_mid + abs(g_mid))
-    v_best, rho_best, resid_best = v_mid, rho, math.inf
+        return report(v_mid, gr_mid, viol_mid + abs(g_mid))
+    v_best, gr_best, rho_best, resid_best = v_mid, gr_mid, rho, math.inf
     for it in range(200):
         span = hi_r - lo_r
         mid = hi_r - g_hi * span / (g_hi - g_lo) if it % 2 == 0 and g_hi != g_lo else 0.5 * (lo_r + hi_r)
         if not (lo_r < mid < hi_r):
             mid = 0.5 * (lo_r + hi_r)
-        g_m, v_m, viol_m = G(mid)
+        g_m, v_m, viol_m, gr_m = G(mid)
         resid = viol_m + abs(g_m)
         if resid < resid_best:
-            v_best, rho_best, resid_best = v_m, mid, resid
+            v_best, gr_best, rho_best, resid_best = v_m, gr_m, mid, resid
         if resid <= 0.75 * tol or span <= 1e-15 * hi_r:
             break
         if g_m > 0.0:
@@ -503,7 +494,7 @@ def _sup_movement(inst, g, tau, grad_tol, carry: dict):
         else:
             hi_r, g_hi = mid, g_m
     carry["sup_rho"] = rho_best
-    return report(v_best, resid_best)
+    return report(v_best, gr_best, resid_best)
 
 
 def minimize_movement(
@@ -516,13 +507,13 @@ def minimize_movement(
     grad_tol * (1 + ||grad Phi(g)||_*).  The smooth path starts ``descend``
     at the warm start ``init`` (default: the anchor g); ``run_flow`` passes
     its predicted next state.  Both paths solve for the anchor normalized
-    to unit norm and the report is scaled back here.  At eps = 0, dPhi is
+    to unit norm and the report is scaled back here.  dPhi is
     (p-1)-homogeneous, so the caller's ``slope`` = ||grad Phi(g)||_* gives
-    the smooth path's tolerance scale without a gradient at g, and the
-    report's slope scales back the same way.  The sup path ignores
-    ``init`` and ``slope``: ``run_flow`` passes a mutable ``carry`` dict,
-    which holds only the sup radius of the last step, and that radius
-    starts the next sup step's root search.
+    both paths' tolerance scale (evaluated here if not given), and the
+    report's slope scales back the same way, while scale^(p-1) is a normal
+    double.  The sup path ignores ``init``: ``run_flow`` passes a mutable
+    ``carry`` dict, which holds only the sup radius of the last step, and
+    that radius starts the next sup step's root search.
     """
     if not (tau > 0.0):
         raise DegenerateInputError(f"step size tau must be > 0, got {tau}")
@@ -531,20 +522,19 @@ def minimize_movement(
     p = inst.exponent.p
     scale = _scaled_pnorm(g, space.pairing_weights(), p)
     if scale == 0.0:
-        return SolveReport(np.zeros(space.dim), 0.0, 0.0, 0, True)
+        return SolveReport(np.zeros(space.dim), 0.0, 0, True)
     s = np.float64(scale)
-    with np.errstate(over="ignore"):  # the objective may leave the double range where v does not
-        s_p, s_p1 = s**p, s ** (p - 1.0)
-    homogeneous = inst.eps == 0.0 and np.finfo(float).tiny <= s_p1 < math.inf
+    with np.errstate(over="ignore"):  # an extreme anchor's s^(p-1) may leave the double range
+        s_p1 = s ** (p - 1.0)
+    homogeneous = np.finfo(float).tiny <= s_p1 < math.inf
+    g = g / scale
+    ref = float(slope / s_p1) if slope is not None and homogeneous else space.dual_norm(inst.gradient(g))
     if space.kind is SpaceKind.SUP:
-        rep = _sup_movement(inst, g / scale, tau, grad_tol, {} if carry is None else carry)
+        rep = _sup_movement(inst, g, tau, grad_tol, ref, {} if carry is None else carry)
     else:
-        v0 = g if init is None else space.check_dim(init)
-        ref = float(slope / s_p1) if slope is not None and homogeneous else None
-        rep = _smooth_movement(inst, g / scale, tau, grad_tol, v0 / scale, ref)
+        v0 = g if init is None else space.check_dim(init) / scale
+        rep = _smooth_movement(inst, g, tau, grad_tol, ref, v0)
     with np.errstate(over="ignore"):
-        objective, resid = float(s_p * rep.objective), float(s_p1 * rep.grad_dual_norm)
-        slope_new = float(s_p1 * rep.slope) if homogeneous and rep.slope is not None else None
-    return SolveReport(
-        s * rep.minimizer, objective, resid, rep.iters, rep.converged, rep.path, rep.newton_steps, slope_new
-    )
+        resid = float(s_p1 * rep.grad_dual_norm)
+        slope_new = float(s_p1 * rep.slope) if homogeneous else None
+    return SolveReport(s * rep.minimizer, resid, rep.iters, rep.converged, rep.path, rep.newton_steps, slope_new)

@@ -56,6 +56,10 @@ COLLAPSE_NORM = 1e-300
 TAIL_WINDOW = 10
 #: Rayleigh-stable steps in a row that stop a run whose direction never settles
 RQ_PATIENCE = 30
+#: relative slack of the Rayleigh-quotient and norm-ratio monotonicity checks
+MONOTONE_SLACK = 1e-8
+#: loose inverse-iteration steps behind the rough mu estimate
+ROUGH_MU_STEPS = 5
 
 
 def check_stop_rules(rtol, dtol, grad_tol):
@@ -236,30 +240,30 @@ def iterate(inst: ProblemInstance, u0, opts: IterOptions | None = None):
     return trace, RunSummary(*summary)
 
 
-def check_monotonicity(trace: IterationTrace, mu_hat: float | None = None, slack: float = 1e-8):
+def check_monotonicity(trace: IterationTrace, mu_hat: float | None = None):
     """All violations of the per-step monotonicity laws in a trace.
 
-    Checks the Rayleigh quotient and the norm ratio with relative ``slack``,
-    and, when ``mu_hat`` is given, the scaled-norm contraction
-    norm_k <= norm_{k-1}/mu_hat with a 1e-6 relative tolerance (the wider
-    slack covers the mu-estimator consistency, which is itself only tight
-    to about 1e-6).
+    Checks the Rayleigh quotient and the norm ratio with relative slack
+    MONOTONE_SLACK, and, when ``mu_hat`` is given, the scaled-norm
+    contraction norm_k <= norm_{k-1}/mu_hat with a 1e-6 relative tolerance
+    (the wider slack covers the mu-estimator consistency, which is itself
+    only tight to about 1e-6).
     """
     out: list[Violation] = []
     rows = trace.rows
     for k in range(1, len(rows)):
         a, b = rows[k - 1], rows[k]
-        if math.isfinite(a.rq) and math.isfinite(b.rq) and b.rq > a.rq * (1.0 + slack):
+        if math.isfinite(a.rq) and math.isfinite(b.rq) and b.rq > a.rq * (1.0 + MONOTONE_SLACK):
             out.append(Violation(b.k, "rq", b.rq / a.rq - 1.0))
-        if math.isfinite(a.ratio) and math.isfinite(b.ratio) and b.ratio > a.ratio * (1.0 + slack):
+        if math.isfinite(a.ratio) and math.isfinite(b.ratio) and b.ratio > a.ratio * (1.0 + MONOTONE_SLACK):
             out.append(Violation(b.k, "ratio", b.ratio / a.ratio - 1.0))
         if mu_hat is not None and b.norm > (a.norm / mu_hat) * (1.0 + 1e-6):
             out.append(Violation(b.k, "scaled_norm", b.norm * mu_hat / a.norm - 1.0))
     return out
 
 
-def rough_mu(inst: ProblemInstance, u0, steps: int = 5) -> float:
-    """Crude mu estimate from a few loose inverse-iteration steps."""
-    opts = IterOptions(rtol=None, dtol=None, max_iters=steps, grad_tol=1e-6)
+def rough_mu(inst: ProblemInstance, u0) -> float:
+    """Crude mu estimate from ROUGH_MU_STEPS loose inverse-iteration steps."""
+    opts = IterOptions(rtol=None, dtol=None, max_iters=ROUGH_MU_STEPS, grad_tol=1e-6)
     _, summary = iterate(inst, u0, opts)
     return summary.mu_hat

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DegenerateInputError
 from .inner import descend
 from .problems import ProblemInstance
-from .spaces import SpaceKind, optimal_shift, unit_representative
+from .spaces import SpaceKind, optimal_shift, unit_representative  # noqa: F401 (perfbench traces it here)
 
 __all__ = [
     "OracleMethod",
@@ -167,14 +167,12 @@ def symmetric_eigs(a):
 
 
 def _unit(inst, u):
-    """Project to the unit sphere of the space norm (recentred for quotients)."""
-    space = inst.space
-    if space.kind is SpaceKind.QUOTIENT_LP:
-        u = u + optimal_shift(u, space)
-    n = space.norm(u)
+    """Project to the unit sphere of the space norm (recentred for quotients,
+    by the shift the norm solves)."""
+    t, n = inst.space.representative_norm(u)
     if n == 0.0:
         raise DegenerateInputError("cannot normalize zero-norm start")
-    return u / n
+    return t / n
 
 
 def _spg(inst, u0, tol, max_iters):
@@ -231,7 +229,7 @@ def direct_rayleigh_min(
     difference, and the differences left of i sum to u_i - 0 (right of i to
     0 - u_i).  By Jensen's inequality Phi over {u_i = 1} is least when each
     side's differences are equal: the tent u_j = j/i for j <= i and
-    (n+1-j)/(n+1-i) for j >= i, for every p and eps.  The tent lies in the
+    (n+1-j)/(n+1-i) for j >= i, for every p.  The tent lies in the
     unit sup ball, so lambda is the least quotient of the n tents, and the
     method is ``closed_form``.
     """

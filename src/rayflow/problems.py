@@ -18,7 +18,8 @@ space its Rayleigh quotient is taken in:
 
 Gradients are returned in dual coordinates: the array g with
 d(value) = sum_i w_i g_i delta_i for the pairing weights w of the space.
-Energies are exactly p-homogeneous when the smoothing parameter eps is 0.
+Every energy is positively homogeneous of degree p, which the inner solves,
+``rayleigh`` and the eigen residual rely on to rescale their data exactly.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .spaces import (
     SpaceKind,
     signed_power,
     smoothed_curvature,
-    smoothed_kernel,
 )
 
 __all__ = [
@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 
-def _power_sum(t, p, eps, weight=1.0):
+def _power_sum(t, p, weight=1.0, eps=0.0):
     """sum of weight |t|^p, or of the eps-smoothed (t^2+eps^2)^(p/2) - eps^p."""
     if eps == 0.0:
         return float(np.sum(np.abs(t) ** p * weight))
@@ -111,12 +111,9 @@ class ProblemInstance:
 
     kind = "abstract"
 
-    def __init__(self, exponent: Exponent, space: SpaceDescriptor, eps: float = 0.0):
-        if eps < 0.0:
-            raise ConfigError("eps: smoothing parameter must be >= 0")
+    def __init__(self, exponent: Exponent, space: SpaceDescriptor):
         self.exponent = exponent
         self.space = space
-        self.eps = float(eps)
 
     @property
     def p(self) -> float:
@@ -199,8 +196,8 @@ class _Dirichlet1DBase(ProblemInstance):
     #: pad the vector with zero boundary values before differencing
     zero_padded = True
 
-    def __init__(self, n, L, exponent, space, eps):
-        super().__init__(exponent, space, eps)
+    def __init__(self, n, L, exponent, space):
+        super().__init__(exponent, space)
         self.n = int(n)
         self.L = float(L)
         self.h = L / (n + 1) if self.zero_padded else L / (n - 1)
@@ -211,10 +208,10 @@ class _Dirichlet1DBase(ProblemInstance):
         return np.diff(u) / self.h
 
     def _dirichlet_value(self, u) -> float:
-        return (self.h / self.p) * _power_sum(self._diffs(u), self.p, self.eps)
+        return (self.h / self.p) * _power_sum(self._diffs(u), self.p)
 
     def _dirichlet_grad_euclid(self, u) -> np.ndarray:
-        k = smoothed_kernel(self._diffs(u), self.p, self.eps)
+        k = signed_power(self._diffs(u), self.p - 1.0)
         if self.zero_padded:
             return k[:-1] - k[1:]
         g = np.zeros_like(u)
@@ -227,7 +224,7 @@ class _Dirichlet1DBase(ProblemInstance):
         curvature weight to the diagonal at its two nodes and subtracts it
         from the off-diagonal entry between them (a padded boundary
         difference touches one node)."""
-        c = smoothed_curvature(self._diffs(self.space.check_dim(u)), self.p, self.eps) / self.h
+        c = smoothed_curvature(self._diffs(self.space.check_dim(u)), self.p) / self.h
         if self.zero_padded:
             return c[:-1] + c[1:], -c[1:-1]
         diag = np.zeros(self.n)
@@ -244,12 +241,9 @@ class _Dirichlet1DBase(ProblemInstance):
         c.  Zero padding: the right boundary value vanishes.  Robin: c is
         the left boundary flux beta |u_1|^(p-2) u_1 and the right end must
         balance, c + beta |u_n|^(p-2) u_n = sum b.  Neumann: c = 0, and the
-        representative with u_1 = 0 is returned.  The smoothed kernel
-        (eps > 0) has no closed-form inverse.  Returns (u, root iterations),
-        or None if eps > 0 or a value is not finite.
+        representative with u_1 = 0 is returned.  Returns (u, root
+        iterations), or None if a value is not finite.
         """
-        if self.eps > 0.0:
-            return None
         p, q, h = self.p, self.exponent.q, self.h
         w = self.space.pairing_weights()
         xi = self.space.check_dim(xi)
@@ -286,11 +280,11 @@ class PDirichlet1D(_Dirichlet1DBase):
     kind = "pdirichlet1d"
     zero_padded = True
 
-    def __init__(self, p, n, L=1.0, eps=0.0):
+    def __init__(self, p, n, L=1.0):
         exp = Exponent(p)
         h = L / (n + 1)
         space = SpaceDescriptor(SpaceKind.WEIGHTED_LP, n, exp, weight=h)
-        super().__init__(n, L, exp, space, eps)
+        super().__init__(n, L, exp, space)
 
     def value(self, u) -> float:
         return self._dirichlet_value(self.space.check_dim(u))
@@ -304,7 +298,7 @@ class PDirichlet1D(_Dirichlet1DBase):
         Phi is one strictly convex even function summed over the differences
         of a uniform grid with both ends held at zero, so its minimizer over
         the box is the shortest path through the gates [lo_i, hi_i], whatever
-        p or eps (Grasmair, JMIV 2007; Davies-Kovac, Ann. Statist. 2001).
+        p (Grasmair, JMIV 2007; Davies-Kovac, Ann. Statist. 2001).
         The path is straight between contacts, bends up only under an upper
         bound and down only over a lower one.  Each segment narrows the cone
         of feasible slopes from its anchor gate by gate; once a gate falls
@@ -343,10 +337,10 @@ class SupDirichlet1D(PDirichlet1D):
 
     kind = "supdirichlet1d"
 
-    def __init__(self, p, n, L=1.0, eps=0.0):
+    def __init__(self, p, n, L=1.0):
         exp = Exponent(p)
         space = SpaceDescriptor(SpaceKind.SUP, n, exp)
-        _Dirichlet1DBase.__init__(self, n, L, exp, space, eps)
+        _Dirichlet1DBase.__init__(self, n, L, exp, space)
 
     def _gradient(self, u) -> np.ndarray:
         # sup-space pairing weights are 1, so dual coordinates are Euclidean
@@ -362,30 +356,30 @@ class Robin1D(_Dirichlet1DBase):
     kind = "robin1d"
     zero_padded = False
 
-    def __init__(self, p, n, L=1.0, beta=1.0, eps=0.0):
+    def __init__(self, p, n, L=1.0, beta=1.0):
         if beta <= 0.0:
             raise ConfigError("beta: Robin parameter must be > 0")
         exp = Exponent(p)
         h = L / (n - 1)
         space = SpaceDescriptor(SpaceKind.WEIGHTED_LP, n, exp, weight=h)
-        super().__init__(n, L, exp, space, eps)
+        super().__init__(n, L, exp, space)
         self.beta = float(beta)
 
     def value(self, u) -> float:
         u = self.space.check_dim(u)
         ends = np.array([u[0], u[-1]])
-        return self._dirichlet_value(u) + (self.beta / self.p) * _power_sum(ends, self.p, self.eps)
+        return self._dirichlet_value(u) + (self.beta / self.p) * _power_sum(ends, self.p)
 
     def _gradient(self, u) -> np.ndarray:
         g = self._dirichlet_grad_euclid(u)
-        g[0] += self.beta * smoothed_kernel(u[0], self.p, self.eps)
-        g[-1] += self.beta * smoothed_kernel(u[-1], self.p, self.eps)
+        g[0] += self.beta * signed_power(u[0], self.p - 1.0)
+        g[-1] += self.beta * signed_power(u[-1], self.p - 1.0)
         return g / self.h
 
     def hessian(self, u):
         u = self.space.check_dim(u)
         diag, off = super().hessian(u)
-        diag[[0, -1]] += self.beta * smoothed_curvature(u[[0, -1]], self.p, self.eps)
+        diag[[0, -1]] += self.beta * smoothed_curvature(u[[0, -1]], self.p)
         return diag, off
 
 
@@ -395,11 +389,11 @@ class NeumannQuotient1D(_Dirichlet1DBase):
     kind = "neumann1d"
     zero_padded = False
 
-    def __init__(self, p, n, L=1.0, eps=0.0):
+    def __init__(self, p, n, L=1.0):
         exp = Exponent(p)
         h = L / (n - 1)
         space = SpaceDescriptor(SpaceKind.QUOTIENT_LP, n, exp, weight=h)
-        super().__init__(n, L, exp, space, eps)
+        super().__init__(n, L, exp, space)
 
     def value(self, u) -> float:
         return self._dirichlet_value(self.space.check_dim(u))
@@ -414,26 +408,26 @@ class Steklov1D(_Dirichlet1DBase):
     kind = "steklov1d"
     zero_padded = False
 
-    def __init__(self, p, n, L=1.0, eps=0.0):
+    def __init__(self, p, n, L=1.0):
         exp = Exponent(p)
         h = L / (n - 1)
         space = SpaceDescriptor(
             SpaceKind.TRACE_BOUNDARY, n, exp, weight=h, boundary=(0, n - 1)
         )
-        super().__init__(n, L, exp, space, eps)
+        super().__init__(n, L, exp, space)
 
     def value(self, u) -> float:
         u = self.space.check_dim(u)
-        return self._dirichlet_value(u) + (self.h / self.p) * _power_sum(u, self.p, self.eps)
+        return self._dirichlet_value(u) + (self.h / self.p) * _power_sum(u, self.p)
 
     def _gradient(self, u) -> np.ndarray:
-        g = self._dirichlet_grad_euclid(u) + self.h * smoothed_kernel(u, self.p, self.eps)
+        g = self._dirichlet_grad_euclid(u) + self.h * signed_power(u, self.p - 1.0)
         return g / self.space.pairing_weights()
 
     def hessian(self, u):
         u = self.space.check_dim(u)
         diag, off = super().hessian(u)
-        return diag + self.h * smoothed_curvature(u, self.p, self.eps), off
+        return diag + self.h * smoothed_curvature(u, self.p), off
 
     def solve_gradient(self, xi):
         return None  # the mass term couples the nodes: no flux integration
@@ -448,11 +442,11 @@ class PDirichlet2D(ProblemInstance):
 
     kind = "pdirichlet2d"
 
-    def __init__(self, p, n, L=1.0, eps=0.0):
+    def __init__(self, p, n, L=1.0):
         exp = Exponent(p)
         h = L / (n + 1)
         space = SpaceDescriptor(SpaceKind.WEIGHTED_LP, n * n, exp, weight=h * h)
-        super().__init__(exp, space, eps)
+        super().__init__(exp, space)
         self.n = int(n)
         self.L = float(L)
         self.h = h
@@ -470,13 +464,12 @@ class PDirichlet2D(ProblemInstance):
 
     def value(self, u) -> float:
         dx, dy = self._cells(self.space.check_dim(u))
-        m2 = dx * dx + dy * dy + self.eps * self.eps
-        total = np.sum(m2 ** (self.p / 2.0) - self.eps**self.p)
-        return (self.h * self.h / self.p) * float(total)
+        m2 = dx * dx + dy * dy
+        return (self.h * self.h / self.p) * float(np.sum(m2 ** (self.p / 2.0)))
 
     def _gradient(self, u) -> np.ndarray:
         dx, dy = self._cells(u)
-        m2 = dx * dx + dy * dy + self.eps * self.eps
+        m2 = dx * dx + dy * dy
         # |grad u|^(p-2) grad u tends to 0 with grad u for p > 1; mask the
         # zero cells so the p < 2 power does not produce inf * 0
         w = np.where(m2 > 0.0, m2, 1.0) ** ((self.p - 2.0) / 2.0)
@@ -507,13 +500,13 @@ class FractionalSeminorm1D(ProblemInstance):
 
     kind = "fractional1d"
 
-    def __init__(self, p, n, L=1.0, s=0.5, eps=0.0):
+    def __init__(self, p, n, L=1.0, s=0.5):
         if not (0.0 < s < 1.0):
             raise ConfigError("s: fractional order must lie in (0, 1)")
         exp = Exponent(p)
         h = L / (n + 1)
         space = SpaceDescriptor(SpaceKind.WEIGHTED_LP, n, exp, weight=h)
-        super().__init__(exp, space, eps)
+        super().__init__(exp, space)
         self.n = int(n)
         self.L = float(L)
         self.s = float(s)
@@ -541,18 +534,18 @@ class FractionalSeminorm1D(ProblemInstance):
     def value(self, u) -> float:
         u = self.space.check_dim(u)
         # the collar column counts the pairs (i, collar); add the (collar, i) order
-        total = _power_sum(self._pairs(u), self.p, self.eps, self._kernel)
-        return (self.h * self.h / self.p) * (total + _power_sum(u, self.p, self.eps, self._kernel[:, -1]))
+        total = _power_sum(self._pairs(u), self.p, self._kernel)
+        return (self.h * self.h / self.p) * (total + _power_sum(u, self.p, self._kernel[:, -1]))
 
     def _gradient(self, u) -> np.ndarray:
-        k = smoothed_kernel(self._pairs(u), self.p, self.eps) * self._kernel
+        k = signed_power(self._pairs(u), self.p - 1.0) * self._kernel
         # ordered pairs (i,j) and (j,i) both contribute; dual coords divide by h
         return 2.0 * self.h * np.sum(k, axis=1)
 
     def hessian(self, u):
         # each pair {i, j} adds 2 h^2 K_ij kappa(u_i - u_j) (e_i - e_j)(e_i - e_j)'
         # (e_j = 0 in the collar); the p < 2 floor spans the same |u_i - u_j|
-        m = smoothed_curvature(self._pairs(self.space.check_dim(u)), self.p, self.eps) * self._kernel
+        m = smoothed_curvature(self._pairs(self.space.check_dim(u)), self.p) * self._kernel
         return 2.0 * self.h * self.h * (np.diag(m.sum(axis=1)) - m[:, :-1])
 
 
@@ -570,8 +563,7 @@ _KINDS = {
     )
 }
 
-#: keys of the grid kinds; the matrix kind has no smoothing, so no eps
-_GRID_KEYS = {"p", "n", "L", "eps"}
+_GRID_KEYS = {"p", "n", "L"}
 _KIND_KEYS = {
     "matrix": {"matrix", "diag", "p"},
     "pdirichlet1d": _GRID_KEYS,
@@ -589,8 +581,8 @@ INSTANCE_KEYS = {"kind"}.union(*_KIND_KEYS.values())
 def assemble(config: dict) -> ProblemInstance:
     """Build a problem instance from a flat key-value description.
 
-    Recognized keys: INSTANCE_KEYS (kind, p, n, L, s, beta, eps, matrix,
-    diag), of which each kind takes its own subset.  Unknown keys and
+    Recognized keys: INSTANCE_KEYS (kind, p, n, L, s, beta, matrix, diag),
+    of which each kind takes its own subset.  Unknown keys and
     out-of-range values raise ConfigError naming the key.
     """
     cfg = dict(config)
@@ -610,10 +602,6 @@ def assemble(config: dict) -> ProblemInstance:
         if not math.isfinite(x):
             raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
         return x
-
-    eps = as_float("eps", 0.0)
-    if eps < 0.0:
-        raise ConfigError("eps: smoothing parameter must be >= 0")
 
     if kind == "matrix":
         if "p" in cfg and as_float("p") != 2.0:
@@ -647,7 +635,7 @@ def assemble(config: dict) -> ProblemInstance:
         L = as_float("L", 1.0)
         if L <= 0.0:
             raise ConfigError(f"L: must be > 0, got {L}")
-        kwargs = {"p": p, "n": n, "L": L, "eps": eps}
+        kwargs = {"p": p, "n": n, "L": L}
         if kind == "fractional1d":
             kwargs["s"] = as_float("s", 0.5)
         if kind == "robin1d":

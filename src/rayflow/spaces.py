@@ -68,7 +68,7 @@ def smoothed_kernel(t, p, eps):
 CURVATURE_FLOOR = 1e-8
 
 
-def smoothed_curvature(t, p, eps):
+def smoothed_curvature(t, p, eps=0.0):
     """The derivative of ``smoothed_kernel`` in t: (p-1)|t|^(p-2), or
     (t^2 + eps^2)^((p-4)/2) ((p-1) t^2 + eps^2) when smoothed.
 

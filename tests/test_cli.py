@@ -7,9 +7,10 @@ import pytest
 import rayflow.cli
 from rayflow.cli import CSV_HEADER, main
 from rayflow.config import start_vector
+from rayflow.errors import ConfigError
 from rayflow.iterate import rough_mu
 from rayflow.oracles import OracleMethod, OracleResult
-from rayflow.problems import PDirichlet1D
+from rayflow.problems import PDirichlet1D, assemble
 
 MATRIX_COMPARE = """
 [instance]
@@ -118,6 +119,17 @@ class TestConfigErrors:
         code = main(["iterate", "--config", cfg, "--out", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {key}:")
+
+    @pytest.mark.parametrize(
+        "kind", ["pdirichlet1d", "pdirichlet2d", "fractional1d", "robin1d", "neumann1d", "supdirichlet1d", "steklov1d"]
+    )
+    def test_eps_is_no_instance_key(self, tmp_path, capsys, kind):
+        # every energy is p-homogeneous: no kind takes a smoothing parameter
+        with pytest.raises(ConfigError, match="^eps: "):
+            assemble({"kind": kind, "p": 2.0, "n": 4, "eps": 0.1})
+        cfg = write(tmp_path, f"[instance]\nkind = {kind}\np = 2.0\nn = 4\neps = 0.1\n")
+        assert main(["iterate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: eps:")
 
     @pytest.mark.parametrize(
         "command, key, body",

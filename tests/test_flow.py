@@ -1,5 +1,6 @@
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -186,6 +187,26 @@ class TestSupFlow:
         assert summary.lambda_hat == pytest.approx(2.0 * inst.h ** (1.0 - inst.p), rel=1e-12)
         v = summary.limit_vec
         np.testing.assert_allclose(v / v.max(), 1.0, rtol=1e-12)
+
+    def test_one_gradient_per_box_solve(self, monkeypatch):
+        # the row-0 slope, then one gradient per box solve (its KKT check):
+        # the tolerance scale and the next slope reuse them; Phi is evaluated
+        # twice per row (its value and its quotient), never by the step
+        inst = SupDirichlet1D(3.0, 15)
+        u0 = start_vector(inst, "auto", 0)
+        mu = rough_mu(inst, u0)
+        calls = Counter()
+        for name in ("value", "gradient", "solve_box"):
+
+            def counted(*args, _f=getattr(inst, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(inst, name, counted)
+        _, summary = run_flow(inst, u0, 0.01 / mu, 50.0 / mu)
+        assert summary.converged and calls["solve_box"] > summary.steps
+        assert calls["gradient"] == calls["solve_box"] + 1
+        assert calls["value"] == 2 * (summary.steps + 1)
 
 
 class TestLocalSlope:

@@ -247,8 +247,7 @@ class TestGuards:
         ids=["matrix-1e300", "pdirichlet1d-1e305"],
     )
     def test_huge_start_converges(self, inst, u0, lam):
-        # Phi of the start overflows, and so does the inner report's
-        # objective scale s^q; the report takes it as inf, not an OverflowError
+        # Phi of the start overflows, yet the scheme converges
         with pytest.warns(RuntimeWarning, match="overflow"):
             _, summary = iterate(inst, u0)
         assert summary.converged

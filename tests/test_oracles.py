@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 import rayflow.oracles
+import rayflow.spaces
 from helpers import hilbert_closed_form
 from rayflow.errors import DegenerateInputError
 from rayflow.iterate import iterate
 from rayflow.oracles import (
     _round_robin,
     _spg,
+    _unit,
     direct_rayleigh_min,
     eigen_residual,
     oracle_lambda,
@@ -242,6 +244,26 @@ class TestDirectRayleighMin:
         _, lam, cert = _spg(inst, np.linspace(-1.0, 1.0, 11), 1e-8, 800)
         assert cert <= 1e-8 and len(points) > 10
         assert len(quotients) <= len(points) + 1
+
+    def test_unit_solves_one_shift(self, monkeypatch):
+        # the shift the quotient norm solves also recentres the point
+        calls = []
+        for module in (rayflow.spaces, rayflow.oracles):
+
+            def counted(u, space, _f=module.optimal_shift):
+                calls.append(1)
+                return _f(u, space)
+
+            monkeypatch.setattr(module, "optimal_shift", counted)
+        inst = NeumannQuotient1D(3.0, 11)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            u = rng.standard_normal(11) + 2.0
+            calls.clear()
+            t = _unit(inst, u)
+            assert len(calls) == 1
+            assert np.ptp(t - u / inst.space.norm(u)) <= 1e-12  # the class of u, scaled
+            assert inst.space.norm(t) == pytest.approx(1.0, rel=1e-14)
 
     def test_poincare_with_oracle_constant(self):
         rng = np.random.default_rng(2)

@@ -21,17 +21,17 @@ from rayflow.spaces import SpaceKind, smoothed_curvature
 RNG = np.random.default_rng(42)
 
 
-def sample_instances(eps=0.0):
+def sample_instances():
     out = []
     for p in (1.5, 2.0, 3.0):
         out += [
-            PDirichlet1D(p, 9, eps=eps),
-            PDirichlet2D(p, 3, eps=eps),
-            FractionalSeminorm1D(p, 8, s=0.6, eps=eps),
-            Robin1D(p, 8, beta=0.5, eps=eps),
-            NeumannQuotient1D(p, 8, eps=eps),
-            SupDirichlet1D(p, 9, eps=eps),
-            Steklov1D(p, 8, eps=eps),
+            PDirichlet1D(p, 9),
+            PDirichlet2D(p, 3),
+            FractionalSeminorm1D(p, 8, s=0.6),
+            Robin1D(p, 8, beta=0.5),
+            NeumannQuotient1D(p, 8),
+            SupDirichlet1D(p, 9),
+            Steklov1D(p, 8),
         ]
     out.append(MatrixQuadratic([[2.0, 1.0], [1.0, 3.0]]))
     return out
@@ -68,12 +68,11 @@ class TestGradients:
         for inst in sample_instances():
             np.testing.assert_array_equal(inst.gradient(np.zeros(inst.space.dim)), 0.0)
 
-    @pytest.mark.parametrize("eps", [0.0, 1e-8])
-    def test_finite_differences(self, eps):
+    def test_finite_differences(self):
         # central differences at step 1e-6 reproduce the pairing-weighted
         # analytic gradient to 1e-5 relative
         rng = np.random.default_rng(7)
-        for inst in sample_instances(eps=eps):
+        for inst in sample_instances():
             w = inst.space.pairing_weights()
             for _ in range(3):
                 u = rng.standard_normal(inst.space.dim)
@@ -276,12 +275,11 @@ class TestDiscretizationalOracles:
         assert inst.value(u) == pytest.approx(h * h / 3.0 * total, rel=1e-12)
 
     @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 8.0])
-    @pytest.mark.parametrize("eps", [0.0, 1e-3])
     @pytest.mark.parametrize("n", [1, 5, 31])
-    def test_fractional_collar_weight_matches_extended_sums(self, p, eps, n):
+    def test_fractional_collar_weight_matches_extended_sums(self, p, n):
         # value, gradient and Hessian straight from the double sums over the
         # 3n zero-extended nodes, against the interior kernel plus collar weight
-        inst = FractionalSeminorm1D(p, n, s=0.3, eps=eps)
+        inst = FractionalSeminorm1D(p, n, s=0.3)
         h = inst.h
         x = np.arange(1 - n, 2 * n + 1) * h
         d = np.abs(x[:, None] - x[None, :])
@@ -296,14 +294,10 @@ class TestDiscretizationalOracles:
         z = np.zeros(3 * n)
         z[interior] = u
         t = z[:, None] - z[None, :]
-        if eps == 0.0:
-            phi, dphi = np.abs(t) ** p, np.sign(t) * np.abs(t) ** (p - 1.0)
-        else:
-            phi = (t * t + eps * eps) ** (p / 2.0) - eps**p
-            dphi = (t * t + eps * eps) ** ((p - 2.0) / 2.0) * t
+        phi, dphi = np.abs(t) ** p, np.sign(t) * np.abs(t) ** (p - 1.0)
         value = h * h / p * np.sum(phi * kernel)
         grad = 2.0 * h * np.sum((dphi * kernel)[interior], axis=1)
-        m = (smoothed_curvature(t, p, eps) * kernel)[interior]
+        m = (smoothed_curvature(t, p) * kernel)[interior]
         hess = 2.0 * h * h * (np.diag(m.sum(axis=1)) - m[:, interior])
         assert inst.value(u) == pytest.approx(value, rel=1e-12)
         assert np.max(np.abs(inst.gradient(u) - grad)) <= 1e-12 * np.max(np.abs(grad))
