@@ -11,6 +11,8 @@ direction is the Newton direction wherever the instance has a Hessian
 (``ProblemInstance.hessian``: a tridiagonal band for the 1D kinds, solved
 by a Thomas sweep, and a dense matrix for the fractional and matrix
 kinds); the movement solve adds the diagonal curvature of its penalty.
+That penalty is the exact ||v - g||^p / (p tau^(p-1)) for every p, so a
+movement solve's residual is the one of the scheme's own step.
 The movement solve starts at the caller's warm start (``run_flow``
 passes its predicted next state) or else at the anchor g.  Both movement
 steps take the tolerance scale ||dPhi(g)||_* from the caller's slope at g
@@ -53,7 +55,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, NumericsError
 from .problems import ProblemInstance, _power_sum
-from .spaces import SpaceDescriptor, SpaceKind, _scaled_pnorm, smoothed_curvature, smoothed_kernel
+from .spaces import SpaceKind, _scaled_pnorm, signed_power, smoothed_curvature
 
 __all__ = ["SolveReport", "descend", "minimize_phi_minus_linear", "minimize_movement"]
 
@@ -82,6 +84,9 @@ class SolveReport:
     iterations) and for the sup-norm movement step (``iters`` then counts
     its exact box solves), "descent" for ``descend``.  ``newton_steps``
     counts the descent iterations that took the Newton direction.
+    ``grad_dual_norm`` is the residual at the minimizer; for a movement
+    step it is the one of the exact step, dPhi(v) + J_p((v - g)/tau) = 0
+    (on sup spaces, the box KKT violation plus the radius mismatch).
     ``slope`` is ||dPhi||_* at a movement step's minimizer, from a gradient
     the step evaluated there; None for the phi-minus-linear solve and for
     an anchor whose scale^(p-1) leaves the normal double range.
@@ -336,29 +341,28 @@ def minimize_phi_minus_linear(inst: ProblemInstance, xi, grad_tol: float = 1e-9,
     return SolveReport(scale * v, float(s * resid), iters, ok, newton_steps=newton.steps)
 
 
-def _movement_penalty(space: SpaceDescriptor, g, tau, p, eps):
-    """Value, gradient and Euclidean curvature (the diagonal of its Hessian)
-    of ||v - g||^p / (p tau^(p-1)) for the space norm.
+def _smooth_movement(inst, g, tau, grad_tol, ref, v0):
+    """The movement step by ``descend`` from v0, for the anchor g (both
+    normalized) with ref = ||dPhi(g)||_*.
 
-    ||u||^p is the power sum of u weighted by m: the pairing weights, or on
-    trace spaces 1 on the boundary nodes and 0 inside.  Differences off the
+    The penalty ||v - g||^p / (p tau^(p-1)) is exact for every p.  ||u||^p
+    is the power sum of u weighted by m: the pairing weights, or on trace
+    spaces 1 on the boundary nodes and 0 inside.  Differences off the
     boundary are zeroed, so the dual gradient (m/w) times the kernel is the
     kernel itself (w is 1 on the boundary), and the p < 2 curvature floor
-    sees the boundary only.
+    of the Newton direction sees the boundary only.
 
     Quotient spaces use the same plain penalty: Phi is shift-invariant, so
     the unconstrained minimizer settles on the representative whose
     movement kernel has zero weighted mean, which is exactly the quotient
-    duality-map inclusion (no per-evaluation shift solves needed).
-
-    For p < 2 the power kernel is eps-smoothed (its curvature is unbounded
-    through zero movement); eps is scaled to the expected per-step movement,
-    so the bias is far below the scheme's O(tau) accuracy.  Sup spaces are
-    handled separately by the exact box reformulation.
+    duality-map inclusion (no per-evaluation shift solves needed).  The
+    report's slope is read from the gradient at descend's last accepted
+    point.
     """
+    space, p = inst.space, inst.exponent.p
     c = tau ** (p - 1.0)
     trace = space.kind is SpaceKind.TRACE_BOUNDARY
-    m = space.pairing_weights()
+    w = m = space.pairing_weights()
     if trace:
         m = np.zeros(space.dim)
         m[list(space.boundary)] = 1.0
@@ -367,43 +371,19 @@ def _movement_penalty(space: SpaceDescriptor, g, tau, p, eps):
         return (v - g) * m if trace else v - g
 
     def value(v):
-        return _power_sum(diff(v), p, m, eps) / (p * c)
-
-    def grad(v):
-        return smoothed_kernel(diff(v), p, eps) / c
-
-    def curvature(v):
-        return m * smoothed_curvature(diff(v), p, eps) / c
-
-    return value, grad, curvature
-
-
-def _smooth_movement(inst, g, tau, grad_tol, ref, v0):
-    """The movement step by ``descend`` from v0, for the anchor g (both
-    normalized) with ref = ||dPhi(g)||_*.  The report's slope is read from
-    the gradient at descend's last accepted point."""
-    space = inst.space
-    p, q = inst.exponent.p, inst.exponent.q
-    # the kernel smoothing scale is tied to the expected per-step movement;
-    # 1e-5 of it stays far below the scheme's O(tau) accuracy while keeping
-    # the p < 2 penalty curvature finite where v = g (the start when no
-    # prediction is given)
-    move_scale = max(tau * ref ** (q - 1.0), 1e-300)
-    eps_pen = 0.0 if p >= 2.0 else 1e-5 * move_scale
-    pen_value, pen_grad, pen_curvature = _movement_penalty(space, g, tau, p, eps_pen)
-
-    def value(v):
-        return inst.value(v) + pen_value(v)
+        return inst.value(v) + _power_sum(diff(v), p, m) / (p * c)
 
     last = [None, None]  # the point of the last gradient call and dPhi there
 
     def grad(v):
         last[:] = v, inst.gradient(v)
-        return last[1] + pen_grad(v)
+        return last[1] + signed_power(diff(v), p - 1.0) / c
+
+    def curvature(v):
+        return m * smoothed_curvature(diff(v), p) / c
 
     tol = grad_tol * (1.0 + ref)
-    newton = _Newton(inst, pen_curvature)
-    w = space.pairing_weights()
+    newton = _Newton(inst, curvature)
     v, _, resid, iters, ok = descend(v0, value, grad, space.dual_norm, tol, MAX_ITERS, w, newton=newton)
     slope = space.dual_norm(last[1] if v is last[0] else inst.gradient(v))
     return SolveReport(v, resid, iters, ok, newton_steps=newton.steps, slope=slope)
@@ -502,8 +482,9 @@ def minimize_movement(
 ) -> SolveReport:
     """One implicit minimizing-movement step from anchor g with step tau.
 
-    Minimizes Phi(v) + ||v - g||^p / (p tau^(p-1)); terminates when the
-    dual norm of the full objective gradient drops below
+    Minimizes Phi(v) + ||v - g||^p / (p tau^(p-1)), the exact penalty for
+    every p; terminates when the dual norm of the full objective gradient,
+    the residual of dPhi(v) + J_p((v - g)/tau) = 0, drops below
     grad_tol * (1 + ||grad Phi(g)||_*).  The smooth path starts ``descend``
     at the warm start ``init`` (default: the anchor g); ``run_flow`` passes
     its predicted next state.  Both paths solve for the anchor normalized

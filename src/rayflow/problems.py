@@ -51,11 +51,9 @@ __all__ = [
 ]
 
 
-def _power_sum(t, p, weight=1.0, eps=0.0):
-    """sum of weight |t|^p, or of the eps-smoothed (t^2+eps^2)^(p/2) - eps^p."""
-    if eps == 0.0:
-        return float(np.sum(np.abs(t) ** p * weight))
-    return float(np.sum(((t * t + eps * eps) ** (p / 2.0) - eps**p) * weight))
+def _power_sum(t, p, weight=1.0):
+    """sum of weight |t|^p."""
+    return float(np.sum(np.abs(t) ** p * weight))
 
 
 #: iterations allowed to the scalar flux root

@@ -33,7 +33,6 @@ __all__ = [
     "SpaceKind",
     "SpaceDescriptor",
     "signed_power",
-    "smoothed_kernel",
     "smoothed_curvature",
     "mu_from_lambda",
     "optimal_shift",
@@ -55,34 +54,21 @@ def _scaled_pnorm(v, w, p) -> float:
     return m * float(np.sum(w * np.abs(v / m) ** p) ** (1.0 / p))
 
 
-def smoothed_kernel(t, p, eps):
-    """The kernel |t|^(p-2) t, or its smoothing (t^2 + eps^2)^((p-2)/2) t."""
-    t = np.asarray(t, dtype=float)
-    if eps == 0.0:
-        return signed_power(t, p - 1.0)
-    return (t * t + eps * eps) ** ((p - 2.0) / 2.0) * t
-
-
 #: relative floor on |t| in the curvature weights for p < 2, where
 #: (p-1)|t|^(p-2) is unbounded at zero
 CURVATURE_FLOOR = 1e-8
 
 
-def smoothed_curvature(t, p, eps=0.0):
-    """The derivative of ``smoothed_kernel`` in t: (p-1)|t|^(p-2), or
-    (t^2 + eps^2)^((p-4)/2) ((p-1) t^2 + eps^2) when smoothed.
-
-    For p < 2, |t| is floored at CURVATURE_FLOOR times max |t| over the
+def smoothed_curvature(t, p):
+    """(p-1)|t|^(p-2), the derivative of the kernel |t|^(p-2) t, with a floor
+    for p < 2: there |t| is floored at CURVATURE_FLOOR times max |t| over the
     array, so the weights stay finite unless every entry is zero.
     """
     a = np.abs(np.asarray(t, dtype=float))
     if p < 2.0:
         a = np.maximum(a, CURVATURE_FLOOR * a.max(initial=0.0))
     with np.errstate(divide="ignore"):
-        if eps == 0.0:
-            return (p - 1.0) * a ** (p - 2.0)
-        s = a * a + eps * eps
-        return s ** ((p - 4.0) / 2.0) * ((p - 1.0) * a * a + eps * eps)
+        return (p - 1.0) * a ** (p - 2.0)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,19 @@
-"""The benchmark's tracer finds every name it wraps where it looks it up.
+"""The benchmark's tracer finds every name it wraps where it looks it up,
+and every field it reads off their return values.
 
 ``perfbench/tracing.py`` wraps rayflow functions by module and attribute
-name; a rename or a dropped import in ``src`` would show there only as an
-error inside a traced run.
+name and counts iterations and steps from the reports they return; a rename
+or a dropped import in ``src`` would show there only as an error inside a
+traced run.
 """
 
+import dataclasses
 import types
 from pathlib import Path
+
+from rayflow.flow import FlowSummary
+from rayflow.inner import SolveReport
+from rayflow.iterate import RunSummary
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -23,4 +30,15 @@ def test_every_traced_name_is_where_the_tracer_looks():
     targets = _tracing().targets()
     assert len(targets) > 10
     missing = [(getattr(owner, "__name__", owner), attr) for owner, attr, _ in targets if attr not in vars(owner)]
+    assert missing == []
+
+
+def test_every_field_the_tracer_reads_exists():
+    read = {SolveReport: ("iters", "converged"), RunSummary: ("iters",), FlowSummary: ("steps",)}
+    missing = [
+        (cls.__name__, name)
+        for cls, names in read.items()
+        for name in names
+        if name not in {f.name for f in dataclasses.fields(cls)}
+    ]
     assert missing == []

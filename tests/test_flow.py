@@ -258,9 +258,12 @@ class TestPredictedStart:
         mu = rough_mu(inst, u0)
         return run_flow(inst, u0, 0.01 / mu, 50.0 / mu)
 
-    def test_p8_flow_converges(self):
-        # from the anchor, a movement solve of this run stalls at step 30
-        inst = PDirichlet1D(8.0, 31)
+    @pytest.mark.parametrize("p", [8.0, 1.2])
+    def test_dirichlet_flow_converges(self, p):
+        # a movement solve of the p = 8 run stalls at step 30 if it starts at
+        # the anchor, and one of the p = 1.2 run at step 5 if its penalty is
+        # eps-smoothed
+        inst = PDirichlet1D(p, 31)
         trace, summary = self._run(inst, np.ones(31))
         _, ref = iterate(inst, np.ones(31))
         assert summary.converged

@@ -360,21 +360,37 @@ class TestMovement:
             objective = inst.value(v) + inst.space.norm(v - g) ** p / (p * 0.05 ** (p - 1.0))
             assert objective <= inst.value(g) * (1.0 + 1e-9) + 1e-12
 
-    def test_quotient_movement_solves_quotient_inclusion(self):
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            NeumannQuotient1D(3.0, 9),
+            PDirichlet1D(1.5, 9),
+            Robin1D(1.2, 9),
+            Steklov1D(1.5, 9),
+            FractionalSeminorm1D(1.5, 9),
+        ],
+        ids=["neumann-p3", "pdirichlet-p1.5", "robin-p1.2", "steklov-p1.5", "fractional-p1.5"],
+    )
+    def test_movement_solves_exact_inclusion(self, inst):
         # the returned step satisfies grad Phi(v) + J_p((v-g)/tau) = 0 with
-        # the quotient duality map (zero-weighted-mean movement kernel)
-        inst = NeumannQuotient1D(3.0, 9)
+        # the exact p-th power penalty; on quotient spaces the plain movement
+        # kernel is the duality map (zero weighted mean), on trace spaces J_p
+        # acts on the boundary only
         rng = np.random.default_rng(4)
         g = rng.standard_normal(9)
         tau = 0.05
         rep = minimize_movement(inst, g, tau, 1e-11)
         v = rep.minimizer
         m = (v - g) / tau
-        kernel = signed_power(m, inst.p - 1.0)
-        w = inst.space.pairing_weights()
-        assert abs(np.sum(w * kernel)) <= 1e-8 * np.sum(w * np.abs(kernel))
+        space = inst.space
+        if space.kind is SpaceKind.QUOTIENT_LP:
+            kernel = signed_power(m, inst.p - 1.0)
+            w = space.pairing_weights()
+            assert abs(np.sum(w * kernel)) <= 1e-8 * np.sum(w * np.abs(kernel))
+        else:
+            kernel = space.duality_map(m)
         resid = inst.gradient(v) + kernel
-        assert inst.space.dual_norm(resid) <= 1e-8 * max(1.0, inst.space.dual_norm(inst.gradient(v)))
+        assert space.dual_norm(resid) <= 1e-8 * max(1.0, space.dual_norm(inst.gradient(v)))
 
     def test_sup_movement_beats_local_grid_search(self):
         # brute-force competitor: no nearby candidate does better
