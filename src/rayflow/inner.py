@@ -41,9 +41,10 @@ fractional and matrix instances have no exact solve and run descend alone.
 The sup-norm movement step (``SupDirichlet1D``) runs no descent: for each
 trial radius rho the instance solves the energy over the box
 |v - g|_inf <= rho exactly (``solve_box``, the discrete taut string of the
-1D Dirichlet energy), and a bracketed scalar root on rho balances the
-active multiplier mass against the movement penalty.  No descent loop runs
-apart from ``descend``: the sup oracle in ``oracles`` is a closed form.
+1D Dirichlet energy), and ``problems._increasing_root``, on a bracket
+grown around the last step's radius, balances the active multiplier mass
+against the movement penalty.  No descent loop runs apart from
+``descend``: the sup oracle in ``oracles`` is a closed form.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, NumericsError
-from .problems import ProblemInstance, _power_sum
+from .problems import ProblemInstance, _increasing_root, _power_sum
 from .spaces import SpaceKind, _scaled_pnorm, signed_power, smoothed_curvature
 
 __all__ = ["SolveReport", "descend", "minimize_phi_minus_linear", "minimize_movement"]
@@ -82,8 +83,9 @@ class SolveReport:
     ``path`` names the solver that produced the minimizer: "exact" for the
     closed-form gradient solve (``iters`` then counts its scalar root
     iterations) and for the sup-norm movement step (``iters`` then counts
-    its exact box solves), "descent" for ``descend``.  ``newton_steps``
-    counts the descent iterations that took the Newton direction.
+    its exact box solves, bracketing included), "descent" for ``descend``.
+    ``newton_steps`` counts the descent iterations that took the Newton
+    direction.
     ``grad_dual_norm`` is the residual at the minimizer; for a movement
     step it is the one of the exact step, dPhi(v) + J_p((v - g)/tau) = 0
     (on sup spaces, the box KKT violation plus the radius mismatch).
@@ -416,16 +418,22 @@ def _sup_movement(inst, g, tau, grad_tol, ref, carry: dict):
     minimization over the box |v - g|_inf <= rho (all nonsmoothness absorbed
     by the constraint), which the instance solves exactly (``solve_box``),
     and a scalar optimality condition on rho: the active multiplier mass
-    must equal rho^(p-1)/tau^(p-1).  The root is bracketed and polished with
-    safeguarded secant steps; the multiplier mass is nonincreasing in rho.
-    The KKT violation, the mass and the report's slope are measured from
-    the gradient at each box point, so the residual is never assumed zero.
-    The last radius is kept in ``carry["sup_rho"]`` to start the next step.
+    must equal rho^(p-1)/tau^(p-1).  The mass is nonincreasing in rho, so
+    the mismatch G(rho) is decreasing; the radius is bracketed from the one
+    in ``carry["sup_rho"]`` (the last step's, which is usually within about
+    1% of the root) by a factor that starts at 1.01 and squares up to 2, and
+    then found by ``_increasing_root`` on -G.  The KKT violation, the mass
+    and the report's slope are measured from the gradient at each box
+    point, so the residual is never assumed zero.  The step reports the box
+    point of lowest residual and stops (G returns an exact 0.0) once that
+    residual is at most 0.75 of the tolerance; ``iters`` counts every box
+    solve, bracketing included.
     """
     p, q = inst.exponent.p, inst.exponent.q
     c = tau ** (p - 1.0)
     tol = grad_tol * (1.0 + ref)
     evals = 0
+    best = []  # residual, rho, v and dPhi(v) of the lowest-residual box point
 
     def G(rho):
         nonlocal evals
@@ -434,47 +442,30 @@ def _sup_movement(inst, g, tau, grad_tol, ref, carry: dict):
         evals += 1
         gr = inst.gradient(v)
         viol, mass = _box_kkt(v, gr, lo, hi)
-        return mass - rho ** (p - 1.0) / c, v, viol, gr
+        mismatch = mass - rho ** (p - 1.0) / c
+        if not best or viol + abs(mismatch) < best[0]:
+            best[:] = viol + abs(mismatch), rho, v, gr
+        return 0.0 if best[0] <= 0.75 * tol else mismatch
 
-    rho = max(carry.get("sup_rho", tau * ref ** (q - 1.0)), 1e-300)
-    g_mid, v_mid, viol_mid, gr_mid = G(rho)
-    # bracket the radius: mass decreases with rho, the power term grows
-    lo_r, hi_r = rho, rho
-    g_lo, g_hi = g_mid, g_mid
+    lo_r = hi_r = max(carry.get("sup_rho", tau * ref ** (q - 1.0)), 1e-300)
+    g_lo = g_hi = G(lo_r)
+    factor = 1.01
     for _ in range(200):
-        if g_lo > 0.0:
-            break
-        lo_r *= 0.5
-        g_lo = G(lo_r)[0]
-    for _ in range(200):
-        if g_hi < 0.0:
-            break
-        hi_r *= 2.0
-        g_hi = G(hi_r)[0]
-
-    def report(v, gr, resid):
-        return SolveReport(v, resid, evals, resid <= tol, "exact", slope=inst.space.dual_norm(gr))
-
-    if not (g_lo > 0.0 > g_hi):
-        return report(v_mid, gr_mid, viol_mid + abs(g_mid))
-    v_best, gr_best, rho_best, resid_best = v_mid, gr_mid, rho, math.inf
-    for it in range(200):
-        span = hi_r - lo_r
-        mid = hi_r - g_hi * span / (g_hi - g_lo) if it % 2 == 0 and g_hi != g_lo else 0.5 * (lo_r + hi_r)
-        if not (lo_r < mid < hi_r):
-            mid = 0.5 * (lo_r + hi_r)
-        g_m, v_m, viol_m, gr_m = G(mid)
-        resid = viol_m + abs(g_m)
-        if resid < resid_best:
-            v_best, gr_best, rho_best, resid_best = v_m, gr_m, mid, resid
-        if resid <= 0.75 * tol or span <= 1e-15 * hi_r:
-            break
-        if g_m > 0.0:
-            lo_r, g_lo = mid, g_m
+        if g_hi > 0.0:
+            lo_r, g_lo = hi_r, g_hi
+            hi_r *= factor
+            g_hi = G(hi_r)
+        elif g_lo < 0.0:
+            hi_r, g_hi = lo_r, g_lo
+            lo_r /= factor
+            g_lo = G(lo_r)
         else:
-            hi_r, g_hi = mid, g_m
-    carry["sup_rho"] = rho_best
-    return report(v_best, gr_best, resid_best)
+            break
+        factor = min(factor * factor, 2.0)
+    if g_lo > 0.0 > g_hi:
+        _increasing_root(lambda r: -G(r), lo_r, hi_r, ends=(-g_lo, -g_hi))
+    resid, carry["sup_rho"], v, gr = best
+    return SolveReport(v, resid, evals, resid <= tol, "exact", slope=inst.space.dual_norm(gr))
 
 
 def minimize_movement(
@@ -494,7 +485,7 @@ def minimize_movement(
     report's slope scales back the same way, while scale^(p-1) is a normal
     double.  The sup path ignores ``init``: ``run_flow`` passes a mutable
     ``carry`` dict, which holds only the sup radius of the last step, and
-    that radius starts the next sup step's root search.
+    the next sup step grows its radius bracket from there.
     """
     if not (tau > 0.0):
         raise DegenerateInputError(f"step size tau must be > 0, got {tau}")

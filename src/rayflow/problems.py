@@ -56,22 +56,27 @@ def _power_sum(t, p, weight=1.0):
     return float(np.sum(np.abs(t) ** p * weight))
 
 
-#: iterations allowed to the scalar flux root
+#: iterations allowed to a scalar root (the flux closures, the sup radius)
 ROOT_MAX_ITERS = 200
 
 
-def _increasing_root(f, lo, hi):
+def _increasing_root(f, lo, hi, ends=None):
     """Root of an increasing scalar function with f(lo) <= 0 <= f(hi).
 
     Illinois-weighted secant steps (the stale end's value is halved when
-    one end moves twice in a row), with bisection whenever the secant point
-    leaves the open bracket or the bracket has not halved over the last two
-    steps.  Stops at a residual within 4 ulp of |f(lo)| + |f(hi)|, which
-    bounds the sum of the absolute terms at any point of the bracket for the
-    flux closures, or once no float lies strictly inside the bracket.
-    Returns (root, iterations); the root is nan if f is not finite.
+    one end moves twice in a row; Dowell and Jarratt, BIT 1971), with
+    bisection whenever the secant point leaves the open bracket or the
+    bracket has not halved over the last two steps.  Stops once no float
+    lies strictly inside the bracket, or at a residual within 4 ulp of
+    |f(lo)| + |f(hi)|, which bounds the sum of the absolute terms at any
+    point of the bracket for the flux closures; an exact 0.0 always stops
+    it, and the sup movement step returns one once its own test passes.
+    ``ends`` = (f(lo), f(hi)) if the caller has them; f is then not called
+    at the ends again.  The callers are the exact gradient solves' flux
+    closures and the radius of ``inner._sup_movement``.  Returns (root,
+    iterations), not counting the ends; the root is nan if f is not finite.
     """
-    f_lo, f_hi = f(lo), f(hi)
+    f_lo, f_hi = (f(lo), f(hi)) if ends is None else ends
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
         return math.nan, 0
     if f_lo >= 0.0 or f_hi <= 0.0:

@@ -188,11 +188,18 @@ class TestSupFlow:
         v = summary.limit_vec
         np.testing.assert_allclose(v / v.max(), 1.0, rtol=1e-12)
 
-    def test_one_gradient_per_box_solve(self, monkeypatch):
+    #: box solves of these flows under the alternating secant/bisection
+    #: radius search that the shared Illinois root replaced
+    BOX_SOLVES_BEFORE = {1.5: 1718, 3.0: 1278, 8.0: 1604}
+
+    @pytest.mark.parametrize("p", sorted(BOX_SOLVES_BEFORE))
+    def test_one_gradient_per_box_solve(self, monkeypatch, p):
         # the row-0 slope, then one gradient per box solve (its KKT check):
         # the tolerance scale and the next slope reuse them; Phi is evaluated
         # twice per row (its value and its quotient), never by the step
-        inst = SupDirichlet1D(3.0, 15)
+        inst = SupDirichlet1D(p, 15)
+        i = np.arange(1, 16)
+        tent = np.minimum(i, 16 - i) / 8.0
         u0 = start_vector(inst, "auto", 0)
         mu = rough_mu(inst, u0)
         calls = Counter()
@@ -207,6 +214,11 @@ class TestSupFlow:
         assert summary.converged and calls["solve_box"] > summary.steps
         assert calls["gradient"] == calls["solve_box"] + 1
         assert calls["value"] == 2 * (summary.steps + 1)
+        assert calls["solve_box"] <= 0.8 * self.BOX_SOLVES_BEFORE[p]
+        # the flow ends on the tent itself: lambda_hat is its quotient to the
+        # last bit, and that is 2^p rounded (one ulp below it at p = 1.5)
+        assert summary.lambda_hat == inst.rayleigh(tent)
+        assert abs(summary.lambda_hat - 2.0**p) <= np.spacing(2.0**p)
 
 
 class TestLocalSlope:

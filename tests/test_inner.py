@@ -291,6 +291,24 @@ class TestExactBoxSolve:
         assert rep.converged
         assert rep.slope == pytest.approx(inst.space.dual_norm(inst.gradient(rep.minimizer)), rel=1e-13)
 
+    @pytest.mark.parametrize("off", [None, 1e-3, 1e3])
+    def test_sup_movement_iters_count_every_box_solve(self, monkeypatch, off):
+        # perfbench sums a sup step's iters as inner.box_solves: every
+        # solve_box call counts, the bracketing ones included
+        inst = SupDirichlet1D(3.0, 15)
+        g = np.random.default_rng(4).standard_normal(15)
+        carry = {}
+        minimize_movement(inst, g, 0.01, 1e-11, carry)
+        if off is None:
+            carry.clear()  # the first step's radius guess
+        else:
+            carry["sup_rho"] *= off  # a carried radius far from the root
+        calls = []
+        solve_box = inst.solve_box
+        monkeypatch.setattr(inst, "solve_box", lambda lo, hi: calls.append(lo) or solve_box(lo, hi))
+        rep = minimize_movement(inst, g, 0.01, 1e-11, carry)
+        assert rep.converged and rep.iters == len(calls) > 2
+
 
 class TestMovement:
     def test_scalar_quadratic_closed_form(self):

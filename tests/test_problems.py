@@ -14,6 +14,7 @@ from rayflow.problems import (
     Robin1D,
     Steklov1D,
     SupDirichlet1D,
+    _increasing_root,
     assemble,
 )
 from rayflow.spaces import SpaceKind, smoothed_curvature
@@ -302,3 +303,66 @@ class TestDiscretizationalOracles:
         assert inst.value(u) == pytest.approx(value, rel=1e-12)
         assert np.max(np.abs(inst.gradient(u) - grad)) <= 1e-12 * np.max(np.abs(grad))
         assert np.max(np.abs(inst.hessian(u) - hess)) <= 1e-12 * np.max(np.abs(hess))
+
+
+class TestIncreasingRoot:
+    """The scalar root shared by the flux closures and the sup movement radius."""
+
+    @staticmethod
+    def _counted(f):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        return counted, calls
+
+    def test_ends_given_are_not_evaluated(self):
+        f, calls = self._counted(lambda x: x**3 - 2.0)
+        root, iters = _increasing_root(f, 0.0, 4.0, ends=(-2.0, 62.0))
+        assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-14)
+        assert len(calls) == iters and 0.0 not in calls and 4.0 not in calls
+        f, calls = self._counted(lambda x: x**3 - 2.0)
+        assert _increasing_root(f, 0.0, 4.0) == (root, iters)
+        assert len(calls) == iters + 2 and calls[:2] == [0.0, 4.0]
+
+    def test_exact_zero_stops(self):
+        # a plateau of exact zeros around 1, far wider than the residual
+        # stop, which its first secant point x = 1 already reaches
+        f, calls = self._counted(lambda x: 0.0 if abs(x - 1.0) <= 0.5 else x - 1.0)
+        assert _increasing_root(f, 0.0, 10.0, ends=(-1.0, 9.0)) == (1.0, 1)
+        assert calls == [1.0]
+
+    def test_non_finite_value_returns_nan(self):
+        root, iters = _increasing_root(lambda x: math.nan if 0.0 < x < 2.0 else x - 1.0, 0.0, 2.0)
+        assert math.isnan(root) and iters == 1
+        root, iters = _increasing_root(lambda x: x - 1.0, 0.0, 2.0, ends=(-1.0, math.inf))
+        assert math.isnan(root) and iters == 0
+
+    def test_bracket_without_inner_float_returns_an_end(self):
+        lo, hi = 1.0, math.nextafter(1.0, 2.0)
+        f, calls = self._counted(lambda x: -1.0 if x <= lo else 1.0)
+        root, iters = _increasing_root(f, lo, hi)
+        assert root in (lo, hi) and iters == 0 and calls == [lo, hi]
+
+    def test_steep_one_sided_function_within_fixed_evaluations(self):
+        # x^20 - 1e-3 on [0, 2]: the right end's value is 1e9 times the left
+        # one's, so plain secant steps (regula falsi) creep up from the left
+        # end; the Illinois halving of the stale end gets through in 20
+        def f(x):
+            return x**20 - 1e-3
+
+        budget = 30
+        counted, calls = self._counted(f)
+        root, iters = _increasing_root(counted, 0.0, 2.0)
+        assert len(calls) == iters + 2 <= budget
+        ftol = 4.0 * np.finfo(float).eps * (abs(f(0.0)) + abs(f(2.0)))
+        assert abs(f(root)) <= ftol
+        assert root == pytest.approx(1e-3 ** (1.0 / 20.0), rel=1e-9)
+        lo, hi, f_lo, f_hi = 0.0, 2.0, f(0.0), f(2.0)
+        for _ in range(budget - 2):
+            x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            fx = f(x)
+            assert abs(fx) > ftol
+            lo, f_lo, hi, f_hi = (x, fx, hi, f_hi) if fx < 0.0 else (lo, f_lo, x, fx)
