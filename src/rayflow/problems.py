@@ -4,17 +4,25 @@ Each problem instance couples an energy value/gradient pair with the normed
 space its Rayleigh quotient is taken in:
 
 * ``MatrixQuadratic``       0.5 u'Au on Euclidean R^n (p = 2 only)
-* ``PDirichlet1D``          (h/p) sum |du/h|^p, zero boundary, weighted-Lp norm
-* ``PDirichlet2D``          same on a uniform square grid with |grad u|
+* ``PDirichlet2D``          (h^2/p) sum |grad u|^p on a uniform square grid,
+                            zero boundary, weighted-Lp norm
 * ``FractionalSeminorm1D``  (h^2/p) sum_{i!=j} |u_i-u_j|^p / |x_i-x_j|^(1+ps),
                             zero-extended on a collar of 2n nodes, which
                             folds into a per-node weight on |u_i|^p
-* ``Robin1D``               Dirichlet energy + (beta/p)(|u_1|^p + |u_n|^p),
-                            free endpoints, weighted-Lp norm
-* ``NeumannQuotient1D``     Dirichlet energy on the quotient-Lp space
-* ``SupDirichlet1D``        Dirichlet energy paired with the sup norm
-* ``Steklov1D``             full W-type energy (gradient + mass) paired with
-                            the boundary trace norm
+
+The five 1D difference kinds share one chain energy, the graph p-Laplacian
+energy (1/p) sum_e c_e |u_i - u_j|^p of a path: edges of weight h^(1-p)
+join neighbouring nodes, and ground edges join some nodes to a node held
+at 0.  The kinds differ in their ground edges and their space:
+
+* ``PDirichlet1D``          ground edges of weight h^(1-p) at both ends (the
+                            zero boundary values), weighted-Lp norm
+* ``SupDirichlet1D``        the same energy paired with the sup norm
+* ``Robin1D``               ground edges of weight beta at both ends of a
+                            free grid, weighted-Lp norm
+* ``NeumannQuotient1D``     no ground edges, quotient-Lp norm
+* ``Steklov1D``             a ground edge of weight h at every node (the
+                            mass term), boundary trace norm
 
 Gradients are returned in dual coordinates: the array g with
 d(value) = sum_i w_i g_i delta_i for the pairing weights w of the space.
@@ -193,47 +201,66 @@ class MatrixQuadratic(ProblemInstance):
         return self.matrix
 
 
-class _Dirichlet1DBase(ProblemInstance):
-    """Shared forward-difference machinery for the 1D gradient energies."""
+class _Chain1D(ProblemInstance):
+    """The chain energy of the 1D difference kinds (see the module docstring).
 
-    #: pad the vector with zero boundary values before differencing
-    zero_padded = True
+    Phi(u) = (h/p) sum |Du/h|^p + (m/p) sum_{i in ground} |u_i|^p, with
+    m = ``mass``.  ``zero_padded`` grids have n interior nodes of (0, L),
+    h = L/(n+1), and both ends held at zero, which adds the two end
+    differences; free grids have n >= 2 nodes spanning [0, L], h = L/(n-1),
+    and no flux through their ends.  Each kind is a constructor: its grid,
+    space and ground edges, plus its exact solves.
+    """
 
-    def __init__(self, n, L, exponent, space):
-        super().__init__(exponent, space)
-        self.n = int(n)
-        self.L = float(L)
+    zero_padded = False
+    #: nodes with an edge of weight ``mass`` to the ground; None for none
+    ground = None
+    mass = 0.0
+
+    def __init__(self, p, n, L, space_kind, **space_args):
+        exp = Exponent(p)
+        self.n, self.L = int(n), float(L)
+        if not self.zero_padded and self.n < 2:
+            raise ConfigError(f"n: kind {self.kind!r} needs n >= 2, got {n}")
         self.h = L / (n + 1) if self.zero_padded else L / (n - 1)
+        # the sup space reads no cell weight: its pairing weights are 1
+        super().__init__(exp, SpaceDescriptor(space_kind, self.n, exp, weight=self.h, **space_args))
 
     def _diffs(self, u) -> np.ndarray:
         if self.zero_padded:
             u = np.concatenate(([0.0], u, [0.0]))
         return np.diff(u) / self.h
 
-    def _dirichlet_value(self, u) -> float:
-        return (self.h / self.p) * _power_sum(self._diffs(u), self.p)
+    def _free_ends(self, t) -> np.ndarray:
+        """t per difference, with a zero at each free end (no difference there)."""
+        return t if self.zero_padded else np.concatenate(([0.0], t, [0.0]))
 
-    def _dirichlet_grad_euclid(self, u) -> np.ndarray:
-        k = signed_power(self._diffs(u), self.p - 1.0)
-        if self.zero_padded:
-            return k[:-1] - k[1:]
-        g = np.zeros_like(u)
-        g[:-1] -= k
-        g[1:] += k
-        return g
+    def value(self, u) -> float:
+        u, p = self.space.check_dim(u), self.p
+        phi = (self.h / p) * _power_sum(self._diffs(u), p)
+        if self.ground is not None:
+            phi += (self.mass / p) * _power_sum(u[self.ground], p)
+        return phi
+
+    def _gradient(self, u) -> np.ndarray:
+        p = self.p
+        k = self._free_ends(signed_power(self._diffs(u), p - 1.0))
+        g = k[:-1] - k[1:]
+        if self.ground is not None:
+            g[self.ground] += self.mass * signed_power(u[self.ground], p - 1.0)
+        return g / self.space.pairing_weights()
 
     def hessian(self, u):
-        """The band of the difference energy: each difference adds its
-        curvature weight to the diagonal at its two nodes and subtracts it
-        from the off-diagonal entry between them (a padded boundary
-        difference touches one node)."""
-        c = smoothed_curvature(self._diffs(self.space.check_dim(u)), self.p) / self.h
-        if self.zero_padded:
-            return c[:-1] + c[1:], -c[1:-1]
-        diag = np.zeros(self.n)
-        diag[:-1] += c
-        diag[1:] += c
-        return diag, -c
+        """The band of the chain energy: each difference adds its curvature
+        weight to the diagonal at its two nodes and subtracts it from the
+        off-diagonal entry between them (a padded end difference touches one
+        node); each ground edge adds mass times its curvature at its node."""
+        u, p = self.space.check_dim(u), self.p
+        c = self._free_ends(smoothed_curvature(self._diffs(u), p) / self.h)
+        diag = c[:-1] + c[1:]
+        if self.ground is not None:
+            diag[self.ground] += self.mass * smoothed_curvature(u[self.ground], p)
+        return diag, -c[1:-1]
 
     def solve_gradient(self, xi):
         """The u with gradient(u) = xi, integrated along the flux.
@@ -241,9 +268,10 @@ class _Dirichlet1DBase(ProblemInstance):
         With b = w xi the Euclidean right-hand side and S its partial sums,
         the flux on the differences is k = c - S and the differences are
         |k|^(q-2) k; one boundary closure, increasing in the scalar c, fixes
-        c.  Zero padding: the right boundary value vanishes.  Robin: c is
-        the left boundary flux beta |u_1|^(p-2) u_1 and the right end must
-        balance, c + beta |u_n|^(p-2) u_n = sum b.  Neumann: c = 0, and the
+        c.  Zero padding: the right boundary value vanishes.  Ground edges
+        at both free ends (Robin, m = mass): c is the left ground flux
+        m |u_1|^(p-2) u_1 and the right end must balance,
+        c + m |u_n|^(p-2) u_n = sum b.  Neumann: c = 0, and the
         representative with u_1 = 0 is returned.  Returns (u, root
         iterations), or None if a value is not finite.
         """
@@ -266,34 +294,27 @@ class _Dirichlet1DBase(ProblemInstance):
                 iters = 0
                 u = h * np.concatenate(([0.0], np.cumsum(diffs(0.0, S[:-1]))))
             else:
-                beta = self.beta
+                m = self.mass
 
                 def closure(c):
-                    right = signed_power(c / beta, q - 1.0) + h * np.sum(diffs(c, S[:-1]))
-                    return float(c + beta * signed_power(right, p - 1.0) - S[-1])
+                    right = signed_power(c / m, q - 1.0) + h * np.sum(diffs(c, S[:-1]))
+                    return float(c + m * signed_power(right, p - 1.0) - S[-1])
 
                 c, iters = _increasing_root(closure, min(0.0, S.min()), max(0.0, S.max()))
-                u = signed_power(c / beta, q - 1.0) + h * np.concatenate(([0.0], np.cumsum(diffs(c, S[:-1]))))
+                u = signed_power(c / m, q - 1.0) + h * np.concatenate(([0.0], np.cumsum(diffs(c, S[:-1]))))
         return (u, iters) if np.all(np.isfinite(u)) else None
 
 
-class PDirichlet1D(_Dirichlet1DBase):
+
+class PDirichlet1D(_Chain1D):
     """p-Dirichlet energy on (0, L) with zero boundary, n interior nodes."""
 
     kind = "pdirichlet1d"
     zero_padded = True
+    space_kind = SpaceKind.WEIGHTED_LP
 
     def __init__(self, p, n, L=1.0):
-        exp = Exponent(p)
-        h = L / (n + 1)
-        space = SpaceDescriptor(SpaceKind.WEIGHTED_LP, n, exp, weight=h)
-        super().__init__(n, L, exp, space)
-
-    def value(self, u) -> float:
-        return self._dirichlet_value(self.space.check_dim(u))
-
-    def _gradient(self, u) -> np.ndarray:
-        return self._dirichlet_grad_euclid(u) / self.h
+        super().__init__(p, n, L, self.space_kind)
 
     def solve_box(self, lo, hi):
         """The discrete taut string: the minimizer of Phi over lo <= u <= hi.
@@ -339,98 +360,40 @@ class SupDirichlet1D(PDirichlet1D):
     """p-Dirichlet energy paired with the sup norm (requires p > n = 1)."""
 
     kind = "supdirichlet1d"
-
-    def __init__(self, p, n, L=1.0):
-        exp = Exponent(p)
-        space = SpaceDescriptor(SpaceKind.SUP, n, exp)
-        _Dirichlet1DBase.__init__(self, n, L, exp, space)
-
-    def _gradient(self, u) -> np.ndarray:
-        # sup-space pairing weights are 1, so dual coordinates are Euclidean
-        return self._dirichlet_grad_euclid(u)
+    space_kind = SpaceKind.SUP
 
 
-class Robin1D(_Dirichlet1DBase):
-    """Dirichlet energy plus boundary term (beta/p)(|u_1|^p + |u_n|^p).
-
-    Free endpoints: n nodes spanning [0, L], h = L/(n-1).
-    """
+class Robin1D(_Chain1D):
+    """Free endpoints with a ground edge of weight beta at each end: the
+    Dirichlet energy plus (beta/p)(|u_1|^p + |u_n|^p)."""
 
     kind = "robin1d"
-    zero_padded = False
 
     def __init__(self, p, n, L=1.0, beta=1.0):
         if beta <= 0.0:
             raise ConfigError("beta: Robin parameter must be > 0")
-        exp = Exponent(p)
-        h = L / (n - 1)
-        space = SpaceDescriptor(SpaceKind.WEIGHTED_LP, n, exp, weight=h)
-        super().__init__(n, L, exp, space)
-        self.beta = float(beta)
-
-    def value(self, u) -> float:
-        u = self.space.check_dim(u)
-        ends = np.array([u[0], u[-1]])
-        return self._dirichlet_value(u) + (self.beta / self.p) * _power_sum(ends, self.p)
-
-    def _gradient(self, u) -> np.ndarray:
-        g = self._dirichlet_grad_euclid(u)
-        g[0] += self.beta * signed_power(u[0], self.p - 1.0)
-        g[-1] += self.beta * signed_power(u[-1], self.p - 1.0)
-        return g / self.h
-
-    def hessian(self, u):
-        u = self.space.check_dim(u)
-        diag, off = super().hessian(u)
-        diag[[0, -1]] += self.beta * smoothed_curvature(u[[0, -1]], self.p)
-        return diag, off
+        super().__init__(p, n, L, SpaceKind.WEIGHTED_LP)
+        self.ground, self.mass = np.array([0, -1]), float(beta)
 
 
-class NeumannQuotient1D(_Dirichlet1DBase):
+class NeumannQuotient1D(_Chain1D):
     """Dirichlet energy with free endpoints on the quotient-Lp space."""
 
     kind = "neumann1d"
-    zero_padded = False
 
     def __init__(self, p, n, L=1.0):
-        exp = Exponent(p)
-        h = L / (n - 1)
-        space = SpaceDescriptor(SpaceKind.QUOTIENT_LP, n, exp, weight=h)
-        super().__init__(n, L, exp, space)
-
-    def value(self, u) -> float:
-        return self._dirichlet_value(self.space.check_dim(u))
-
-    def _gradient(self, u) -> np.ndarray:
-        return self._dirichlet_grad_euclid(u) / self.h
+        super().__init__(p, n, L, SpaceKind.QUOTIENT_LP)
 
 
-class Steklov1D(_Dirichlet1DBase):
-    """Gradient-plus-mass energy paired with the two-endpoint trace norm."""
+class Steklov1D(_Chain1D):
+    """Gradient-plus-mass energy (a ground edge of weight h at every node)
+    paired with the two-endpoint trace norm."""
 
     kind = "steklov1d"
-    zero_padded = False
 
     def __init__(self, p, n, L=1.0):
-        exp = Exponent(p)
-        h = L / (n - 1)
-        space = SpaceDescriptor(
-            SpaceKind.TRACE_BOUNDARY, n, exp, weight=h, boundary=(0, n - 1)
-        )
-        super().__init__(n, L, exp, space)
-
-    def value(self, u) -> float:
-        u = self.space.check_dim(u)
-        return self._dirichlet_value(u) + (self.h / self.p) * _power_sum(u, self.p)
-
-    def _gradient(self, u) -> np.ndarray:
-        g = self._dirichlet_grad_euclid(u) + self.h * signed_power(u, self.p - 1.0)
-        return g / self.space.pairing_weights()
-
-    def hessian(self, u):
-        u = self.space.check_dim(u)
-        diag, off = super().hessian(u)
-        return diag + self.h * smoothed_curvature(u, self.p), off
+        super().__init__(p, n, L, SpaceKind.TRACE_BOUNDARY, boundary=(0, n - 1))
+        self.ground, self.mass = slice(None), self.h
 
     def solve_gradient(self, xi):
         return None  # the mass term couples the nodes: no flux integration
@@ -643,7 +606,5 @@ def assemble(config: dict) -> ProblemInstance:
             kwargs["s"] = as_float("s", 0.5)
         if kind == "robin1d":
             kwargs["beta"] = as_float("beta", 1.0)
-        if kind in ("robin1d", "neumann1d", "steklov1d") and n < 2:
-            raise ConfigError(f"n: kind {kind!r} needs n >= 2, got {n}")
         inst = _KINDS[kind](**kwargs)
     return inst

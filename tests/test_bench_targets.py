@@ -9,8 +9,12 @@ traced run.
 
 import dataclasses
 import types
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
+from rayflow import problems
 from rayflow.flow import FlowSummary
 from rayflow.inner import SolveReport
 from rayflow.iterate import RunSummary
@@ -42,3 +46,20 @@ def test_every_field_the_tracer_reads_exists():
         if name not in {f.name for f in dataclasses.fields(cls)}
     ]
     assert missing == []
+
+
+def test_one_call_is_one_span_for_every_kind():
+    # the tracer wraps value and gradient on every class that defines them;
+    # an override that called super() would count one call twice
+    tracing = _tracing()
+    for kind in problems._KINDS:
+        cfg = {"kind": kind, "diag": [1.0, 2.0]} if kind == "matrix" else {"kind": kind, "p": 3.0, "n": 4}
+        inst = problems.assemble(cfg)
+        u = np.linspace(0.5, 1.0, inst.space.dim)
+        with tracing.Tracer() as tracer:
+            inst.value(u)
+            after_value = Counter(tracer.spans.names[i] for i in tracer.spans.name)
+            inst.gradient(u)
+            after_gradient = Counter(tracer.spans.names[i] for i in tracer.spans.name)
+        assert (after_value["problems.value"], after_value["problems.gradient"]) == (1, 0), kind
+        assert (after_gradient["problems.value"], after_gradient["problems.gradient"]) == (1, 1), kind

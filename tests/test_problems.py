@@ -224,6 +224,11 @@ class TestAssemble:
         with pytest.raises(ConfigError, match="n"):
             assemble({"kind": "steklov1d", "p": 2.0, "n": 1})
 
+    @pytest.mark.parametrize("cls", [Robin1D, NeumannQuotient1D, Steklov1D])
+    def test_free_grid_constructors_need_two_nodes(self, cls):
+        with pytest.raises(ConfigError, match=r"n: kind '\w+' needs n >= 2, got 1"):
+            cls(3.0, 1)
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="kind"):
             assemble({"kind": "helmholtz", "p": 2.0, "n": 4})
@@ -303,6 +308,74 @@ class TestDiscretizationalOracles:
         assert inst.value(u) == pytest.approx(value, rel=1e-12)
         assert np.max(np.abs(inst.gradient(u) - grad)) <= 1e-12 * np.max(np.abs(grad))
         assert np.max(np.abs(inst.hessian(u) - hess)) <= 1e-12 * np.max(np.abs(hess))
+
+
+ROBIN_BETA = 0.7
+
+
+def _edge_list(inst):
+    """(i, j, c) for every edge of inst's energy (1/p) sum c |u_i - u_j|^p;
+    j = n is the ground node, held at 0."""
+    n, h, p = inst.n, inst.h, inst.p
+    ground = n
+    chain = [(i, i + 1, h ** (1.0 - p)) for i in range(n - 1)]
+    if inst.kind in ("pdirichlet1d", "supdirichlet1d"):
+        return chain + [(0, ground, h ** (1.0 - p)), (n - 1, ground, h ** (1.0 - p))]
+    if inst.kind == "robin1d":
+        return chain + [(0, ground, ROBIN_BETA), (n - 1, ground, ROBIN_BETA)]
+    if inst.kind == "neumann1d":
+        return chain
+    if inst.kind == "steklov1d":
+        return chain + [(i, ground, h) for i in range(n)]
+    assert inst.kind == "fractional1d"
+    # each interior pair once with 2 h^2 K_ij; each node's ground edge
+    # carries 2 h^2 times its kernel summed over the 2n zero collar nodes
+    x = np.arange(1 - n, 2 * n + 1) * h
+    interior = range(n - 1, 2 * n - 1)
+
+    def kernel(a, b):
+        return abs(x[a] - x[b]) ** -(1.0 + p * inst.s)
+
+    pairs = [(i, j, 2 * h * h * kernel(n - 1 + i, n - 1 + j)) for i in range(n) for j in range(i + 1, n)]
+    collar = [a for a in range(3 * n) if a not in interior]
+    return pairs + [(i, ground, 2 * h * h * sum(kernel(n - 1 + i, a) for a in collar)) for i in range(n)]
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 8.0])
+@pytest.mark.parametrize(
+    "make",
+    [
+        PDirichlet1D,
+        SupDirichlet1D,
+        lambda p, n: Robin1D(p, n, beta=ROBIN_BETA),
+        NeumannQuotient1D,
+        Steklov1D,
+        lambda p, n: FractionalSeminorm1D(p, n, s=0.3),
+    ],
+    ids=["pdirichlet1d", "supdirichlet1d", "robin1d", "neumann1d", "steklov1d", "fractional1d"],
+)
+def test_pairwise_kinds_match_edge_list(make, p):
+    # value, gradient and Hessian of each pairwise kind against its explicit
+    # edge list with a ground node: (1/p) sum c|d|^p, D'(c |d|^(p-2) d) and
+    # D' diag(c kappa(d)) D, with d = Du the edge differences
+    n = 17
+    inst = make(p, n)
+    i, j, c = (np.array(t) for t in zip(*_edge_list(inst)))
+    D = np.zeros((len(c), n + 1))
+    D[np.arange(len(c)), i] = 1.0
+    D[np.arange(len(c)), j] = -1.0
+    D = D[:, :n]  # the ground column: u = 0 there
+    u = np.random.default_rng(int(10 * p)).standard_normal(n)
+    d = np.append(u, 0.0)[i] - np.append(u, 0.0)[j]
+    value = np.sum(c * np.abs(d) ** p) / p
+    grad = D.T @ (c * np.sign(d) * np.abs(d) ** (p - 1.0))
+    hess = D.T @ np.diag(c * smoothed_curvature(d, p)) @ D
+    h = inst.hessian(u)
+    if isinstance(h, tuple):
+        h = np.diag(h[0]) + np.diag(h[1], 1) + np.diag(h[1], -1)
+    assert abs(inst.value(u) - value) <= 1e-13 * value
+    assert np.max(np.abs(inst.space.pairing_weights() * inst.gradient(u) - grad)) <= 1e-13 * np.max(np.abs(grad))
+    assert np.max(np.abs(h - hess)) <= 1e-13 * np.max(np.abs(hess))
 
 
 class TestIncreasingRoot:
