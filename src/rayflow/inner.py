@@ -28,7 +28,9 @@ loop on the unit sphere (with a retraction, without Newton directions)
 for the direct Rayleigh minimization; it descends on log(R)/p, whose
 gradient there is the relative eigen residual.  Problems are solved in
 normalized coordinates (unit data scale) so the gradient tolerance acts
-relatively; homogeneity of Phi makes the rescaling exact.
+relatively; homogeneity of Phi makes the rescaling exact.  Per-evaluation
+code calls ndarray methods and ufuncs, not numpy's Python wrappers (guard
+test: ``tests/test_bench_targets.py::test_hot_paths_skip_numpy_dispatch``).
 
 ``minimize_phi_minus_linear`` first tries the instance's exact solve
 (``ProblemInstance.solve_gradient``): the 1D Dirichlet, sup, Neumann and
@@ -74,6 +76,8 @@ STALL_ITERS = 60
 #: for p < 2 a Newton direction is shortened once the Hessian falls short
 #: of the curvature seen along the last step by more than this factor
 SECANT_RATIO = 1.5
+#: the double epsilon and the least normal double, looked up once
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
 @dataclass
@@ -111,25 +115,27 @@ def descend(x, value, grad, merit, tol, max_iters, w, project=None, newton=None)
     most ``tol``) and ``w`` the pairing weights.  The step direction is
     ``newton(x, r)`` wherever that returns one (see ``_Newton``), and
     otherwise the residual mapped through an L-BFGS metric (a
-    preconditioned residual); the metric is updated on every step either
-    way.  An Armijo backtracking search enforces strict decrease while
-    objective differences are resolvable, and the endgame below the
-    floating-point floor of the objective backtracks on the merit instead.
-    The loop gives up once the merit has gone STALL_ITERS iterations
-    without halving its best value (at the rounding floor it can creep
-    down by parts in 1e4 for thousands of iterations).  ``project``, if
-    given, retracts every trial point onto a constraint set (the start
-    must already lie on it).  The metric starts empty in every call.
-    Returns (x, f, merit, iters, converged); an unconverged exit returns
-    the lowest-merit point visited, the start included.
+    preconditioned residual).  The metric starts empty in every call; the
+    curvature pair (s, y) of each step waits, LBFGS_MEMORY at most, until
+    the metric is read, and is folded in then, in order.  An Armijo search
+    enforces strict decrease while objective differences are resolvable,
+    and the endgame below the rounding floor of the objective backtracks
+    on the merit instead.  The loop gives up once the merit has gone
+    STALL_ITERS iterations without halving its best value (at the rounding
+    floor it can creep down by parts in 1e4 for thousands of iterations).
+    ``project``, if given, retracts every trial point onto a constraint set
+    (the start must already lie on it).  Returns (x, f, merit, iters,
+    converged); an unconverged exit returns the lowest-merit point visited,
+    the start included.
     """
     x = np.array(x, dtype=float)
     f = value(x)
-    if not np.isfinite(f):
+    if not math.isfinite(f):
         raise NumericsError("objective is not finite at the starting point")
     r = grad(x)
     resid = merit(r)
     memory: list[tuple[np.ndarray, np.ndarray, float]] = []
+    pending: list[tuple[np.ndarray, np.ndarray]] = []  # (s, y) not yet in memory and gamma
     gamma = 1.0
     iters = 0
     best, since_best = resid, 0
@@ -138,7 +144,19 @@ def descend(x, value, grad, merit, tol, max_iters, w, project=None, newton=None)
     def dot(a, b):
         return float((w * a * b).sum())
 
+    def fold():
+        nonlocal gamma
+        for s, y in pending:
+            sy, yy = dot(s, y), dot(y, y)
+            if sy > 1e-20 * max(dot(s, s), 1e-300) and yy > 0.0:
+                memory.append((s, y, 1.0 / sy))
+                if len(memory) > LBFGS_MEMORY:
+                    memory.pop(0)
+                gamma = sy / yy
+        pending.clear()
+
     def direction():
+        fold()
         qv = r.copy()
         coef = []
         for s, y, rho in reversed(memory):
@@ -163,21 +181,22 @@ def descend(x, value, grad, merit, tol, max_iters, w, project=None, newton=None)
                 d = direction()
             slope = dot(r, d)
             if slope >= 0.0:
+                fold()
                 memory.clear()
                 d = -gamma * r
                 slope = dot(r, d)
                 if slope >= 0.0:
                     break
             accepted = False
-            noise = 16.0 * np.finfo(float).eps * (1.0 + abs(f))
+            noise = 16.0 * _EPS * (1.0 + abs(f))
             t = 1.0
             if -LS_SLOPE * t * slope > noise:
                 for _ in range(200):
                     x_new = trial(t, d)
-                    if np.array_equal(x_new, x):
+                    if (x_new == x).all():
                         break
                     f_new = value(x_new)
-                    if np.isfinite(f_new) and f_new <= f + LS_SLOPE * t * slope:
+                    if math.isfinite(f_new) and f_new <= f + LS_SLOPE * t * slope:
                         accepted = True
                         r_new = grad(x_new)
                         break
@@ -187,15 +206,16 @@ def descend(x, value, grad, merit, tol, max_iters, w, project=None, newton=None)
             if not accepted:
                 # endgame: f-differences are at rounding level, so backtrack on
                 # the merit, which stays well resolved near the minimizer
+                fold()
                 for trial_d in (d, -gamma * r):
                     t = 1.0
                     for _ in range(60):
                         x_new = trial(t, trial_d)
-                        if np.array_equal(x_new, x):
+                        if (x_new == x).all():
                             break
                         f_new = value(x_new)
                         r_new = grad(x_new)
-                        if np.isfinite(f_new) and merit(r_new) < resid:
+                        if math.isfinite(f_new) and merit(r_new) < resid:
                             accepted = True
                             break
                         t *= LS_SHRINK
@@ -204,14 +224,9 @@ def descend(x, value, grad, merit, tol, max_iters, w, project=None, newton=None)
                     memory.clear()  # retry along the raw residual
             if not accepted:
                 break  # no resolvable progress in either merit
-            s, y = x_new - x, r_new - r
-            sy = dot(s, y)
-            yy = dot(y, y)
-            if sy > 1e-20 * max(dot(s, s), 1e-300) and yy > 0.0:
-                memory.append((s, y, 1.0 / sy))
-                if len(memory) > LBFGS_MEMORY:
-                    memory.pop(0)
-                gamma = sy / yy
+            pending.append((x_new - x, r_new - r))
+            if len(pending) >= LBFGS_MEMORY:
+                fold()
             x, f, r = x_new, f_new, r_new
             resid = merit(r)
             iters += 1
@@ -273,7 +288,9 @@ class _Newton:
             w, b = self.w, -self.w * r
             dg = np.zeros(len(x)) if self.extra is None else self.extra(x)
             band = not isinstance(h, np.ndarray)
-            a = (h[0] + dg, h[1]) if band else h + np.diag(dg)
+            a = (h[0] + dg, h[1]) if band else h.copy()
+            if not band:
+                a.flat[:: len(x) + 1] += dg
 
             def solve(a, rhs):
                 return _thomas(*a, rhs) if band else np.linalg.solve(a, rhs)
@@ -295,10 +312,10 @@ class _Newton:
                     alpha = (b.sum() - dg[1:] @ vb) / schur if schur > 1e-14 * dg.sum() else 0.0
                     d = np.concatenate(([0.0], vb - alpha * vd)) + alpha
                     if alpha == 0.0:
-                        d -= np.sum(w * d) / np.sum(w)
+                        d -= (w * d).sum() / w.sum()
             except (ZeroDivisionError, np.linalg.LinAlgError):
                 return None
-        if not (np.all(np.isfinite(d)) and float((w * r * d).sum()) < 0.0):
+        if not (np.isfinite(d).all() and float((w * r * d).sum()) < 0.0):
             return None
         self.steps += 1
         return shrink * d
@@ -367,7 +384,7 @@ def _smooth_movement(inst, g, tau, grad_tol, ref, v0):
     w = m = space.pairing_weights()
     if trace:
         m = np.zeros(space.dim)
-        m[list(space.boundary)] = 1.0
+        m[space._boundary_index] = 1.0
 
     def diff(v):
         return (v - g) * m if trace else v - g
@@ -498,7 +515,7 @@ def minimize_movement(
     s = np.float64(scale)
     with np.errstate(over="ignore"):  # an extreme anchor's s^(p-1) may leave the double range
         s_p1 = s ** (p - 1.0)
-    homogeneous = np.finfo(float).tiny <= s_p1 < math.inf
+    homogeneous = _TINY <= s_p1 < math.inf
     g = g / scale
     ref = float(slope / s_p1) if slope is not None and homogeneous else space.dual_norm(inst.gradient(g))
     if space.kind is SpaceKind.SUP:

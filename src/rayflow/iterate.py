@@ -190,7 +190,7 @@ def outer_loop(inst, x, x_rep, trace, step, rescale, max_steps, rtol, dtol, rq_p
     if stop is StopReason.COLLAPSED_TO_ZERO:
         return lambda_hat, mu_hat, zero, steps, converged, stop
     limit = rescale(mu_hat) * x_hat
-    if not np.all(np.isfinite(limit)):
+    if not np.isfinite(limit).all():
         raise DegenerateInputError("rescaled limit vector has non-finite entries")
     return lambda_hat, mu_hat, limit, steps, converged, stop
 

@@ -68,7 +68,7 @@ def eigen_residual(inst: ProblemInstance, u, lam: float) -> float:
     """Relative dual-norm residual of the eigen-relation dPhi(u) = lam J_p(u)."""
     space = inst.space
     u = space.check_dim(u)
-    m = float(np.max(np.abs(u)))
+    m = float(np.abs(u).max())
     if m == 0.0:
         raise DegenerateInputError("eigen residual undefined at zero")
     u = u / 2.0 ** math.frexp(m)[1]  # a power of 2 at or above max |u|: the scaling is exact

@@ -59,9 +59,10 @@ __all__ = [
 ]
 
 
-def _power_sum(t, p, weight=1.0):
-    """sum of weight |t|^p."""
-    return float(np.sum(np.abs(t) ** p * weight))
+def _power_sum(t, p, weight=None):
+    """sum of weight |t|^p; the weight is 1 if None."""
+    a = np.abs(t) ** p
+    return float((a if weight is None else a * weight).sum())
 
 
 #: iterations allowed to a scalar root (the flux closures, the sup radius)
@@ -140,7 +141,7 @@ class ProblemInstance:
         g = self._gradient(self.space.check_dim(u))
         bad = ~np.isfinite(g)
         if bad.any():
-            raise NumericsError(f"non-finite gradient entry at index {int(np.argmax(bad))}")
+            raise NumericsError(f"non-finite gradient entry at index {int(bad.argmax())}")
         return g
 
     def solve_gradient(self, xi):
@@ -158,7 +159,7 @@ class ProblemInstance:
         u = self.space.check_dim(u)
         # homogeneity makes the quotient scale-free: evaluate at max-scaled u
         # so extreme iterate magnitudes never under/overflow the powers
-        m = float(np.max(np.abs(u)))
+        m = float(np.abs(u).max())
         if m == 0.0:
             raise DegenerateInputError("Rayleigh quotient undefined on the zero element")
         u = u / m
@@ -229,7 +230,7 @@ class _Chain1D(ProblemInstance):
     def _diffs(self, u) -> np.ndarray:
         if self.zero_padded:
             u = np.concatenate(([0.0], u, [0.0]))
-        return np.diff(u) / self.h
+        return (u[1:] - u[:-1]) / self.h
 
     def _free_ends(self, t) -> np.ndarray:
         """t per difference, with a zero at each free end (no difference there)."""
@@ -279,8 +280,8 @@ class _Chain1D(ProblemInstance):
         w = self.space.pairing_weights()
         xi = self.space.check_dim(xi)
         if self.space.kind is SpaceKind.QUOTIENT_LP:
-            xi = xi - np.sum(w * xi) / np.sum(w)  # the dual of the quotient annihilates constants
-        S = np.cumsum(w * xi)
+            xi = xi - (w * xi).sum() / w.sum()  # the dual of the quotient annihilates constants
+        S = (w * xi).cumsum()
 
         def diffs(c, sums):
             return signed_power(c - sums, q - 1.0)
@@ -288,22 +289,21 @@ class _Chain1D(ProblemInstance):
         with np.errstate(over="ignore", invalid="ignore"):
             if self.zero_padded:
                 S = np.concatenate(([0.0], S))
-                c, iters = _increasing_root(lambda c: float(np.sum(diffs(c, S))), S.min(), S.max())
-                u = h * np.cumsum(diffs(c, S[:-1]))
+                c, iters = _increasing_root(lambda c: float(diffs(c, S).sum()), S.min(), S.max())
+                u = h * diffs(c, S[:-1]).cumsum()
             elif self.space.kind is SpaceKind.QUOTIENT_LP:
                 iters = 0
-                u = h * np.concatenate(([0.0], np.cumsum(diffs(0.0, S[:-1]))))
+                u = h * np.concatenate(([0.0], diffs(0.0, S[:-1]).cumsum()))
             else:
                 m = self.mass
 
                 def closure(c):
-                    right = signed_power(c / m, q - 1.0) + h * np.sum(diffs(c, S[:-1]))
+                    right = signed_power(c / m, q - 1.0) + h * diffs(c, S[:-1]).sum()
                     return float(c + m * signed_power(right, p - 1.0) - S[-1])
 
                 c, iters = _increasing_root(closure, min(0.0, S.min()), max(0.0, S.max()))
-                u = signed_power(c / m, q - 1.0) + h * np.concatenate(([0.0], np.cumsum(diffs(c, S[:-1]))))
-        return (u, iters) if np.all(np.isfinite(u)) else None
-
+                u = signed_power(c / m, q - 1.0) + h * np.concatenate(([0.0], diffs(c, S[:-1]).cumsum()))
+        return (u, iters) if np.isfinite(u).all() else None
 
 
 class PDirichlet1D(_Chain1D):
@@ -413,9 +413,7 @@ class PDirichlet2D(ProblemInstance):
         h = L / (n + 1)
         space = SpaceDescriptor(SpaceKind.WEIGHTED_LP, n * n, exp, weight=h * h)
         super().__init__(exp, space)
-        self.n = int(n)
-        self.L = float(L)
-        self.h = h
+        self.n, self.L, self.h = int(n), float(L), h
 
     def _padded(self, u) -> np.ndarray:
         g = np.zeros((self.n + 2, self.n + 2))
@@ -431,7 +429,7 @@ class PDirichlet2D(ProblemInstance):
     def value(self, u) -> float:
         dx, dy = self._cells(self.space.check_dim(u))
         m2 = dx * dx + dy * dy
-        return (self.h * self.h / self.p) * float(np.sum(m2 ** (self.p / 2.0)))
+        return (self.h * self.h / self.p) * float((m2 ** (self.p / 2.0)).sum())
 
     def _gradient(self, u) -> np.ndarray:
         dx, dy = self._cells(u)
@@ -473,10 +471,7 @@ class FractionalSeminorm1D(ProblemInstance):
         h = L / (n + 1)
         space = SpaceDescriptor(SpaceKind.WEIGHTED_LP, n, exp, weight=h)
         super().__init__(exp, space)
-        self.n = int(n)
-        self.L = float(L)
-        self.s = float(s)
-        self.h = h
+        self.n, self.L, self.s, self.h = int(n), float(L), float(s), h
         x = np.arange(1 - n, 2 * n + 1) * h  # collar | interior | collar
         interior = np.arange(n - 1, 2 * n - 1)
         d = np.abs(x[interior, None] - x[None, :])
@@ -506,13 +501,15 @@ class FractionalSeminorm1D(ProblemInstance):
     def _gradient(self, u) -> np.ndarray:
         k = signed_power(self._pairs(u), self.p - 1.0) * self._kernel
         # ordered pairs (i,j) and (j,i) both contribute; dual coords divide by h
-        return 2.0 * self.h * np.sum(k, axis=1)
+        return 2.0 * self.h * k.sum(axis=1)
 
     def hessian(self, u):
         # each pair {i, j} adds 2 h^2 K_ij kappa(u_i - u_j) (e_i - e_j)(e_i - e_j)'
         # (e_j = 0 in the collar); the p < 2 floor spans the same |u_i - u_j|
         m = smoothed_curvature(self._pairs(self.space.check_dim(u)), self.p) * self._kernel
-        return 2.0 * self.h * self.h * (np.diag(m.sum(axis=1)) - m[:, :-1])
+        a = 0.0 - m[:, :-1]  # not -m: an entry m = 0 stays +0.0
+        a.flat[:: self.n + 1] += m.sum(axis=1)
+        return 2.0 * self.h * self.h * a
 
 
 _KINDS = {

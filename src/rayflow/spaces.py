@@ -15,7 +15,10 @@ map has exact closed forms and the identities
 
     <J_p(u), u> = ||u||^p = ||J_p(u)||_*^q
 
-hold up to floating-point rounding.
+hold up to floating-point rounding.  Per-evaluation code calls ndarray
+methods and ufuncs, not numpy's Python wrappers (``np.sum``, ``np.max``,
+...), whose dispatch costs more than the arithmetic at these sizes (guard
+test: ``tests/test_bench_targets.py::test_hot_paths_skip_numpy_dispatch``).
 """
 
 from __future__ import annotations
@@ -48,10 +51,10 @@ def signed_power(t, e):
 
 def _scaled_pnorm(v, w, p) -> float:
     """(sum w |v|^p)^(1/p) evaluated without underflow/overflow in |v|^p."""
-    m = float(np.max(np.abs(v))) if np.size(v) else 0.0
+    m = float(np.abs(v).max()) if v.size else 0.0
     if m == 0.0 or not math.isfinite(m):
         return m
-    return m * float(np.sum(w * np.abs(v / m) ** p) ** (1.0 / p))
+    return m * float((w * np.abs(v / m) ** p).sum() ** (1.0 / p))
 
 
 #: relative floor on |t| in the curvature weights for p < 2, where
@@ -65,8 +68,9 @@ def smoothed_curvature(t, p):
     array, so the weights stay finite unless every entry is zero.
     """
     a = np.abs(np.asarray(t, dtype=float))
-    if p < 2.0:
-        a = np.maximum(a, CURVATURE_FLOOR * a.max(initial=0.0))
+    if p >= 2.0:  # a^(p-2) has no pole
+        return (p - 1.0) * a ** (p - 2.0)
+    a = np.maximum(a, CURVATURE_FLOOR * a.max(initial=0.0))
     with np.errstate(divide="ignore"):
         return (p - 1.0) * a ** (p - 2.0)
 
@@ -99,8 +103,8 @@ class SpaceDescriptor:
 
     ``weight`` is the uniform cell measure h used by the Lp-type norms and
     pairings.  ``boundary`` lists the indices carrying the trace norm and is
-    required (only) for trace-boundary spaces.  The pairing weights are
-    built once, as a read-only array.
+    required (only) for trace-boundary spaces.  The pairing weights and
+    the boundary index array are built once, read-only.
     """
 
     kind: SpaceKind
@@ -120,10 +124,12 @@ class SpaceDescriptor:
             if any(i < 0 or i >= self.dim for i in self.boundary):
                 raise DegenerateInputError("boundary index out of range")
         w = np.full(self.dim, 1.0 if self.kind is SpaceKind.SUP else self.weight)
+        b = np.array(self.boundary, dtype=int)
         if self.kind is SpaceKind.TRACE_BOUNDARY:
-            w[list(self.boundary)] = 1.0
-        w.flags.writeable = False
+            w[b] = 1.0
+        w.flags.writeable = b.flags.writeable = False
         object.__setattr__(self, "_weights", w)
+        object.__setattr__(self, "_boundary_index", b)
 
     def check_dim(self, values) -> np.ndarray:
         v = np.asarray(values, dtype=float)
@@ -144,9 +150,9 @@ class SpaceDescriptor:
         u = self.check_dim(u)
         p = self.exponent.p
         if self.kind is SpaceKind.SUP:
-            return u, float(np.max(np.abs(u)))
+            return u, float(np.abs(u).max())
         if self.kind is SpaceKind.TRACE_BOUNDARY:
-            return u, _scaled_pnorm(u[list(self.boundary)], np.ones(len(self.boundary)), p)
+            return u, _scaled_pnorm(u[self._boundary_index], 1.0, p)
         if self.kind is SpaceKind.QUOTIENT_LP:
             u = u + optimal_shift(u, self)
         return u, _scaled_pnorm(u, self.weight, p)
@@ -163,14 +169,14 @@ class SpaceDescriptor:
         xi = self.check_dim(xi)
         q = self.exponent.q
         if self.kind is SpaceKind.SUP:
-            return float(np.sum(np.abs(xi)))
+            return float(np.abs(xi).sum())
         w = self.pairing_weights()
         if self.kind is SpaceKind.QUOTIENT_LP:
-            xi = xi - np.sum(w * xi) / np.sum(w)
+            xi = xi - (w * xi).sum() / w.sum()
         return _scaled_pnorm(xi, w, q)
 
     def pairing(self, xi, u) -> float:
-        return float(np.sum(self.pairing_weights() * self.check_dim(xi) * self.check_dim(u)))
+        return float((self.pairing_weights() * self.check_dim(xi) * self.check_dim(u)).sum())
 
     def duality_map(self, u) -> np.ndarray:
         """One element of J_p(u), the subdifferential of ||.||^p / p.
@@ -182,14 +188,14 @@ class SpaceDescriptor:
         p = self.exponent.p
         if self.kind in (SpaceKind.SUP, SpaceKind.TRACE_BOUNDARY):
             # supported on the first peak of |u| (sup) or on the boundary (trace)
-            b = [int(np.argmax(np.abs(u)))] if self.kind is SpaceKind.SUP else list(self.boundary)
+            b = [int(np.abs(u).argmax())] if self.kind is SpaceKind.SUP else self._boundary_index
             xi = np.zeros(self.dim)
             xi[b] = signed_power(u[b], p - 1.0)
         elif self.kind is SpaceKind.QUOTIENT_LP:
             xi = _zero_mean_dual(u + optimal_shift(u, self), p, self.pairing_weights())
         else:
             xi = signed_power(u, p - 1.0)
-        if not np.all(np.isfinite(xi)):
+        if not np.isfinite(xi).all():
             raise DegenerateInputError("dual vector has non-finite entries")
         return xi
 
@@ -205,11 +211,11 @@ def _zero_mean_dual(t, p, w) -> np.ndarray:
     """
     xi = signed_power(t, p - 1.0)
     with np.errstate(divide="ignore", over="ignore"):
-        sens = (p - 1.0) * (np.abs(t) / 2.0 ** math.frexp(float(np.max(np.abs(t))))[1]) ** (p - 2.0)
+        sens = (p - 1.0) * (np.abs(t) / 2.0 ** math.frexp(float(np.abs(t).max()))[1]) ** (p - 2.0)
     if np.isinf(sens).any():
         sens = np.isinf(sens).astype(float)
-    total = np.sum(w * sens)
-    return xi - sens * (np.sum(w * xi) / total) if total > 0.0 else xi
+    total = (w * sens).sum()
+    return xi - sens * ((w * xi).sum() / total) if total > 0.0 else xi
 
 
 def mu_from_lambda(lam: float, exp: Exponent) -> float:
@@ -239,7 +245,7 @@ def optimal_shift(u, space: SpaceDescriptor) -> float:
     u = space.check_dim(u)
     w = space.pairing_weights()
     p = space.exponent.p
-    lo, hi = float(-np.max(u)), float(-np.min(u))
+    lo, hi = float(-u.max()), float(-u.min())
     if lo == hi:
         return lo  # constant vector: shift cancels it exactly
     m = 2.0 ** math.frexp(max(-lo, hi))[1]  # a power of 2: the scaling is exact
@@ -253,7 +259,7 @@ def optimal_shift(u, space: SpaceDescriptor) -> float:
         ap = a ** (p - 1.0)
         r = float(w @ np.copysign(ap, t))
         # a^(p-2) is taken as 0 at a = 0: exact for p > 2; the bracket guards the rest
-        deriv = (p - 1.0) * float(w @ np.divide(ap, a, out=np.zeros_like(a), where=a > 0.0))
+        deriv = (p - 1.0) * float(w @ np.divide(ap, a, out=np.zeros(a.shape), where=a > 0.0))
         if abs(r) <= max(1e-13 * float(w @ ap), 4.0 * deriv * math.ulp(c)):
             break
         if r > 0.0:
@@ -280,7 +286,7 @@ def unit_representative(space: SpaceDescriptor, t, n: float) -> np.ndarray:
     if n == 0.0:
         raise DegenerateInputError("cannot normalize a zero-norm vector")
     rep = t / n
-    i = int(np.argmax(np.abs(rep)))
+    i = int(np.abs(rep).argmax())
     if rep[i] < 0.0:
         rep = -rep
     return rep

@@ -1,5 +1,6 @@
 """The benchmark's tracer finds every name it wraps where it looks it up,
-and every field it reads off their return values.
+and every field it reads off their return values; the solve paths the
+benchmark times enter none of numpy's Python-level wrappers.
 
 ``perfbench/tracing.py`` wraps rayflow functions by module and attribute
 name and counts iterations and steps from the reports they return; a rename
@@ -8,16 +9,19 @@ traced run.
 """
 
 import dataclasses
+import os
+import sys
 import types
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from rayflow import problems
+from rayflow import oracles, problems
 from rayflow.flow import FlowSummary
-from rayflow.inner import SolveReport
-from rayflow.iterate import RunSummary
+from rayflow.inner import SolveReport, minimize_movement, minimize_phi_minus_linear
+from rayflow.iterate import IterOptions, RunSummary, iterate
+from rayflow.problems import FractionalSeminorm1D, NeumannQuotient1D, PDirichlet1D, Steklov1D
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -63,3 +67,70 @@ def test_one_call_is_one_span_for_every_kind():
             after_gradient = Counter(tracer.spans.names[i] for i in tracer.spans.name)
         assert (after_value["problems.value"], after_value["problems.gradient"]) == (1, 0), kind
         assert (after_gradient["problems.value"], after_gradient["problems.gradient"]) == (1, 1), kind
+
+
+#: numpy's Python-level wrapper modules (numpy 1.x and 2.x file names)
+WRAPPER_FILES = {
+    "fromnumeric.py",
+    "numeric.py",
+    "function_base.py",
+    "_function_base_impl.py",
+    "twodim_base.py",
+    "_twodim_base_impl.py",
+}
+
+
+def _wrapper_calls(call):
+    """Counter of the numpy wrapper functions entered while ``call()`` runs."""
+    entered = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and os.path.basename(frame.f_code.co_filename) in WRAPPER_FILES:
+            entered[f"{os.path.basename(frame.f_code.co_filename)}:{frame.f_code.co_name}"] += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+def _hot_calls():
+    """(label, call) for each solve path the schemes and the sphere oracle repeat."""
+    frac, neu, stek = FractionalSeminorm1D(3.0, 15), NeumannQuotient1D(3.0, 15), Steklov1D(1.5, 15)
+    x = np.linspace(0.0, 1.0, 15)
+    bump, ramp = np.sin(np.pi * (x + 0.1) / 1.2), np.linspace(-1.0, 1.0, 15)
+
+    def movement(inst, g):
+        return lambda: minimize_movement(inst, g, 0.01)
+
+    def phi_minus_linear(inst):  # exact path for PDirichlet1D, descent for Steklov1D
+        return lambda: minimize_phi_minus_linear(inst, inst.space.duality_map(bump))
+
+    def sphere(inst, u0):
+        return lambda: oracles._spg(inst, u0, 1e-5, 50)
+
+    return [
+        ("movement fractional1d", movement(frac, bump)),
+        ("movement neumann1d", movement(neu, ramp)),
+        ("movement steklov1d", movement(stek, bump)),
+        ("phi_minus_linear pdirichlet1d", phi_minus_linear(PDirichlet1D(3.0, 15))),
+        ("phi_minus_linear steklov1d", phi_minus_linear(stek)),
+        ("two iterate steps neumann1d", lambda: iterate(neu, ramp, IterOptions(rtol=None, dtol=None, max_iters=2))),
+        ("sphere descent fractional1d", sphere(frac, bump)),
+        ("sphere descent neumann1d", sphere(neu, ramp)),
+    ]
+
+
+def test_hot_paths_skip_numpy_dispatch():
+    """Per-evaluation code calls ndarray methods and ufuncs, not numpy's
+    Python-level wrappers (``np.sum``, ``np.max``, ``np.diff``, ``np.diag``,
+    ``np.zeros_like``, ``np.array_equal``, ...).  At n <= 127 a wrapper's
+    dispatch costs more than its arithmetic, and the method runs the same C
+    reduction.  The sup movement step (``inner._box_kkt``, ``solve_box``,
+    ``inner._sup_movement``) is exempt: perfbench's traced ``sup1d-p3-n5``
+    case already comes close to the 50 ms sampler period that its test
+    asserts on, so that path waits for the sampler fix (ROADMAP item 9)."""
+    entered = {label: _wrapper_calls(call) for label, call in _hot_calls()}
+    assert {label: dict(c) for label, c in entered.items() if c} == {}
