@@ -5,7 +5,8 @@ Commands:
 * ``iterate``    inverse iteration -> trace CSV + summary JSON
 * ``flow``       minimizing-movement flow -> trace CSV + summary JSON
 * ``oracle``     independent ground truth -> result JSON
-* ``compare``    all three, with pairwise relative gaps -> joint JSON
+* ``compare``    all three, with pairwise relative gaps and a check against
+                 the oracle's lower bound on lambda -> joint JSON
 
 Outputs are deterministic for a fixed config and seed: floats are written
 with 17 significant digits, field order is fixed, line endings are \\n.
@@ -34,6 +35,8 @@ from .util import derive_seed
 __all__ = ["main"]
 
 CSV_HEADER = "k_or_t,norm,phi,rq,ratio_or_speed,slope,residual"
+#: relative slack, 64 ulp, under the oracle's lower bound before compare fails
+BOUND_SLACK = 64.0 * sys.float_info.epsilon
 
 
 def _g17(x) -> str:
@@ -46,6 +49,8 @@ def _g17(x) -> str:
 
 
 def _json_value(x) -> str:
+    if x is None:
+        return "null"
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -196,6 +201,7 @@ def _run_oracle(cfg: RunConfig, out: Path, say):
         {
             "command": "oracle",
             "lambda_star": result.lambda_star,
+            "lambda_lower": result.lambda_lower,
             "method": result.method.value,
             "certificate": result.certificate,
             "minimizer": result.minimizer,
@@ -216,11 +222,13 @@ def _run_compare(cfg: RunConfig, out: Path, say):
     code_o, res = _run_oracle(cfg, out, say)
     if code_i or code_f or code_o:
         return 1
-    lam_o = res.lambda_star
+    lam_o, lower = res.lambda_star, res.lambda_lower
     gap_io = abs(s_it.lambda_hat - lam_o) / lam_o
     gap_fo = abs(s_fl.lambda_hat - lam_o) / lam_o
     gap_if = abs(s_it.lambda_hat - s_fl.lambda_hat) / lam_o
-    ok = gap_io <= rtol and gap_fo <= rtol and gap_if <= 2.0 * rtol
+    # every R(u) is >= lambda >= lambda_lo: a scheme's lambda below the bound is a bug
+    below = lower is not None and min(s_it.lambda_hat, s_fl.lambda_hat) < lower - BOUND_SLACK * abs(lower)
+    ok = gap_io <= rtol and gap_fo <= rtol and gap_if <= 2.0 * rtol and not below
     _write_json(
         out / "compare.json",
         {
@@ -228,6 +236,7 @@ def _run_compare(cfg: RunConfig, out: Path, say):
             "lambda_iterate": s_it.lambda_hat,
             "lambda_flow": s_fl.lambda_hat,
             "lambda_oracle": lam_o,
+            "lambda_lower": lower,
             "gap_iterate_oracle": gap_io,
             "gap_flow_oracle": gap_fo,
             "gap_iterate_flow": gap_if,
@@ -235,6 +244,8 @@ def _run_compare(cfg: RunConfig, out: Path, say):
             "pass": ok,
         },
     )
+    if below:
+        say(f"compare: a scheme's lambda lies below the oracle's lower bound {_g17(lower)}")
     say(f"compare: {'pass' if ok else 'FAIL'} (gaps {_g17(gap_io)}, {_g17(gap_fo)}, {_g17(gap_if)})")
     return 0 if ok else 1
 

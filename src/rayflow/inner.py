@@ -512,9 +512,10 @@ def minimize_movement(
     scale = _scaled_pnorm(g, space.pairing_weights(), p)
     if scale == 0.0:
         return SolveReport(np.zeros(space.dim), 0.0, 0, True)
-    s = np.float64(scale)
-    with np.errstate(over="ignore"):  # an extreme anchor's s^(p-1) may leave the double range
-        s_p1 = s ** (p - 1.0)
+    try:  # Python floats: C pow, and products that overflow to inf without a warning
+        s_p1 = math.pow(scale, p - 1.0)
+    except OverflowError:  # an extreme anchor's s^(p-1) leaves the double range
+        s_p1 = math.inf
     homogeneous = _TINY <= s_p1 < math.inf
     g = g / scale
     ref = float(slope / s_p1) if slope is not None and homogeneous else space.dual_norm(inst.gradient(g))
@@ -523,7 +524,6 @@ def minimize_movement(
     else:
         v0 = g if init is None else space.check_dim(init) / scale
         rep = _smooth_movement(inst, g, tau, grad_tol, ref, v0)
-    with np.errstate(over="ignore"):
-        resid = float(s_p1 * rep.grad_dual_norm)
-        slope_new = float(s_p1 * rep.slope) if homogeneous else None
-    return SolveReport(s * rep.minimizer, resid, rep.iters, rep.converged, rep.path, rep.newton_steps, slope_new)
+    resid = s_p1 * float(rep.grad_dual_norm)
+    slope_new = s_p1 * float(rep.slope) if homogeneous else None
+    return SolveReport(scale * rep.minimizer, resid, rep.iters, rep.converged, rep.path, rep.newton_steps, slope_new)

@@ -13,13 +13,26 @@ None of these go through the iteration or flow schemes:
   each side of i) the minimizer of the convex energy, and lambda is the
   least quotient over the n tents.
 
+Every point the direct route finds gives an upper bound R(u) >= lambda.
+Where the kind has one, ``ProblemInstance.lambda_lower`` gives a lower
+bound at a positive u: lambda_lo(u) = min_i dPhi(u)_i / J_p(u)_i <= lambda.
+It is the discrete Picone inequality, which holds edge by edge for an
+energy that sums |u_i - u_j|^p over edges of nonnegative weight, ground
+edges included (Amghibech, Ars Combin. 2003); summed over the edges and
+tested with the ground state phi >= 0 it gives p Phi(phi) >=
+lambda_lo ||phi||^p.  The kinds in scope are the pairwise energies on
+weighted-Lp spaces: ``pdirichlet1d``, ``robin1d`` and ``fractional1d``.
+Once [lambda_lo, R] is narrow, no restart can lower lambda by more than
+its width, so the multistart stops there (see ``direct_rayleigh_min``).
+
 What the direct route shares with the schemes is the line search only:
 it runs ``inner.descend``, the loop the inner convex solves use.  The
-quotient it minimizes, the eigen residual that drives it, and so lambda
-and the certificate, come from the problem primitives (value, gradient,
-norm, duality map) alone, never from a scheme's subproblem or its output.
-The sup tents likewise only evaluate those primitives on n explicit
-vectors; the sup flow's taut-string box solve plays no part.
+quotient it minimizes, the eigen residual that drives it, the lower bound
+that stops it, and so lambda and the certificate, come from the problem
+primitives (value, gradient, norm, duality map) alone, never from a
+scheme's subproblem or its output.  The sup tents likewise only evaluate
+those primitives on n explicit vectors; the sup flow's taut-string box
+solve plays no part.
 """
 
 from __future__ import annotations
@@ -45,6 +58,9 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 0x5EED
+#: the multistart stops once the polished first start has
+#: (R - lambda_lo) <= BRACKET_RTOL R; the benchmark checks lambda to 1e-6
+BRACKET_RTOL = 1e-6
 #: sweep budget of symmetric_eigs; dense dim-32 SPD matrices B'B/32 + I
 #: converge in 7-8 round-robin sweeps
 JACOBI_MAX_SWEEPS = 60
@@ -62,6 +78,8 @@ class OracleResult:
     minimizer: np.ndarray
     method: OracleMethod
     certificate: float
+    #: the Picone lower bound at the minimizer; None where the kind has none
+    lambda_lower: float | None = None
 
 
 def eigen_residual(inst: ProblemInstance, u, lam: float) -> float:
@@ -211,6 +229,19 @@ def _spg(inst, u0, tol, max_iters):
     return u, inst.rayleigh(u), cert
 
 
+def _bracketed(inst, u, tol):
+    """The first start's coarse point polished to ``tol``, as the result, if
+    the Picone bound certifies it as the minimum: positive, certificate at
+    most ``tol`` and (R - lambda_lo) <= BRACKET_RTOL R.  Else None."""
+    if inst.lambda_lower(u) is None:
+        return None  # no bound for the kind, or a coarse point that changes sign
+    u, lam, cert = _spg(inst, u, tol, 50_000)
+    lower = inst.lambda_lower(u)
+    if lower is None or not (cert <= tol and lam - lower <= BRACKET_RTOL * lam):
+        return None
+    return OracleResult(lam, u, OracleMethod.PROJECTED_GRADIENT, cert, lower)
+
+
 def direct_rayleigh_min(
     inst: ProblemInstance,
     restarts: int = 16,
@@ -223,6 +254,15 @@ def direct_rayleigh_min(
     coarse tolerance, keeps the best by (value, start index), then polishes
     it to the requested certificate tolerance.  The certificate is the
     relative dual-norm residual of dPhi(u) - lambda J_p(u).
+
+    Stop rule: where the kind has the Picone bound (module docstring) and
+    the all-ones start's coarse descent met its tolerance, that point is
+    polished at once.  If the polished point is positive, certified, and
+    its bound lambda_lo has (R - lambda_lo) <= BRACKET_RTOL R, it is
+    returned: no restart can lower lambda by more than that.  Otherwise
+    the restarts run as above, and the early polish takes no part in the
+    choice.  ``lambda_lower`` of the result is the bound at the returned
+    minimizer, or None.
 
     ``SupDirichlet1D`` needs no search.  A unit-sup minimizer peaks at some
     node, u_i = 1 up to sign.  Phi is a sum of one convex function of each
@@ -253,15 +293,18 @@ def direct_rayleigh_min(
     coarse = max(tol, 1e-5)
     for idx, u0 in enumerate(starts):
         try:
-            u, lam, _ = _spg(inst, u0, coarse, 800)
+            u, lam, cert = _spg(inst, u0, coarse, 800)
         except DegenerateInputError:
             continue
+        # a coarse descent that stalls short of its tolerance is not polished early
+        if idx == 0 and cert <= coarse and (done := _bracketed(inst, u, tol)) is not None:
+            return done
         if best is None or lam < best[0]:
             best = (lam, idx, u)
     if best is None:
         raise DegenerateInputError("all oracle starts were degenerate")
     u, lam, cert = _spg(inst, best[2], tol, 50_000)
-    return OracleResult(lam, u, OracleMethod.PROJECTED_GRADIENT, cert)
+    return OracleResult(lam, u, OracleMethod.PROJECTED_GRADIENT, cert, inst.lambda_lower(u))
 
 
 def oracle_lambda(inst: ProblemInstance, restarts: int = 16, tol: float = 1e-8, seed: int = DEFAULT_SEED) -> OracleResult:

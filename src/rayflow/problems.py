@@ -122,6 +122,9 @@ class ProblemInstance:
     """Base class: energy value, gradient in dual coordinates, and space."""
 
     kind = "abstract"
+    #: Phi sums |u_i - u_j|^p over edges of nonnegative weight, ground edges
+    #: (u_j = 0) included: the Picone bound of ``lambda_lower`` holds for it
+    pairwise = False
 
     def __init__(self, exponent: Exponent, space: SpaceDescriptor):
         self.exponent = exponent
@@ -154,6 +157,36 @@ class ProblemInstance:
         (diagonal, off-diagonal) pair of a symmetric tridiagonal band.  None
         where the kind has none (descend then takes L-BFGS directions)."""
         return None
+
+    def lambda_lower(self, u):
+        """The Picone lower bound min_i dPhi(u)_i / J_p(u)_i <= lambda at a
+        positive u (or at -u), or None.
+
+        For a ``pairwise`` energy and phi >= 0, the discrete Picone
+        inequality holds edge by edge: c |phi_i - phi_j|^p is at least
+        c |u_i - u_j|^(p-2) (u_i - u_j) (phi_i^p / u_i^(p-1) - phi_j^p / u_j^(p-1)),
+        with equality on a ground edge (phi_j = u_j = 0).  Summed over the
+        edges, p Phi(phi) >= <dPhi(u), phi^p / u^(p-1)> >= lambda_lo ||phi||^p
+        on a weighted-Lp space, where J_p(u) = u^(p-1).  The ground state
+        may be taken >= 0, as Phi(|u|) <= Phi(u), so lambda >= lambda_lo
+        (Amghibech, Ars Combin. 2003; the Collatz-Wielandt bound of the
+        nonlinear inverse power method, Hein and Buehler, NIPS 2010).
+        None for other kinds or spaces, at a state with a zero entry or a
+        sign change, and where u^(p-1) leaves the normal double range.
+        """
+        if not self.pairwise or self.space.kind is not SpaceKind.WEIGHTED_LP:
+            return None
+        u = self.space.check_dim(u)
+        u = u if u[0] > 0.0 else -u
+        m = float(u.max())
+        if not ((u > 0.0).all() and m < math.inf):
+            return None
+        u = u / 2.0 ** math.frexp(m)[1]  # a power of 2 at or above max u: the scaling is exact
+        j = self.space.duality_map(u)
+        if j.min() < np.finfo(float).tiny:
+            return None
+        with np.errstate(over="ignore"):  # a ratio past the double range is +-inf, still a bound
+            return float((self.gradient(u) / j).min())
 
     def rayleigh(self, u) -> float:
         u = self.space.check_dim(u)
@@ -213,6 +246,7 @@ class _Chain1D(ProblemInstance):
     space and ground edges, plus its exact solves.
     """
 
+    pairwise = True
     zero_padded = False
     #: nodes with an edge of weight ``mass`` to the ground; None for none
     ground = None
@@ -463,6 +497,7 @@ class FractionalSeminorm1D(ProblemInstance):
     """
 
     kind = "fractional1d"
+    pairwise = True  # the kernel and its collar column are nonnegative edge weights
 
     def __init__(self, p, n, L=1.0, s=0.5):
         if not (0.0 < s < 1.0):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +64,29 @@ class TestCompare:
         for key in ("gap_iterate_oracle", "gap_flow_oracle", "gap_iterate_flow"):
             assert abs(data[key]) <= 1e-8
         assert data["lambda_oracle"] == pytest.approx(1.0, abs=1e-12)
+        assert data["lambda_lower"] is None  # the Jacobi oracle gives no lower bound
+
+    def test_scheme_below_the_lower_bound_fails(self, tmp_path, monkeypatch):
+        # every R(u) is >= lambda >= lambda_lo: a scheme's lambda under the
+        # oracle's lower bound, by more than 64 ulp, is a bug
+        cfg = write(tmp_path, "[instance]\nkind = matrix\ndiag = 1 4\n")
+        oracle = rayflow.cli.oracle_lambda
+        lower = [1.5]
+
+        def bounded(*args, **kwargs):
+            return dataclasses.replace(oracle(*args, **kwargs), lambda_lower=lower[0])
+
+        monkeypatch.setattr(rayflow.cli, "oracle_lambda", bounded)
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+        data = json.loads((tmp_path / "compare.json").read_text())
+        assert data["pass"] is False and data["lambda_lower"] == 1.5
+        assert max(data[k] for k in ("gap_iterate_oracle", "gap_flow_oracle", "gap_iterate_flow")) <= 1e-8
+        assert data["lambda_iterate"] >= 1.0 and data["lambda_flow"] >= 1.0
+        least = min(data["lambda_iterate"], data["lambda_flow"])
+        for ulps, code in ((32, 0), (128, 1)):
+            lower[0] = least * (1.0 + ulps * sys.float_info.epsilon)
+            assert main(["compare", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == code
+            assert json.loads((tmp_path / "compare.json").read_text())["pass"] is (code == 0)
 
 
 class TestConfigErrors:
@@ -204,6 +229,7 @@ class TestOutputs:
         assert flow["tau"] == pytest.approx(1e-3)
         oracle = json.loads((tmp_path / "oracle_result.json").read_text())
         assert oracle["method"] == "jacobi_eig"
+        assert oracle["lambda_lower"] is None
         assert (tmp_path / "flow_trace.csv").read_text().split("\n")[0] == CSV_HEADER
 
     @pytest.mark.parametrize("u0", ["ones", "random"])
@@ -214,6 +240,14 @@ class TestOutputs:
             assert main(["iterate", "--config", cfg, "--out", str(out), "--seed", "7", "--quiet"]) == 0
         for name in ("iterate_trace.csv", "iterate_summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_oracle_brackets_the_fractional_lambda(self, tmp_path):
+        # the check the CI runs through the installed console script
+        cfg = write(tmp_path, "[instance]\nkind = fractional1d\np = 3\nn = 31\n")
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        oracle = json.loads((tmp_path / "oracle_result.json").read_text())
+        assert oracle["lambda_lower"] <= oracle["lambda_star"] and oracle["certificate"] <= 1e-8
+        assert list(oracle) == ["command", "lambda_star", "lambda_lower", "method", "certificate", "minimizer"]
 
     def test_uncertified_oracle_exits_1_and_keeps_result(self, tmp_path, monkeypatch):
         cfg = write(tmp_path, MATRIX_COMPARE + "\n[oracle]\ntol = 1e-8\n")

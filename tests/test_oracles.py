@@ -1,8 +1,11 @@
+import functools
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rayflow.oracles
 import rayflow.spaces
@@ -19,10 +22,13 @@ from rayflow.oracles import (
     symmetric_eigs,
 )
 from rayflow.problems import (
+    FractionalSeminorm1D,
     MatrixQuadratic,
     NeumannQuotient1D,
     PDirichlet1D,
+    PDirichlet2D,
     Robin1D,
+    Steklov1D,
     SupDirichlet1D,
 )
 
@@ -301,3 +307,135 @@ class TestOracleLambda:
         # kernel amplifies that rounding (p-1)-fold and the total-variation
         # dual norm sums it over n nodes (1.6e-12 at p = 8, 4.5e-12 at p = 20, n = 129)
         assert res.certificate <= 1e-12 * max(1.0, (p - 1.0) * n / 256)
+
+
+BOUNDED_KINDS = [PDirichlet1D, Robin1D, FractionalSeminorm1D]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle(make, p, n):
+    return oracle_lambda(make(p, n), restarts=0)  # the restarts cost seconds where the bound stays open
+
+
+class TestPiconeBound:
+    """lambda_lower(u) = min_i dPhi(u)_i / J_p(u)_i <= lambda <= R(u) at positive u."""
+
+    @pytest.mark.parametrize("n", [15, 31])
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 8.0])
+    @pytest.mark.parametrize("make", BOUNDED_KINDS)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        scale=st.integers(-100, 100),
+        spread=st.integers(-8, 0),
+        noise=st.lists(st.floats(-1.0, 1.0), min_size=31, max_size=31),
+        flip=st.booleans(),
+    )
+    def test_bound_brackets_lambda(self, make, p, n, scale, spread, noise, flip):
+        # states from near the ground state (spread 1e-8) to far from it
+        # (entries within a factor e of the ground state's), of magnitude
+        # 1e-100 to 1e100, either sign
+        inst, res = make(p, n), _oracle(make, p, n)
+        u = np.abs(res.minimizer) * np.exp(10.0**spread * np.array(noise[:n])) * 10.0**scale
+        u = -u if flip else u
+        lower = inst.lambda_lower(u)
+        assert lower is not None
+        assert lower <= min(res.lambda_star, inst.rayleigh(u)) * (1.0 + 1e-12)
+        if res.certificate <= 1e-8:  # near p = 1 the oracle may not certify, nor be least
+            assert res.lambda_star <= inst.rayleigh(u) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 8.0])
+    @pytest.mark.parametrize("make", BOUNDED_KINDS)
+    def test_bound_is_tight_at_the_minimizer(self, make, p):
+        # the certified minimizer of the n = 15 cases brackets lambda to 1e-4
+        res = _oracle(make, p, 15)
+        assert res.lambda_lower == make(p, 15).lambda_lower(res.minimizer)
+        assert res.lambda_star * (1.0 - 1e-4) <= res.lambda_lower <= res.lambda_star
+
+    @pytest.mark.parametrize(
+        "inst",
+        [SupDirichlet1D(3.0, 9), NeumannQuotient1D(3.0, 9), Steklov1D(3.0, 9), PDirichlet2D(3.0, 3), MatrixQuadratic(np.eye(9))],
+        ids=lambda inst: inst.kind,
+    )
+    def test_none_on_excluded_kinds(self, inst):
+        assert inst.lambda_lower(np.linspace(1.0, 2.0, 9)) is None
+
+    @pytest.mark.parametrize("make", BOUNDED_KINDS)
+    def test_none_on_zero_or_sign_change(self, make):
+        inst = make(3.0, 9)
+        u = np.linspace(1.0, 2.0, 9)
+        assert inst.lambda_lower(u) == inst.lambda_lower(-u) == inst.lambda_lower(8.0 * u)
+        for k in (0, 4, 8):
+            for entry in (0.0, -1.0, -0.0, math.nan):
+                v = u.copy()
+                v[k] = entry
+                assert inst.lambda_lower(v) is None and inst.lambda_lower(-v) is None
+        assert inst.lambda_lower(np.full(9, math.inf)) is None
+
+    def test_none_where_the_power_underflows(self):
+        # 1e-50^7 is below the least normal double: the ratio has no accuracy
+        u = np.ones(9)
+        u[4] = 1e-50
+        assert PDirichlet1D(8.0, 9).lambda_lower(u) is None
+        assert PDirichlet1D(3.0, 9).lambda_lower(u) < 0.0
+
+
+class TestBracketStop:
+    """The multistart ends at the first start once the Picone bound closes on it."""
+
+    @staticmethod
+    def _count_spg(monkeypatch):
+        calls = []
+
+        def counted(*args, _f=rayflow.oracles._spg):
+            calls.append(1)
+            return _f(*args)
+
+        monkeypatch.setattr(rayflow.oracles, "_spg", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "inst, spg_calls", [(FractionalSeminorm1D(3.0, 31), 2), (NeumannQuotient1D(3.0, 11), 18)], ids=["stop", "no-bound"]
+    )
+    def test_sphere_descents(self, monkeypatch, inst, spg_calls):
+        calls = self._count_spg(monkeypatch)
+        res = direct_rayleigh_min(inst, restarts=16)
+        assert len(calls) == spg_calls
+        assert (res.lambda_lower is None) == (inst.kind == "neumann1d")
+
+    @pytest.mark.parametrize(
+        "make, p",
+        [(make, p) for make in BOUNDED_KINDS for p in (1.5, 3.0)] + [(Robin1D, 8.0), (FractionalSeminorm1D, 8.0)],
+    )
+    def test_stop_keeps_the_multistart_lambda(self, monkeypatch, make, p):
+        inst = make(p, 31)
+        calls = self._count_spg(monkeypatch)
+        stopped = direct_rayleigh_min(inst)
+        assert len(calls) == 2
+        monkeypatch.setattr(rayflow.oracles, "BRACKET_RTOL", -1.0)
+        full = direct_rayleigh_min(inst)
+        assert len(calls) == 2 + 19  # 17 coarse starts, the early polish and the final one
+        assert stopped.lambda_star == pytest.approx(full.lambda_star, rel=1e-12)
+        assert stopped.certificate <= 1e-8 and full.certificate <= 1e-8
+
+    @pytest.mark.parametrize(
+        "inst, rtol, early_polish",
+        [
+            (FractionalSeminorm1D(8.0, 15), 1e-6, True),  # polished: the bracket stays at 8.8e-5
+            (FractionalSeminorm1D(3.0, 15), -1.0, True),  # polished, the stop turned off
+            (PDirichlet1D(8.0, 31), 1e-6, False),  # the coarse descent stalls at certificate 1.6
+            (NeumannQuotient1D(3.0, 11), 1e-6, False),  # no bound on a quotient space
+        ],
+        ids=["open-bracket", "stop-off", "stalled", "no-bound"],
+    )
+    def test_no_stop_leaves_the_result_alone(self, monkeypatch, inst, rtol, early_polish):
+        # where the stop does not fire the early polish takes no part in the
+        # choice: the result is bit for bit the one without it
+        monkeypatch.setattr(rayflow.oracles, "BRACKET_RTOL", rtol)
+        calls = self._count_spg(monkeypatch)
+        res = direct_rayleigh_min(inst, restarts=2)
+        assert len(calls) == 4 + early_polish  # 3 coarse starts, the final polish
+        monkeypatch.setattr(rayflow.oracles, "_bracketed", lambda *args: None)
+        ref = direct_rayleigh_min(inst, restarts=2)
+        assert res.lambda_star == ref.lambda_star and res.certificate == ref.certificate
+        assert res.minimizer.tobytes() == ref.minimizer.tobytes()
+        assert res.lambda_lower == ref.lambda_lower
