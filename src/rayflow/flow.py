@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .inner import minimize_movement
-from .iterate import SchemeFailure, StopReason, Violation, check_stop_rules, outer_loop
+from .iterate import SchemeFailure, StopReason, Violation, check_stop_rules, measure_state, outer_loop
 from .problems import ProblemInstance
 from .spaces import SpaceKind, mu_from_lambda
 
@@ -130,11 +130,9 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
     check_step(tau, t_end)
     space = inst.space
     v = space.check_dim(v0)
-    phi = inst.value(v)
+    v_hat, norm, phi, rq = measure_state(inst, v)
     if not math.isfinite(phi):
         raise DegenerateInputError("Phi(v0) must be finite")
-    rep0, norm = space.representative_norm(v)
-    rq = inst.rayleigh(v) if norm > 0.0 else math.nan
     trace = FlowTrace(p=inst.p)
     trace.rows.append(FlowRow(0, 0.0, phi, norm, rq, math.nan, local_slope(inst, v), math.nan))
     if opts.keep_states:
@@ -183,7 +181,7 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
         return math.exp(last.n * math.log1p(tau * mu_hat) + math.log(last.norm))
 
     max_steps = max(1, int(round(t_end / tau)))
-    summary = outer_loop(inst, v, rep0, trace, step, rescale, max_steps, opts.rtol, opts.dtol, RQ_PATIENCE, MIN_STEPS)
+    summary = outer_loop(inst, v, v_hat, trace, step, rescale, max_steps, opts.rtol, opts.dtol, RQ_PATIENCE, MIN_STEPS)
     return trace, FlowSummary(*summary)
 
 

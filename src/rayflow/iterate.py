@@ -130,16 +130,41 @@ class Violation(NamedTuple):
     magnitude: float
 
 
-def outer_loop(inst, x, x_rep, trace, step, rescale, max_steps, rtol, dtol, rq_patience, min_steps=1):
+def measure_state(inst, x):
+    """(x_hat, norm, phi, rq) of a state x from one Phi and one norm.
+
+    Both are taken at y = x / 2^k, 2^k >= max|x| a power of 2, as in
+    ``oracles.eigen_residual``: the scaling is exact, and no power of y
+    under- or overflows.  By homogeneity rq = p Phi(y) / ||y||^p (within
+    rounding of ``inst.rayleigh(x)``) and phi = 2^(kp) Phi(y), which is
+    Phi(x) up to rounding and overflows where Phi(x) does.  The norm
+    2^k ||y|| and the sign-normalized unit representative x_hat have the
+    bits of x's own: the norm and the quotient shift scale by the same
+    power of 2 inside.  At norm 0, rq is nan and x_hat None.
+    """
+    k = math.frexp(float(np.abs(x).max()))[1]  # 0 for a zero or non-finite x
+    y = np.ldexp(x, -k)
+    rep, norm = inst.space.representative_norm(y)
+    phi = inst.value(y)
+    rq = inst.p * phi / norm**inst.p if norm > 0.0 else math.nan
+    x_hat = unit_representative(inst.space, rep, norm) if norm > 0.0 else None
+    e = k * inst.p
+    whole = math.floor(e)
+    phi = float(np.ldexp(phi * 2.0 ** (e - whole), whole))  # a whole power of 2 is exact
+    return x_hat, float(np.ldexp(norm, k)), phi, rq
+
+
+def outer_loop(inst, x, x_hat, trace, step, rescale, max_steps, rtol, dtol, rq_patience, min_steps=1):
     """The outer loop both schemes share; returns the summary fields
     (lambda_hat, mu_hat, limit_vec, steps, converged, stop_reason).
 
-    ``trace`` holds the row of the start x, and ``x_rep`` is the
-    representative its norm was taken on (``representative_norm``): the
-    norm and the direction of each state share one quotient shift solve.
+    ``trace`` holds the row of the start x, and ``x_hat`` is its unit
+    representative (None at norm 0), both from ``measure_state``.
     ``step(k, x)`` runs one scheme step from x and returns (x_new, row),
     where ``row(norm_new, phi_new, rq_new)`` builds the trace row of x_new
-    (the row of x is still last).
+    (the row of x is still last).  ``measure_state`` gives each new state's
+    row and direction from one Phi and one norm: its quotient shift is
+    solved once, and ``inst.rayleigh`` is not called.
     The run stops once the Rayleigh quotient is rtol-stable and the
     sign-normalized direction dtol-stable, or after ``rq_patience``
     Rayleigh-stable steps in a row (neither before ``min_steps``), or at
@@ -150,19 +175,15 @@ def outer_loop(inst, x, x_rep, trace, step, rescale, max_steps, rtol, dtol, rq_p
     """
     space = inst.space
     rq = trace.rows[-1].rq
-    norm = trace.rows[-1].norm
-    x_hat = unit_representative(space, x_rep, norm) if norm > 0.0 else None
     stop = StopReason.MAX_ITERS
     rq_stable_run = 0
     for k in range(1, max_steps + 1):
         x_new, row = step(k, x)
-        rep_new, norm_new = space.representative_norm(x_new)
-        rq_new = inst.rayleigh(x_new) if norm_new > 0.0 else math.nan
-        trace.rows.append(row(norm_new, inst.value(x_new), rq_new))
+        x_hat_new, norm_new, phi_new, rq_new = measure_state(inst, x_new)
+        trace.rows.append(row(norm_new, phi_new, rq_new))
         if norm_new < COLLAPSE_NORM:
             stop = StopReason.COLLAPSED_TO_ZERO
             break
-        x_hat_new = unit_representative(space, rep_new, norm_new)
         dir_dist = space.norm(x_hat_new - x_hat) if x_hat is not None else math.inf
         rq_stable = rtol is not None and abs(rq_new - rq) <= rtol * abs(rq_new)
         dir_stable = dtol is not None and dir_dist <= dtol
@@ -207,11 +228,11 @@ def iterate(inst: ProblemInstance, u0, opts: IterOptions | None = None):
     opts = opts or IterOptions()
     space = inst.space
     u = space.check_dim(u0)
-    rep, norm = space.representative_norm(u)
+    u_hat, norm, phi, rq = measure_state(inst, u)
     if norm == 0.0:
         raise DegenerateInputError("u0 must have nonzero norm")
     trace = IterationTrace()
-    trace.rows.append(IterationRow(0, norm, inst.value(u), inst.rayleigh(u), math.nan, 0, math.nan))
+    trace.rows.append(IterationRow(0, norm, phi, rq, math.nan, 0, math.nan))
     if opts.keep_iterates:
         trace.iterates.append(u.copy())
 
@@ -236,7 +257,7 @@ def iterate(inst: ProblemInstance, u0, opts: IterOptions | None = None):
         logs = [r.k * math.log(mu_hat) + math.log(r.norm) for r in rows]
         return math.exp(sum(logs) / len(logs))
 
-    summary = outer_loop(inst, u, rep, trace, step, rescale, opts.max_iters, opts.rtol, opts.dtol, RQ_PATIENCE)
+    summary = outer_loop(inst, u, u_hat, trace, step, rescale, opts.max_iters, opts.rtol, opts.dtol, RQ_PATIENCE)
     return trace, RunSummary(*summary)
 
 

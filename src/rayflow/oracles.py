@@ -239,7 +239,7 @@ def _bracketed(inst, u, tol):
     lower = inst.lambda_lower(u)
     if lower is None or not (cert <= tol and lam - lower <= BRACKET_RTOL * lam):
         return None
-    return OracleResult(lam, u, OracleMethod.PROJECTED_GRADIENT, cert, lower)
+    return OracleResult(lam, unit_representative(inst.space, u, 1.0), OracleMethod.PROJECTED_GRADIENT, cert, lower)
 
 
 def direct_rayleigh_min(
@@ -253,7 +253,10 @@ def direct_rayleigh_min(
     Runs ``restarts`` seeded random starts plus the all-ones start at a
     coarse tolerance, keeps the best by (value, start index), then polishes
     it to the requested certificate tolerance.  The certificate is the
-    relative dual-norm residual of dPhi(u) - lambda J_p(u).
+    relative dual-norm residual of dPhi(u) - lambda J_p(u).  The returned
+    unit minimizer is sign-normalized like ``unit_representative``'s: its
+    largest-magnitude entry is positive, whichever sign the winning start
+    converged to.
 
     Stop rule: where the kind has the Picone bound (module docstring) and
     the all-ones start's coarse descent met its tolerance, that point is
@@ -304,6 +307,7 @@ def direct_rayleigh_min(
     if best is None:
         raise DegenerateInputError("all oracle starts were degenerate")
     u, lam, cert = _spg(inst, best[2], tol, 50_000)
+    u = unit_representative(inst.space, u, 1.0)
     return OracleResult(lam, u, OracleMethod.PROJECTED_GRADIENT, cert, inst.lambda_lower(u))
 
 

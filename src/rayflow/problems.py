@@ -491,9 +491,15 @@ class FractionalSeminorm1D(ProblemInstance):
     principal-value integral.  The collar values are zero, so the energy is
     (h^2/p) [sum_{i,j} phi(u_i - u_j) K_ij + 2 sum_i phi(u_i) c_i] over the
     interior, with the collar weight c_i = sum_{j in collar} K_ij stored as
-    an extra kernel column paired with u_i - 0.  The n x (n+1) pair
-    differences of the last point are kept, so value, gradient and Hessian
-    at one point build them once.
+    an extra kernel column paired with u_i - 0.
+
+    One power per state: for the n x (n+1) pair differences t of the last
+    point, ``_state`` keeps the weighted kernel a = K |t|^(p-2) and the
+    flux a t.  The value sums flux t (the collar column twice), the
+    gradient takes the flux's row sums, and for p >= 2 the Hessian's
+    curvature weights are (p-1) a.  For p < 2, a is 0 where t = 0, the
+    limit of |t|^(p-2) t there (no inf * 0), and the Hessian takes its own
+    power under the CURVATURE_FLOOR of ``smoothed_curvature``.
     """
 
     kind = "fractional1d"
@@ -514,37 +520,46 @@ class FractionalSeminorm1D(ProblemInstance):
         k = 1.0 / d ** (1.0 + p * s)
         collar = np.delete(k, interior, axis=1).sum(axis=1)
         self._kernel = np.column_stack((k[:, interior], collar))
-        self._last_pairs = (None, None)
+        self._last = (None, None, None, None)
 
-    def _pairs(self, u) -> np.ndarray:
-        """u_i - u_j for interior i, j, then u_i - 0 in the collar column (read-only)."""
+    def _state(self, u):
+        """(t, a, flux) at u, built once per state (read-only): the pair
+        differences t (u_i - u_j for interior i, j, then u_i - 0 in the
+        collar column), a = K |t|^(p-2) and a t."""
         key = u.tobytes()
-        if key != self._last_pairs[0]:
+        if key != self._last[0]:
             t = np.empty((self.n, self.n + 1))
             np.subtract(u[:, None], u, out=t[:, :-1])
             t[:, -1] = u
-            t.flags.writeable = False
-            self._last_pairs = (key, t)
-        return self._last_pairs[1]
+            a = np.abs(t)
+            if self.p < 2.0:  # a stays 0 at t = 0: no 0^(p-2) = inf
+                np.power(a, self.p - 2.0, out=a, where=a > 0.0)
+            else:
+                a **= self.p - 2.0
+            a *= self._kernel
+            flux = a * t
+            t.flags.writeable = a.flags.writeable = flux.flags.writeable = False
+            self._last = (key, t, a, flux)
+        return self._last[1:]
 
     def value(self, u) -> float:
-        u = self.space.check_dim(u)
+        t, _, flux = self._state(self.space.check_dim(u))
+        m = flux * t
         # the collar column counts the pairs (i, collar); add the (collar, i) order
-        total = _power_sum(self._pairs(u), self.p, self._kernel)
-        return (self.h * self.h / self.p) * (total + _power_sum(u, self.p, self._kernel[:, -1]))
+        return (self.h * self.h / self.p) * float(m.sum() + m[:, -1].sum())
 
     def _gradient(self, u) -> np.ndarray:
-        k = signed_power(self._pairs(u), self.p - 1.0) * self._kernel
         # ordered pairs (i,j) and (j,i) both contribute; dual coords divide by h
-        return 2.0 * self.h * k.sum(axis=1)
+        return 2.0 * self.h * self._state(u)[2].sum(axis=1)
 
     def hessian(self, u):
         # each pair {i, j} adds 2 h^2 K_ij kappa(u_i - u_j) (e_i - e_j)(e_i - e_j)'
         # (e_j = 0 in the collar); the p < 2 floor spans the same |u_i - u_j|
-        m = smoothed_curvature(self._pairs(self.space.check_dim(u)), self.p) * self._kernel
-        a = 0.0 - m[:, :-1]  # not -m: an entry m = 0 stays +0.0
-        a.flat[:: self.n + 1] += m.sum(axis=1)
-        return 2.0 * self.h * self.h * a
+        t, a, _ = self._state(self.space.check_dim(u))
+        m = (self.p - 1.0) * a if self.p >= 2.0 else smoothed_curvature(t, self.p) * self._kernel
+        hess = 0.0 - m[:, :-1]  # not -m: an entry m = 0 stays +0.0
+        hess.flat[:: self.n + 1] += m.sum(axis=1)
+        return 2.0 * self.h * self.h * hess
 
 
 _KINDS = {

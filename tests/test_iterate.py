@@ -1,11 +1,14 @@
 import math
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import rayflow.flow
 import rayflow.spaces
 from helpers import hilbert_closed_form
+from rayflow.config import start_vector
 from rayflow.errors import DegenerateInputError
 from rayflow.iterate import (
     IterationRow,
@@ -15,12 +18,24 @@ from rayflow.iterate import (
     StopReason,
     check_monotonicity,
     iterate,
+    measure_state,
     outer_loop,
     rough_mu,
 )
 from rayflow.flow import FlowOptions, run_flow
+from rayflow.inner import SolveReport
 from rayflow.oracles import direct_rayleigh_min
-from rayflow.problems import MatrixQuadratic, NeumannQuotient1D, PDirichlet1D, Robin1D, Steklov1D
+from rayflow.problems import (
+    FractionalSeminorm1D,
+    MatrixQuadratic,
+    NeumannQuotient1D,
+    PDirichlet1D,
+    PDirichlet2D,
+    Robin1D,
+    Steklov1D,
+    SupDirichlet1D,
+)
+from rayflow.spaces import unit_representative
 
 TIGHT = IterOptions(rtol=1e-13, dtol=1e-10, max_iters=200, grad_tol=1e-12, keep_iterates=True)
 
@@ -130,15 +145,18 @@ class TestCheckMonotonicity:
 
 
 class TestShiftSolves:
-    """outer_loop takes a state's norm and its direction from one quotient shift solve."""
+    """outer_loop takes a state's norm and its direction from one quotient
+    shift solve, and its Rayleigh quotient from the same one."""
 
     @staticmethod
     def _count(monkeypatch):
+        # keyed by the state scaled by a power of 2 to max in [1/2, 1), so a
+        # solve on an exactly scaled copy counts for the state itself
         calls: dict[bytes, int] = {}
         shift = rayflow.spaces.optimal_shift
 
         def counted(u, space):
-            key = np.asarray(u, dtype=float).tobytes()
+            key = _unit_scaled(u).tobytes()
             calls[key] = calls.get(key, 0) + 1
             return shift(u, space)
 
@@ -146,20 +164,111 @@ class TestShiftSolves:
         return calls
 
     def test_iterate_solves_each_state_once_per_use(self, monkeypatch):
-        # each iterate: one solve in outer_loop, one in the next step's
-        # duality map (the start also in its Rayleigh quotient: max|ramp| = 1)
+        # each iterate: one solve in outer_loop, one in the next step's duality map
         calls = self._count(monkeypatch)
         inst = NeumannQuotient1D(3.0, 31)
         trace, _ = iterate(inst, np.linspace(-1.0, 1.0, 31), IterOptions(keep_iterates=True))
-        counts = [calls.get(u.tobytes(), 0) for u in trace.iterates]
-        assert counts == [3] + [2] * (len(counts) - 2) + [1]
+        counts = [calls.get(_unit_scaled(u).tobytes(), 0) for u in trace.iterates]
+        assert counts == [2] * (len(counts) - 1) + [1]
 
     def test_flow_solves_each_state_once(self, monkeypatch):
-        # the start also in its Rayleigh quotient, as above
         calls = self._count(monkeypatch)
         inst = NeumannQuotient1D(3.0, 31)
         trace, _ = run_flow(inst, np.linspace(-1.0, 1.0, 31), 1e-3, 0.02, FlowOptions(keep_states=True))
-        assert [calls.get(v.tobytes(), 0) for v in trace.states] == [2] + [1] * (len(trace.states) - 1)
+        assert [calls.get(_unit_scaled(v).tobytes(), 0) for v in trace.states] == [1] * len(trace.states)
+
+
+def _unit_scaled(u):
+    u = np.asarray(u, dtype=float)
+    return np.ldexp(u, -math.frexp(float(np.abs(u).max()))[1])
+
+
+GRID_KINDS = [PDirichlet1D, SupDirichlet1D, Robin1D, NeumannQuotient1D, Steklov1D, FractionalSeminorm1D, PDirichlet2D]
+
+
+def _row_cases():
+    matrix = MatrixQuadratic(np.diag([1.0, 2.0, 5.0]) + 0.1)
+    cases = [(matrix, scale) for scale in (1e-100, 1.0, 1e100)]
+    for make in GRID_KINDS:
+        n = 4 if make is PDirichlet2D else 9
+        cases += [(make(3.0, n), scale) for scale in (1e-100, 1.0, 1e100)]
+        cases += [(make(20.0, n), scale) for scale in (1e-12, 1e12)]
+    return cases
+
+
+class TestRowMeasure:
+    """outer_loop takes each row's quotient from the Phi and the norm of that row."""
+
+    @pytest.mark.parametrize("scheme", ["iterate", "flow"])
+    @pytest.mark.parametrize(
+        "inst, scale", _row_cases(), ids=lambda c: c.kind + f"-p{c.p:g}" if hasattr(c, "kind") else f"{c:g}"
+    )
+    def test_rows_match_the_states(self, inst, scale, scheme):
+        # rq agrees with inst.rayleigh(x) and phi with Phi(x) up to rounding,
+        # and the norm column is space.norm(x) to the bit.  rayleigh divides
+        # x by max|x|, which rounds every entry, and a p-th power scales
+        # that rounding p-fold: the two quotients differ by O(p) ulp (at
+        # most 8 at p = 3 and 55 at p = 20 over 7 kinds, 3 sizes, 3 starts)
+        u0 = scale * start_vector(inst, "auto", 0)
+        if scheme == "iterate":
+            trace, _ = iterate(inst, u0, IterOptions(rtol=None, dtol=None, max_iters=4, keep_iterates=True))
+            states = trace.iterates
+        else:
+            trace, _ = run_flow(inst, u0, 1e-3, 4e-3, FlowOptions(rtol=None, dtol=None, keep_states=True))
+            states = trace.states
+        assert len(states) == len(trace.rows) == 5
+        for row, x in zip(trace.rows, states):
+            rq = inst.rayleigh(x)
+            assert abs(row.rq - rq) <= 4.0 * inst.p * np.spacing(rq)
+            assert row.phi == pytest.approx(inst.value(x), rel=1e-14)
+            assert row.norm == inst.space.norm(x)
+
+    @pytest.mark.parametrize(
+        "inst", [NeumannQuotient1D(3.0, 9), Steklov1D(1.5, 9), SupDirichlet1D(3.0, 9), FractionalSeminorm1D(8.0, 9)],
+        ids=lambda c: c.kind,
+    )
+    def test_limit_direction_keeps_its_bits(self, inst):
+        # the limit is rescale(mu_hat) times the unit representative of the
+        # last state, with the bits of the one taken on the state itself
+        rng = np.random.default_rng(3)
+        states = [10.0 ** rng.uniform(-200, 200) * rng.standard_normal(9) for _ in range(4)]
+        trace = IterationTrace()
+        x_hat, norm, phi, rq = measure_state(inst, states[0])
+        trace.rows.append(IterationRow(0, norm, phi, rq, math.nan, 0, math.nan))
+
+        def step(k, x):
+            return states[k], lambda norm, phi, rq: IterationRow(k, norm, phi, rq, 1.0, 0, 0.0)
+
+        *_, limit, steps, _, _ = outer_loop(inst, states[0], x_hat, trace, step, lambda mu: 3.0, 3, None, None, 30)
+        assert steps == 3 and [r.norm for r in trace.rows] == [inst.space.norm(x) for x in states]
+        x_hat = unit_representative(inst.space, *inst.space.representative_norm(states[-1]))
+        assert limit.tobytes() == (3.0 * x_hat).tobytes()
+
+    @pytest.mark.parametrize("inst", [NeumannQuotient1D(3.0, 9), FractionalSeminorm1D(3.0, 9)], ids=lambda c: c.kind)
+    def test_one_value_and_no_rayleigh_per_step(self, monkeypatch, inst):
+        # with the solves stubbed out, the schemes evaluate Phi once per row
+        calls = {"value": 0, "rayleigh": 0}
+        for name in calls:
+
+            def counted(u, _f=getattr(inst, name), _name=name):
+                calls[_name] += 1
+                return _f(u)
+
+            monkeypatch.setattr(inst, name, counted)
+
+        def solve(inst, xi, tol, init):
+            return SolveReport(init, 0.0, 0, True)
+
+        def move(inst, v, tau, tol, carry, init, slope):
+            return SolveReport(v / 2.0 if init is None else init, 0.0, 0, True, slope=1.0)
+
+        monkeypatch.setattr(sys.modules["rayflow.iterate"], "minimize_phi_minus_linear", solve)
+        monkeypatch.setattr(rayflow.flow, "minimize_movement", move)
+        u0 = start_vector(inst, "auto", 0)
+        iterate(inst, u0, IterOptions(rtol=None, dtol=None, max_iters=6))
+        assert calls == {"value": 7, "rayleigh": 0}
+        run_flow(inst, u0, 1e-3, 6e-3, FlowOptions(rtol=None, dtol=None))
+        assert calls == {"value": 14, "rayleigh": 0}
 
 
 class TestGuards:

@@ -439,3 +439,28 @@ class TestBracketStop:
         assert res.lambda_star == ref.lambda_star and res.certificate == ref.certificate
         assert res.minimizer.tobytes() == ref.minimizer.tobytes()
         assert res.lambda_lower == ref.lambda_lower
+
+
+class TestMinimizerSign:
+    """The sphere oracle returns its minimizer with a positive largest-magnitude entry."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_multistart_minimizer_is_sign_normalized(self, monkeypatch, seed):
+        # the winning start of seeds 0, 1 and 4 converges to -phi; only the
+        # sign of the returned point changes, not lambda or the certificate
+        inst = NeumannQuotient1D(3.0, 11)
+        res = direct_rayleigh_min(inst, restarts=4, seed=seed)
+        u = res.minimizer
+        assert u[np.abs(u).argmax()] > 0.0
+        monkeypatch.setattr(rayflow.oracles, "unit_representative", lambda space, t, n: t / n)
+        raw = direct_rayleigh_min(inst, restarts=4, seed=seed)
+        assert res.lambda_star == raw.lambda_star and res.certificate == raw.certificate
+        assert u.tobytes() in (raw.minimizer.tobytes(), (-raw.minimizer).tobytes())
+
+    def test_bracketed_minimizer_is_sign_normalized(self):
+        # the stop's return, from a coarse point at -phi: the polish keeps the sign
+        inst = FractionalSeminorm1D(3.0, 15)
+        u, _, _ = _spg(inst, np.ones(15), 1e-5, 800)
+        res, mirror = rayflow.oracles._bracketed(inst, -u, 1e-8), rayflow.oracles._bracketed(inst, u, 1e-8)
+        assert (res.minimizer > 0.0).all()
+        assert res.lambda_star == mirror.lambda_star and res.lambda_lower == mirror.lambda_lower

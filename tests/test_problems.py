@@ -5,6 +5,7 @@ import pytest
 
 from helpers import euler_identity_residual
 from rayflow.errors import ConfigError, DegenerateInputError
+from rayflow import problems
 from rayflow.problems import (
     FractionalSeminorm1D,
     MatrixQuadratic,
@@ -355,17 +356,56 @@ def _edge_list(inst):
     ids=["pdirichlet1d", "supdirichlet1d", "robin1d", "neumann1d", "steklov1d", "fractional1d"],
 )
 def test_pairwise_kinds_match_edge_list(make, p):
-    # value, gradient and Hessian of each pairwise kind against its explicit
+    _assert_matches_edge_list(make(p, 17), np.random.default_rng(int(10 * p)).standard_normal(17))
+
+
+def _fractional_state(name, n):
+    rng = np.random.default_rng(n)
+    if name == "mirror":  # exact ties u_i = u_(n-1-i)
+        half = rng.standard_normal(n // 2 + 1)
+        return np.concatenate((half, half[-2::-1]))
+    if name == "zeros":
+        u = rng.standard_normal(n)
+        u[::3] = 0.0
+        return u
+    return np.full(n, 0.7)  # all equal: every interior difference is 0
+
+
+@pytest.mark.parametrize("state", ["mirror", "zeros", "equal"])
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 8.0, 20.0])
+def test_fractional_kernel_matches_edge_list(p, state):
+    # zero differences take the p < 2 mask of the flux and the curvature
+    # floor of the Hessian; at p = 2 the curvature at a zero difference is K
+    _assert_matches_edge_list(FractionalSeminorm1D(p, 17, s=0.3), _fractional_state(state, 17))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_fractional_state_is_built_once(monkeypatch, p):
+    # value, gradient and Hessian at one state share its one kernel power;
+    # only the p < 2 Hessian takes its own floored power
+    inst = FractionalSeminorm1D(p, 9)
+    calls = []
+    monkeypatch.setattr(problems, "smoothed_curvature", lambda t, p: calls.append(p) or smoothed_curvature(t, p))
+    u = _fractional_state("zeros", 9)
+    inst.value(u)
+    built = inst._last
+    inst.gradient(u)
+    inst.hessian(u)
+    assert inst._last is built and len(calls) == (p < 2.0)
+    inst.value(2.0 * u)
+    assert inst._last is not built
+
+
+def _assert_matches_edge_list(inst, u):
+    # value, gradient and Hessian of a pairwise kind against its explicit
     # edge list with a ground node: (1/p) sum c|d|^p, D'(c |d|^(p-2) d) and
     # D' diag(c kappa(d)) D, with d = Du the edge differences
-    n = 17
-    inst = make(p, n)
+    n, p = len(u), inst.p
     i, j, c = (np.array(t) for t in zip(*_edge_list(inst)))
     D = np.zeros((len(c), n + 1))
     D[np.arange(len(c)), i] = 1.0
     D[np.arange(len(c)), j] = -1.0
     D = D[:, :n]  # the ground column: u = 0 there
-    u = np.random.default_rng(int(10 * p)).standard_normal(n)
     d = np.append(u, 0.0)[i] - np.append(u, 0.0)[j]
     value = np.sum(c * np.abs(d) ** p) / p
     grad = D.T @ (c * np.sign(d) * np.abs(d) ** (p - 1.0))

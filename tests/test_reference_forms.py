@@ -6,7 +6,9 @@ matrix call ndarray methods and ufuncs, not numpy's Python-level wrappers
 dispatches to the same C reduction, so the results must not move by a
 single bit.  The reference functions below keep the wrapper-based
 expressions; every test compares the bytes of the results, so a reordered
-sum or a changed rounding step fails here.
+sum or a changed rounding step fails here.  The fractional references
+compute each state's weighted kernel K |t|^(p-2) and flux from scratch,
+where the instance caches them per state.
 """
 
 import math
@@ -94,15 +96,39 @@ def ref_chain_gradient(inst, u):
     return g / inst.space.pairing_weights()
 
 
+def ref_fractional_state(inst, u):
+    """The pair differences t, a = K |t|^(p-2) (0 at t = 0 for p < 2) and the flux a t."""
+    p = inst.p
+    t = np.concatenate((np.subtract.outer(u, u), u[:, None]), axis=1)
+    if p < 2.0:
+        a = np.where(t == 0.0, 0.0, np.power(np.where(t == 0.0, 1.0, np.abs(t)), p - 2.0))
+    else:
+        a = np.power(np.abs(t), p - 2.0)
+    a = a * inst._kernel
+    return t, a, a * t
+
+
+def ref_fractional_value(inst, u):
+    t, _, flux = ref_fractional_state(inst, u)
+    m = flux * t
+    return (inst.h * inst.h / inst.p) * float(np.sum(m) + np.sum(m[:, -1]))
+
+
+def ref_fractional_gradient(inst, u):
+    return 2.0 * inst.h * np.sum(ref_fractional_state(inst, u)[2], axis=1)
+
+
 def ref_fractional_hessian(inst, u):
-    m = smoothed_curvature(inst._pairs(u), inst.p) * inst._kernel
-    return 2.0 * inst.h * inst.h * (np.diag(m.sum(axis=1)) - m[:, :-1])
+    t, a, _ = ref_fractional_state(inst, u)
+    m = (inst.p - 1.0) * a if inst.p >= 2.0 else smoothed_curvature(t, inst.p) * inst._kernel
+    return 2.0 * inst.h * inst.h * (np.diag(np.sum(m, axis=1)) - m[:, :-1])
 
 
 def ref_newton_direction(inst, extra, x, r):
     """The dense Newton direction as ``_Newton`` built it with np.diag (first call: no shortening)."""
     w = inst.space.pairing_weights()
-    a = inst.hessian(x) + np.diag(extra(x))
+    hess = inst.matrix if inst.kind == "matrix" else ref_fractional_hessian(inst, x)
+    a = hess + np.diag(extra(x))
     try:
         d = np.linalg.solve(a, -w * r)
     except np.linalg.LinAlgError:
@@ -183,6 +209,15 @@ def test_fractional_hessian(u, p):
     inst = FractionalSeminorm1D(p, len(u))
     with np.errstate(all="ignore"):
         assert same_bits(inst.hessian(u), ref_fractional_hessian(inst, u))
+
+
+@settings(max_examples=80, deadline=None)
+@given(vectors(), exponents)
+def test_fractional_value_and_gradient(u, p):
+    inst = FractionalSeminorm1D(p, len(u))
+    with np.errstate(all="ignore"):
+        assert same_bits(inst.value(u), ref_fractional_value(inst, u))
+        assert same_bits(inst._gradient(u), ref_fractional_gradient(inst, u))
 
 
 @settings(max_examples=80, deadline=None)
