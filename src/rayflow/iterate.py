@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DegenerateInputError
 from .inner import minimize_phi_minus_linear
 from .problems import ProblemInstance
-from .spaces import mu_from_lambda, unit_representative
+from .spaces import mu_from_lambda, pow2_scale, unit_representative
 
 __all__ = [
     "IterOptions",
@@ -133,17 +133,15 @@ class Violation(NamedTuple):
 def measure_state(inst, x):
     """(x_hat, norm, phi, rq) of a state x from one Phi and one norm.
 
-    Both are taken at y = x / 2^k, 2^k >= max|x| a power of 2, as in
-    ``oracles.eigen_residual``: the scaling is exact, and no power of y
-    under- or overflows.  By homogeneity rq = p Phi(y) / ||y||^p (within
-    rounding of ``inst.rayleigh(x)``) and phi = 2^(kp) Phi(y), which is
-    Phi(x) up to rounding and overflows where Phi(x) does.  The norm
-    2^k ||y|| and the sign-normalized unit representative x_hat have the
-    bits of x's own: the norm and the quotient shift scale by the same
-    power of 2 inside.  At norm 0, rq is nan and x_hat None.
+    Both are taken at y = x / 2^k from ``pow2_scale``, as in
+    ``inst.rayleigh``, so rq = p Phi(y) / ||y||^p is ``inst.rayleigh(x)``
+    to the bit.  phi = 2^(kp) Phi(y) is Phi(x) up to rounding and
+    overflows where Phi(x) does.  The norm 2^k ||y|| and the
+    sign-normalized unit representative x_hat have the bits of x's own:
+    the norm and the quotient shift scale by the same power of 2 inside.
+    At norm 0, rq is nan and x_hat None.
     """
-    k = math.frexp(float(np.abs(x).max()))[1]  # 0 for a zero or non-finite x
-    y = np.ldexp(x, -k)
+    y, k = pow2_scale(x)
     rep, norm = inst.space.representative_norm(y)
     phi = inst.value(y)
     rq = inst.p * phi / norm**inst.p if norm > 0.0 else math.nan

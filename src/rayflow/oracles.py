@@ -46,7 +46,7 @@ import numpy as np
 from .errors import DegenerateInputError
 from .inner import descend
 from .problems import ProblemInstance
-from .spaces import SpaceKind, optimal_shift, unit_representative  # noqa: F401 (perfbench traces it here)
+from .spaces import SpaceKind, optimal_shift, pow2_scale, unit_representative  # noqa: F401 (perfbench traces it here)
 
 __all__ = [
     "OracleMethod",
@@ -89,7 +89,7 @@ def eigen_residual(inst: ProblemInstance, u, lam: float) -> float:
     m = float(np.abs(u).max())
     if m == 0.0:
         raise DegenerateInputError("eigen residual undefined at zero")
-    u = u / 2.0 ** math.frexp(m)[1]  # a power of 2 at or above max |u|: the scaling is exact
+    u = pow2_scale(u)[0]  # exact: a vector exact as given keeps its bits
     g = inst.gradient(u)
     j = space.duality_map(u)
     ref = lam * space.dual_norm(j)

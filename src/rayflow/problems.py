@@ -41,6 +41,7 @@ from .spaces import (
     Exponent,
     SpaceDescriptor,
     SpaceKind,
+    pow2_scale,
     signed_power,
     smoothed_curvature,
 )
@@ -181,7 +182,7 @@ class ProblemInstance:
         m = float(u.max())
         if not ((u > 0.0).all() and m < math.inf):
             return None
-        u = u / 2.0 ** math.frexp(m)[1]  # a power of 2 at or above max u: the scaling is exact
+        u = pow2_scale(u)[0]
         j = self.space.duality_map(u)
         if j.min() < np.finfo(float).tiny:
             return None
@@ -189,17 +190,13 @@ class ProblemInstance:
             return float((self.gradient(u) / j).min())
 
     def rayleigh(self, u) -> float:
-        u = self.space.check_dim(u)
-        # homogeneity makes the quotient scale-free: evaluate at max-scaled u
-        # so extreme iterate magnitudes never under/overflow the powers
-        m = float(np.abs(u).max())
-        if m == 0.0:
-            raise DegenerateInputError("Rayleigh quotient undefined on the zero element")
-        u = u / m
-        n = self.space.norm(u)
+        # homogeneity makes the quotient scale-free: evaluate at u / 2^k
+        # (``pow2_scale``) so extreme magnitudes never under/overflow the powers
+        y = pow2_scale(self.space.check_dim(u))[0]
+        n = self.space.norm(y)
         if n == 0.0:
             raise DegenerateInputError("Rayleigh quotient undefined on the zero element")
-        return self.p * self.value(u) / n**self.p
+        return self.p * self.value(y) / n**self.p
 
 
 class MatrixQuadratic(ProblemInstance):

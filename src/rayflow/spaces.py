@@ -39,6 +39,7 @@ __all__ = [
     "smoothed_curvature",
     "mu_from_lambda",
     "optimal_shift",
+    "pow2_scale",
     "unit_representative",
 ]
 
@@ -47,6 +48,15 @@ def signed_power(t, e):
     """sign(t) * |t|**e, elementwise; exact 0 at t = 0 for e > 0."""
     t = np.asarray(t, dtype=float)
     return np.sign(t) * np.abs(t) ** e
+
+
+def pow2_scale(u) -> tuple[np.ndarray, int]:
+    """(u / 2^k, k) for 2^k the power of 2 at or above max|u| (k = 0 for a
+    zero or non-finite u).  The scaling is exact unless an entry leaves the
+    normal range, and no power of the scaled entries overflows.  ``np.ldexp``
+    has no OverflowError at max|u| >= 2^1023, where ``2.0 ** k`` does."""
+    k = math.frexp(float(np.abs(u).max()))[1]
+    return np.ldexp(u, -k), k
 
 
 def _scaled_pnorm(v, w, p) -> float:
@@ -211,7 +221,7 @@ def _zero_mean_dual(t, p, w) -> np.ndarray:
     """
     xi = signed_power(t, p - 1.0)
     with np.errstate(divide="ignore", over="ignore"):
-        sens = (p - 1.0) * (np.abs(t) / 2.0 ** math.frexp(float(np.abs(t).max()))[1]) ** (p - 2.0)
+        sens = (p - 1.0) * np.abs(pow2_scale(t)[0]) ** (p - 2.0)
     if np.isinf(sens).any():
         sens = np.isinf(sens).astype(float)
     total = (w * sens).sum()
@@ -229,13 +239,12 @@ def optimal_shift(u, space: SpaceDescriptor) -> float:
     """The constant c minimizing sum_i h |u_i + c|^p for a quotient space.
 
     c is the root of the increasing r(c) = sum_i h |u_i + c|^(p-2) (u_i + c)
-    on [-max u, -min u].  c is 1-homogeneous in u, so the solve runs on u / m
-    (m the power of 2 at or above max|u|: exact, no power under- or
-    overflows).  Safeguarded Newton starts at c = 0 when 0 is inside the
-    bracket (a centred vector stops at once), else at its midpoint.  One
-    power a^(p-1) of a = |u + c| per iteration gives r, its scale
-    sum h a^(p-1) and r' = (p-1) sum h a^(p-2).  Bisection replaces a Newton
-    point outside the bracket or a step over half the one before last
+    on [-max u, -min u].  c is 1-homogeneous in u, so the solve runs on
+    u / 2^k from ``pow2_scale``.  Safeguarded Newton starts at c = 0 when 0
+    is inside the bracket (a centred vector stops at once), else at its
+    midpoint.  One power a^(p-1) of a = |u + c| per iteration gives r, its
+    scale sum h a^(p-1) and r' = (p-1) sum h a^(p-2).  Bisection replaces a
+    Newton point outside the bracket or a step over half the one before last
     (rtsafe, Numerical Recipes).  Stops at |r| <= 1e-13 scale or at the
     rounding floor of r at c, 4 r'(c) ulp(c), whichever is larger, or with
     no float left inside the bracket at the end of smaller |r|.
@@ -248,8 +257,8 @@ def optimal_shift(u, space: SpaceDescriptor) -> float:
     lo, hi = float(-u.max()), float(-u.min())
     if lo == hi:
         return lo  # constant vector: shift cancels it exactly
-    m = 2.0 ** math.frexp(max(-lo, hi))[1]  # a power of 2: the scaling is exact
-    v, lo, hi = u / m, lo / m, hi / m
+    v, k = pow2_scale(u)
+    lo, hi = math.ldexp(lo, -k), math.ldexp(hi, -k)
     r_lo, r_hi = -math.inf, math.inf
     c = 0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)
     step_before = [math.inf, math.inf]
@@ -274,7 +283,7 @@ def optimal_shift(u, space: SpaceDescriptor) -> float:
                 break
         step_before = [step_before[1], abs(c_next - c)]
         c = c_next
-    return float(c * m)
+    return math.ldexp(c, k)
 
 
 def unit_representative(space: SpaceDescriptor, t, n: float) -> np.ndarray:

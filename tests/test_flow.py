@@ -18,6 +18,7 @@ from rayflow.problems import (
     Steklov1D,
     SupDirichlet1D,
 )
+from rayflow.spaces import unit_representative
 
 TIGHT = FlowOptions(rtol=1e-12, dtol=1e-7, grad_tol=1e-11, keep_states=True)
 
@@ -210,14 +211,19 @@ class TestSupFlow:
                 return _f(*args)
 
             monkeypatch.setattr(inst, name, counted)
-        _, summary = run_flow(inst, u0, 0.01 / mu, 50.0 / mu)
+        trace, summary = run_flow(inst, u0, 0.01 / mu, 50.0 / mu, FlowOptions(keep_states=True))
         assert summary.converged and calls["solve_box"] > summary.steps
         assert calls["gradient"] == calls["solve_box"] + 1
         assert calls["value"] == summary.steps + 1
         assert calls["solve_box"] <= 0.8 * self.BOX_SOLVES_BEFORE[p]
-        # the flow ends on the tent itself: lambda_hat is its quotient up to
-        # the rounding of the state's power-of-2 scaling, and within one ulp of 2^p
-        assert abs(summary.lambda_hat - inst.rayleigh(tent)) <= 8.0 * np.spacing(inst.rayleigh(tent))
+        # the flow ends on the tent: its direction is the tent to 2^-53 (the
+        # spacing of doubles just below the peak 1) in each entry; lambda_hat is
+        # the last state's quotient to the last bit, and that is 2^p rounded
+        # (one ulp below it at p = 1.5 and 3)
+        last = trace.states[-1]
+        x_hat = unit_representative(inst.space, *inst.space.representative_norm(last))
+        assert np.abs(x_hat - tent).max() <= 2.0**-53
+        assert summary.lambda_hat == inst.rayleigh(last)
         assert abs(summary.lambda_hat - 2.0**p) <= np.spacing(2.0**p)
 
 

@@ -35,7 +35,7 @@ from rayflow.problems import (
     Steklov1D,
     SupDirichlet1D,
 )
-from rayflow.spaces import unit_representative
+from rayflow.spaces import pow2_scale, unit_representative
 
 TIGHT = IterOptions(rtol=1e-13, dtol=1e-10, max_iters=200, grad_tol=1e-12, keep_iterates=True)
 
@@ -156,7 +156,7 @@ class TestShiftSolves:
         shift = rayflow.spaces.optimal_shift
 
         def counted(u, space):
-            key = _unit_scaled(u).tobytes()
+            key = pow2_scale(u)[0].tobytes()
             calls[key] = calls.get(key, 0) + 1
             return shift(u, space)
 
@@ -168,19 +168,14 @@ class TestShiftSolves:
         calls = self._count(monkeypatch)
         inst = NeumannQuotient1D(3.0, 31)
         trace, _ = iterate(inst, np.linspace(-1.0, 1.0, 31), IterOptions(keep_iterates=True))
-        counts = [calls.get(_unit_scaled(u).tobytes(), 0) for u in trace.iterates]
+        counts = [calls.get(pow2_scale(u)[0].tobytes(), 0) for u in trace.iterates]
         assert counts == [2] * (len(counts) - 1) + [1]
 
     def test_flow_solves_each_state_once(self, monkeypatch):
         calls = self._count(monkeypatch)
         inst = NeumannQuotient1D(3.0, 31)
         trace, _ = run_flow(inst, np.linspace(-1.0, 1.0, 31), 1e-3, 0.02, FlowOptions(keep_states=True))
-        assert [calls.get(_unit_scaled(v).tobytes(), 0) for v in trace.states] == [1] * len(trace.states)
-
-
-def _unit_scaled(u):
-    u = np.asarray(u, dtype=float)
-    return np.ldexp(u, -math.frexp(float(np.abs(u).max()))[1])
+        assert [calls.get(pow2_scale(v)[0].tobytes(), 0) for v in trace.states] == [1] * len(trace.states)
 
 
 GRID_KINDS = [PDirichlet1D, SupDirichlet1D, Robin1D, NeumannQuotient1D, Steklov1D, FractionalSeminorm1D, PDirichlet2D]
@@ -204,11 +199,8 @@ class TestRowMeasure:
         "inst, scale", _row_cases(), ids=lambda c: c.kind + f"-p{c.p:g}" if hasattr(c, "kind") else f"{c:g}"
     )
     def test_rows_match_the_states(self, inst, scale, scheme):
-        # rq agrees with inst.rayleigh(x) and phi with Phi(x) up to rounding,
-        # and the norm column is space.norm(x) to the bit.  rayleigh divides
-        # x by max|x|, which rounds every entry, and a p-th power scales
-        # that rounding p-fold: the two quotients differ by O(p) ulp (at
-        # most 8 at p = 3 and 55 at p = 20 over 7 kinds, 3 sizes, 3 starts)
+        # rq is inst.rayleigh(x) and the norm column space.norm(x) to the
+        # bit; phi is Phi(x) up to rounding
         u0 = scale * start_vector(inst, "auto", 0)
         if scheme == "iterate":
             trace, _ = iterate(inst, u0, IterOptions(rtol=None, dtol=None, max_iters=4, keep_iterates=True))
@@ -218,8 +210,7 @@ class TestRowMeasure:
             states = trace.states
         assert len(states) == len(trace.rows) == 5
         for row, x in zip(trace.rows, states):
-            rq = inst.rayleigh(x)
-            assert abs(row.rq - rq) <= 4.0 * inst.p * np.spacing(rq)
+            assert row.rq == inst.rayleigh(x)
             assert row.phi == pytest.approx(inst.value(x), rel=1e-14)
             assert row.norm == inst.space.norm(x)
 

@@ -211,6 +211,14 @@ class TestDirectRayleighMin:
         u = np.where(j <= i, j * (n + 1 - i), i * (n + 1 - j)).astype(float)
         assert eigen_residual(inst, u, inst.rayleigh(u)) <= 1e-14
 
+    def test_scale_free_past_2_to_the_1023(self):
+        # at max|u| >= 2^1023 the power of 2 at or above it is 2^1024, past
+        # the double range: the scaled u still gives the unit-scale figures
+        inst = PDirichlet1D(3.0, 5)
+        u = np.sin(np.pi * np.arange(1, 6) / 6)
+        for f in (lambda v: eigen_residual(inst, v, 10.0), inst.lambda_lower, inst.rayleigh):
+            assert f(1e308 * u) == pytest.approx(f(u), rel=1e-14)
+
     @pytest.mark.parametrize("p, n", [(8.0, 31), (20.0, 15)])
     def test_large_p_certifies(self, p, n):
         # R is about 1e12 at the starts: descending on R itself, the Armijo

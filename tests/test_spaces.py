@@ -12,6 +12,7 @@ from rayflow.spaces import (
     _zero_mean_dual,
     mu_from_lambda,
     optimal_shift,
+    pow2_scale,
     signed_power,
 )
 
@@ -225,6 +226,24 @@ class TestMuFromLambda:
         for lam in (0.0, -1.0, math.nan):
             with pytest.raises(DegenerateInputError):
                 mu_from_lambda(lam, Exponent(2.0))
+
+
+class TestPow2Scale:
+    def test_exact_power_of_two(self):
+        rng = np.random.default_rng(4)
+        for scale in (1e-300, 1.0, 1e300, 1.7e308):
+            u = scale * rng.uniform(-1.0, 1.0, 9)
+            y, k = pow2_scale(u)
+            assert 0.5 <= np.abs(y).max() < 1.0
+            assert np.ldexp(y, k).tobytes() == u.tobytes()
+        y, k = pow2_scale(np.zeros(3))
+        assert k == 0 and not y.any()
+
+    def test_shift_past_2_to_the_1023(self):
+        # the power of 2 at or above max|u| is 2^1024 here, past the double range
+        s = quot(7, 3.0)
+        u = np.linspace(-1.0, 1.0, 7) ** 3 + 0.3
+        assert optimal_shift(1e308 * u, s) == pytest.approx(1e308 * optimal_shift(u, s), rel=1e-12)
 
 
 class TestOptimalShift:
