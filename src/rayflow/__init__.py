@@ -10,18 +10,9 @@ every computable claim.
 """
 
 from .errors import ConfigError, DegenerateInputError, NumericsError, SpaceMismatchError
-from .flow import FlowOptions, FlowSummary, FlowTrace, check_decay, local_slope, run_flow
+from .flow import FlowOptions, check_decay, local_slope, run_flow
 from .inner import SolveReport, minimize_movement, minimize_phi_minus_linear
-from .iterate import (
-    IterationTrace,
-    IterOptions,
-    RunSummary,
-    SchemeFailure,
-    StopReason,
-    check_monotonicity,
-    iterate,
-    rough_mu,
-)
+from .iterate import IterOptions, RunSummary, SchemeFailure, StopReason, Trace, check_monotonicity, iterate, rough_mu
 from .oracles import (
     OracleMethod,
     OracleResult,
@@ -57,11 +48,8 @@ __all__ = [
     "DegenerateInputError",
     "Exponent",
     "FlowOptions",
-    "FlowSummary",
-    "FlowTrace",
     "FractionalSeminorm1D",
     "IterOptions",
-    "IterationTrace",
     "MatrixQuadratic",
     "NeumannQuotient1D",
     "NumericsError",
@@ -80,6 +68,7 @@ __all__ = [
     "Steklov1D",
     "StopReason",
     "SupDirichlet1D",
+    "Trace",
     "assemble",
     "check_decay",
     "check_monotonicity",

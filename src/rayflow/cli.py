@@ -26,8 +26,8 @@ import numpy as np
 
 from .config import RunConfig, load_config, start_vector
 from .errors import ConfigError, DegenerateInputError, NumericsError
-from .flow import FlowOptions, FlowTrace, check_step, run_flow
-from .iterate import IterOptions, SchemeFailure, iterate, rough_mu
+from .flow import FlowOptions, check_step, run_flow
+from .iterate import IterOptions, SchemeFailure, Trace, iterate, rough_mu
 from .oracles import DEFAULT_SEED, oracle_lambda
 from .problems import assemble
 from .util import derive_seed
@@ -117,77 +117,76 @@ def _scheme_options(cls, section: str, c: dict):
         return cls(**{k: v for k, v in c.items() if k in names})
 
 
-def _flow_params(cfg: RunConfig, inst, u0):
-    """(tau, t_end, options) of [flow]; a failed ``auto`` estimate is the
-    flow's own SchemeFailure, with an empty trace."""
-    c = cfg.flow
-    opts = _scheme_options(FlowOptions, "flow", c)
-    tau, t_end = c.get("tau", "auto"), c.get("t_end", "auto")
-    if tau == "auto" or t_end == "auto":
-        try:
-            mu = rough_mu(inst, u0)
-        except SchemeFailure as e:
-            raise SchemeFailure(f"automatic step: {e}", FlowTrace(inst.p)) from None
-        if tau == "auto":
-            tau = 0.01 / mu
-        if t_end == "auto":
-            t_end = 50.0 / mu
-    with _options_of("flow"):
-        check_step(tau, t_end)
-    return float(tau), float(t_end), opts
-
-
-def _run_iterate(cfg: RunConfig, out: Path, say):
+def _iterate_solve(cfg: RunConfig):
+    """The iterate run's solve, with its start and options built now."""
     inst = assemble(cfg.instance)
     u0 = start_vector(inst, cfg.iterate.get("u0"), cfg.seed)
-    try:
-        trace, summary = iterate(inst, u0, _scheme_options(IterOptions, "iterate", cfg.iterate))
-    except SchemeFailure as e:
-        _write_trace_csv(out / "iterate_trace.csv", _iterate_rows(e.trace))
-        say(f"iterate: {e}")
-        return 1, None
-    _write_trace_csv(out / "iterate_trace.csv", _iterate_rows(trace))
-    _write_json(
-        out / "iterate_summary.json",
-        {
-            "command": "iterate",
-            "lambda_hat": summary.lambda_hat,
-            "mu_hat": summary.mu_hat,
-            "iters": summary.iters,
-            "converged": summary.converged,
-            "stop_reason": summary.stop_reason.value,
-            "limit_vec": summary.limit_vec,
-        },
-    )
-    say(f"iterate: lambda_hat={_g17(summary.lambda_hat)} ({summary.stop_reason.value}, {summary.iters} steps)")
-    return 0, summary
+    opts = _scheme_options(IterOptions, "iterate", cfg.iterate)
+    return lambda: (*iterate(inst, u0, opts), {})
 
 
-def _run_flow(cfg: RunConfig, out: Path, say):
+def _flow_solve(cfg: RunConfig):
+    """The flow run's solve, with its start, options and explicit tau and
+    t_end checked now.  An ``auto`` value comes from ``rough_mu`` inside the
+    solve: its failure is the flow's own SchemeFailure, with an empty trace,
+    and an auto t_end below an explicit tau is rejected only then."""
+    c = cfg.flow
     inst = assemble(cfg.instance)
-    u0 = start_vector(inst, cfg.flow.get("u0"), cfg.seed)
+    u0 = start_vector(inst, c.get("u0"), cfg.seed)
+    opts = _scheme_options(FlowOptions, "flow", c)
+    tau, t_end = c.get("tau", "auto"), c.get("t_end", "auto")
+    with _options_of("flow"):
+        if "auto" not in (tau, t_end):
+            check_step(tau, t_end)
+    for key, x in (("tau", tau), ("t_end", t_end)):
+        if x != "auto":
+            _positive("flow", key, x)
+
+    def solve():
+        step, horizon = tau, t_end
+        if "auto" in (tau, t_end):
+            try:
+                mu = rough_mu(inst, u0)
+            except SchemeFailure as e:
+                raise SchemeFailure(f"automatic step: {e}", Trace(inst.p)) from None
+            step = 0.01 / mu if tau == "auto" else tau
+            horizon = 50.0 / mu if t_end == "auto" else t_end
+            with _options_of("flow"):
+                check_step(step, horizon)
+        return (*run_flow(inst, u0, step, horizon, opts), {"tau": step})
+
+    return solve
+
+
+def _run_scheme(name, count_key, solve, rows, out: Path, say):
+    """Run one scheme and write ``<name>_trace.csv`` and ``<name>_summary.json``.
+
+    ``solve()`` returns (trace, summary, extra_json_keys); the extra keys
+    follow ``count_key``, which carries ``summary.steps``.  A SchemeFailure
+    keeps its partial trace and writes no summary.  Returns (exit code,
+    summary or None).
+    """
     try:
-        tau, t_end, opts = _flow_params(cfg, inst, u0)
-        trace, summary = run_flow(inst, u0, tau, t_end, opts)
+        trace, summary, extra = solve()
     except SchemeFailure as e:
-        _write_trace_csv(out / "flow_trace.csv", _flow_rows(e.trace))
-        say(f"flow: {e}")
+        _write_trace_csv(out / f"{name}_trace.csv", rows(e.trace))
+        say(f"{name}: {e}")
         return 1, None
-    _write_trace_csv(out / "flow_trace.csv", _flow_rows(trace))
+    _write_trace_csv(out / f"{name}_trace.csv", rows(trace))
     _write_json(
-        out / "flow_summary.json",
+        out / f"{name}_summary.json",
         {
-            "command": "flow",
+            "command": name,
             "lambda_hat": summary.lambda_hat,
             "mu_hat": summary.mu_hat,
-            "steps": summary.steps,
-            "tau": tau,
+            count_key: summary.steps,
+            **extra,
             "converged": summary.converged,
             "stop_reason": summary.stop_reason.value,
             "limit_vec": summary.limit_vec,
         },
     )
-    say(f"flow: lambda_hat={_g17(summary.lambda_hat)} ({summary.stop_reason.value}, {summary.steps} steps)")
+    say(f"{name}: lambda_hat={_g17(summary.lambda_hat)} ({summary.stop_reason.value}, {summary.steps} steps)")
     return 0, summary
 
 
@@ -217,8 +216,9 @@ def _run_oracle(cfg: RunConfig, out: Path, say):
 def _run_compare(cfg: RunConfig, out: Path, say):
     rtol = _positive("compare", "lambda_rtol", cfg.compare.get("lambda_rtol", 1e-3))
     _oracle_params(cfg)  # reject a bad [oracle] section before the solves run
-    code_i, s_it = _run_iterate(cfg, out, say)
-    code_f, s_fl = _run_flow(cfg, out, say)
+    solve_it, solve_fl = _iterate_solve(cfg), _flow_solve(cfg)
+    code_i, s_it = _run_scheme("iterate", "iters", solve_it, _iterate_rows, out, say)
+    code_f, s_fl = _run_scheme("flow", "steps", solve_fl, _flow_rows, out, say)
     code_o, res = _run_oracle(cfg, out, say)
     if code_i or code_f or code_o:
         return 1
@@ -285,8 +285,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         dispatch = {
-            "iterate": lambda: _run_iterate(cfg, out, say)[0],
-            "flow": lambda: _run_flow(cfg, out, say)[0],
+            "iterate": lambda: _run_scheme("iterate", "iters", _iterate_solve(cfg), _iterate_rows, out, say)[0],
+            "flow": lambda: _run_scheme("flow", "steps", _flow_solve(cfg), _flow_rows, out, say)[0],
             "oracle": lambda: _run_oracle(cfg, out, say)[0],
             "compare": lambda: _run_compare(cfg, out, say),
         }

@@ -13,21 +13,19 @@ and (1 + tau mu)^n v_n is the rescaled state whose limit is a minimizer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInputError
 from .inner import minimize_movement
-from .iterate import SchemeFailure, StopReason, Violation, check_stop_rules, measure_state, outer_loop
+from .iterate import SchemeFailure, Trace, Violation, check_stop_rules, measure_state, outer_loop
 from .problems import ProblemInstance
 from .spaces import SpaceKind, mu_from_lambda
 
 __all__ = [
     "FlowOptions",
     "FlowRow",
-    "FlowTrace",
-    "FlowSummary",
     "local_slope",
     "run_flow",
     "check_decay",
@@ -46,7 +44,6 @@ class FlowOptions:
     rtol: float | None = 1e-9
     dtol: float | None = 1e-8
     grad_tol: float = 1e-9
-    keep_states: bool = False
 
     def __post_init__(self):
         check_stop_rules(self.rtol, self.dtol, self.grad_tol)
@@ -64,29 +61,6 @@ class FlowRow:
     energy_residual: float
 
 
-@dataclass
-class FlowTrace:
-    p: float
-    rows: list[FlowRow] = field(default_factory=list)
-    states: list[np.ndarray] = field(default_factory=list)  # only if requested
-
-    def __len__(self):
-        return len(self.rows)
-
-    def column(self, name) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows])
-
-
-@dataclass
-class FlowSummary:
-    lambda_hat: float
-    mu_hat: float
-    limit_vec: np.ndarray
-    steps: int
-    converged: bool
-    stop_reason: StopReason
-
-
 def local_slope(inst: ProblemInstance, u) -> float:
     """|dPhi|(u): the dual norm of the (unique) gradient of the smooth energy."""
     return inst.space.dual_norm(inst.gradient(u))
@@ -101,7 +75,8 @@ def check_step(tau: float, t_end: float):
 
 
 def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOptions | None = None):
-    """Advance the minimizing-movement flow from v0; returns (FlowTrace, FlowSummary).
+    """Advance the minimizing-movement flow from v0; returns (Trace, RunSummary),
+    with one FlowRow per state.
 
     Each step is one movement solve anchored at the previous state v_n.
     On smooth spaces the solve starts at a predicted state, with
@@ -133,10 +108,7 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
     v_hat, norm, phi, rq = measure_state(inst, v)
     if not math.isfinite(phi):
         raise DegenerateInputError("Phi(v0) must be finite")
-    trace = FlowTrace(p=inst.p)
-    trace.rows.append(FlowRow(0, 0.0, phi, norm, rq, math.nan, local_slope(inst, v), math.nan))
-    if opts.keep_states:
-        trace.states.append(v.copy())
+    trace = Trace(inst.p, [FlowRow(0, 0.0, phi, norm, rq, math.nan, local_slope(inst, v), math.nan)])
     p, q = inst.exponent.p, inst.exponent.q
     carry: dict = {}  # the sup radius of the last step
     past: list[np.ndarray] = []  # v_{n-1} and v_{n-2} for the predictor, never the start
@@ -163,8 +135,6 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
                 f"{inst.kind}: movement solve failed to converge at step {n} (merit {rep.grad_dual_norm:.3e})", trace
             )
         v_new = rep.minimizer
-        if opts.keep_states:
-            trace.states.append(v_new.copy())
         speed = space.norm(v_new - v) / tau
         slope_new = local_slope(inst, v_new) if rep.slope is None else rep.slope
 
@@ -182,14 +152,14 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
 
     max_steps = max(1, int(round(t_end / tau)))
     summary = outer_loop(inst, v, v_hat, trace, step, rescale, max_steps, opts.rtol, opts.dtol, RQ_PATIENCE, MIN_STEPS)
-    return trace, FlowSummary(*summary)
+    return trace, summary
 
 
 #: relative allowance on the decay bound for inexact movement solves
 DECAY_RTOL = 1e-9
 
 
-def check_decay(trace: FlowTrace, mu_hat: float, phi0: float):
+def check_decay(trace: Trace, mu_hat: float, phi0: float):
     """Steps where phi_n exceeds the discrete decay bound (1 + p tau mu)^(-n) phi0.
 
     The bound holds for every p and every supported space:

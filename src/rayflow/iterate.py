@@ -24,7 +24,7 @@ from .spaces import mu_from_lambda, pow2_scale, unit_representative
 __all__ = [
     "IterOptions",
     "IterationRow",
-    "IterationTrace",
+    "Trace",
     "StopReason",
     "RunSummary",
     "Violation",
@@ -86,7 +86,6 @@ class IterOptions:
     dtol: float | None = 1e-8
     max_iters: int = 500
     grad_tol: float = 1e-9
-    keep_iterates: bool = False
 
     def __post_init__(self):
         check_stop_rules(self.rtol, self.dtol, self.grad_tol)
@@ -106,22 +105,37 @@ class IterationRow:
 
 
 @dataclass
-class IterationTrace:
-    rows: list[IterationRow] = field(default_factory=list)
-    iterates: list[np.ndarray] = field(default_factory=list)  # only if requested
+class Trace:
+    """The rows of one scheme run, the start's first: ``IterationRow`` for
+    inverse iteration, ``flow.FlowRow`` for the flow; ``p`` is the energy's
+    degree, which ``flow.check_decay`` reads."""
+
+    p: float
+    rows: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.rows)
 
+    def column(self, name) -> np.ndarray:
+        return np.array([getattr(r, name) for r in self.rows])
+
 
 @dataclass
 class RunSummary:
+    """The outcome of either scheme: the last finite quotient lambda_hat, its
+    mu_hat = lambda_hat^(1/(p-1)), the rescaled limit and the steps taken."""
+
     lambda_hat: float
     mu_hat: float
     limit_vec: np.ndarray
-    iters: int
+    steps: int
     converged: bool
     stop_reason: StopReason
+
+    @property
+    def iters(self) -> int:
+        """``steps``, under the iterate summary's JSON key."""
+        return self.steps
 
 
 class Violation(NamedTuple):
@@ -153,8 +167,8 @@ def measure_state(inst, x):
 
 
 def outer_loop(inst, x, x_hat, trace, step, rescale, max_steps, rtol, dtol, rq_patience, min_steps=1):
-    """The outer loop both schemes share; returns the summary fields
-    (lambda_hat, mu_hat, limit_vec, steps, converged, stop_reason).
+    """The outer loop both schemes share; returns the run's RunSummary,
+    whose ``steps`` counts the rows after the start's.
 
     ``trace`` holds the row of the start x, and ``x_hat`` is its unit
     representative (None at norm 0), both from ``measure_state``.
@@ -203,25 +217,26 @@ def outer_loop(inst, x, x_hat, trace, step, rescale, max_steps, rtol, dtol, rq_p
     zero = np.zeros(space.dim)
     if not finite_rq:
         # started at (and stayed on) the zero element
-        return math.nan, math.nan, zero, steps, False, stop
+        return RunSummary(math.nan, math.nan, zero, steps, False, stop)
     lambda_hat = finite_rq[-1]
     mu_hat = mu_from_lambda(lambda_hat, inst.exponent)
     if stop is StopReason.COLLAPSED_TO_ZERO:
-        return lambda_hat, mu_hat, zero, steps, converged, stop
+        return RunSummary(lambda_hat, mu_hat, zero, steps, converged, stop)
     limit = rescale(mu_hat) * x_hat
     if not np.isfinite(limit).all():
         raise DegenerateInputError("rescaled limit vector has non-finite entries")
-    return lambda_hat, mu_hat, limit, steps, converged, stop
+    return RunSummary(lambda_hat, mu_hat, limit, steps, converged, stop)
 
 
 def iterate(inst: ProblemInstance, u0, opts: IterOptions | None = None):
-    """Run inverse iteration from u0; returns (IterationTrace, RunSummary).
+    """Run inverse iteration from u0; returns (Trace, RunSummary), with
+    one IterationRow per iterate.
 
     Each step solves dPhi(u_k) = J_p(u_{k-1}), warm-started on the
     predicted iterate u_{k-1}/mu.  Stop rules and collapse handling are
     ``outer_loop``'s.  The limit scale is the geometric mean of
-    mu^k ||u_k|| over the last TAIL_WINDOW steps.  Raises SchemeFailure if
-    an inner solve does not converge.
+    mu^k ||u_k|| over the last TAIL_WINDOW steps.  Raises SchemeFailure,
+    holding the rows so far, if an inner solve does not converge.
     """
     opts = opts or IterOptions()
     space = inst.space
@@ -229,10 +244,7 @@ def iterate(inst: ProblemInstance, u0, opts: IterOptions | None = None):
     u_hat, norm, phi, rq = measure_state(inst, u)
     if norm == 0.0:
         raise DegenerateInputError("u0 must have nonzero norm")
-    trace = IterationTrace()
-    trace.rows.append(IterationRow(0, norm, phi, rq, math.nan, 0, math.nan))
-    if opts.keep_iterates:
-        trace.iterates.append(u.copy())
+    trace = Trace(inst.p, [IterationRow(0, norm, phi, rq, math.nan, 0, math.nan)])
 
     def step(k, u):
         warm = u / mu_from_lambda(trace.rows[-1].rq, inst.exponent)
@@ -241,8 +253,6 @@ def iterate(inst: ProblemInstance, u0, opts: IterOptions | None = None):
             raise SchemeFailure(
                 f"{inst.kind}: inner solve failed to converge at outer step {k} (merit {rep.grad_dual_norm:.3e})", trace
             )
-        if opts.keep_iterates:
-            trace.iterates.append(rep.minimizer.copy())
 
         def row(norm_new, phi_new, rq_new):
             ratio = trace.rows[-1].norm / max(norm_new, 5e-324)
@@ -255,11 +265,10 @@ def iterate(inst: ProblemInstance, u0, opts: IterOptions | None = None):
         logs = [r.k * math.log(mu_hat) + math.log(r.norm) for r in rows]
         return math.exp(sum(logs) / len(logs))
 
-    summary = outer_loop(inst, u, u_hat, trace, step, rescale, opts.max_iters, opts.rtol, opts.dtol, RQ_PATIENCE)
-    return trace, RunSummary(*summary)
+    return trace, outer_loop(inst, u, u_hat, trace, step, rescale, opts.max_iters, opts.rtol, opts.dtol, RQ_PATIENCE)
 
 
-def check_monotonicity(trace: IterationTrace, mu_hat: float | None = None):
+def check_monotonicity(trace: Trace, mu_hat: float | None = None):
     """All violations of the per-step monotonicity laws in a trace.
 
     Checks the Rayleigh quotient and the norm ratio with relative slack

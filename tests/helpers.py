@@ -1,4 +1,6 @@
-"""Closed forms and residuals that only the tests use."""
+"""Closed forms, residuals and state records that only the tests use."""
+
+import importlib
 
 import numpy as np
 
@@ -31,3 +33,24 @@ def euler_identity_residual(inst, u) -> float:
     pphi = inst.p * inst.value(u)
     paired = inst.space.pairing(inst.gradient(u), u)
     return abs(pphi - paired) / max(1.0, abs(pphi))
+
+
+def record_states(monkeypatch, u0) -> list:
+    """The states of the next scheme run from u0: [u0], then a copy of each
+    inner solve's minimizer as it returns.
+
+    Wraps ``minimize_phi_minus_linear`` and ``minimize_movement`` where
+    ``rayflow.iterate`` and ``rayflow.flow`` look them up, as perfbench's
+    tracer does, so only the solves run after this call are recorded.
+    """
+    states = [np.array(u0, dtype=float)]
+    for module, name in (("rayflow.iterate", "minimize_phi_minus_linear"), ("rayflow.flow", "minimize_movement")):
+        module = importlib.import_module(module)
+
+        def recorded(*args, _solve=getattr(module, name), **kwargs):
+            rep = _solve(*args, **kwargs)
+            states.append(rep.minimizer.copy())
+            return rep
+
+        monkeypatch.setattr(module, name, recorded)
+    return states

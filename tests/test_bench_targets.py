@@ -1,5 +1,5 @@
 """The benchmark's tracer finds every name it wraps where it looks it up,
-and every field it reads off their return values; the solve paths the
+and reads real counts off their return values; the solve paths the
 benchmark times enter none of numpy's Python-level wrappers.
 
 ``perfbench/tracing.py`` wraps rayflow functions by module and attribute
@@ -9,6 +9,7 @@ traced run.
 """
 
 import dataclasses
+import json
 import os
 import sys
 import types
@@ -17,10 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from rayflow import oracles, problems
-from rayflow.flow import FlowSummary
+from rayflow import cli, oracles, problems
 from rayflow.inner import SolveReport, minimize_movement, minimize_phi_minus_linear
-from rayflow.iterate import IterOptions, RunSummary, iterate
+from rayflow.iterate import IterOptions, iterate
 from rayflow.problems import FractionalSeminorm1D, NeumannQuotient1D, PDirichlet1D, Steklov1D
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -41,15 +41,21 @@ def test_every_traced_name_is_where_the_tracer_looks():
     assert missing == []
 
 
-def test_every_field_the_tracer_reads_exists():
-    read = {SolveReport: ("iters", "converged"), RunSummary: ("iters",), FlowSummary: ("steps",)}
-    missing = [
-        (cls.__name__, name)
-        for cls, names in read.items()
-        for name in names
-        if name not in {f.name for f in dataclasses.fields(cls)}
-    ]
+def test_every_field_the_tracer_reads_exists(tmp_path):
+    missing = [name for name in ("iters", "converged") if name not in {f.name for f in dataclasses.fields(SolveReport)}]
     assert missing == []
+    # the scheme counts come off what the CLI's scheme calls return, so they
+    # must equal the summaries' counts; an explicit tau and t_end keep
+    # rough_mu's inverse iteration out of the iterate count
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[instance]\nkind = matrix\ndiag = 1 4\n[flow]\ntau = 0.01\nt_end = 1.0\n", encoding="utf-8")
+    with _tracing().Tracer() as tracer:
+        for command in ("iterate", "flow"):
+            assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    summary = {name: json.loads((tmp_path / f"{name}_summary.json").read_text()) for name in ("iterate", "flow")}
+    assert summary["iterate"]["iters"] > 0 and summary["flow"]["steps"] > 0
+    assert tracer.counts["iterate.outer_steps"] == summary["iterate"]["iters"]
+    assert tracer.counts["flow.steps"] == summary["flow"]["steps"]
 
 
 def test_one_call_is_one_span_for_every_kind():

@@ -48,6 +48,28 @@ dtol = 1e-8
 """
 
 
+NEAR_ONE = "[instance]\nkind = pdirichlet1d\np = 1.1\nn = 31\n"
+
+#: every JSON file's keys, in the order they are written
+JSON_KEYS = {
+    "iterate_summary.json": ["command", "lambda_hat", "mu_hat", "iters", "converged", "stop_reason", "limit_vec"],
+    "flow_summary.json": ["command", "lambda_hat", "mu_hat", "steps", "tau", "converged", "stop_reason", "limit_vec"],
+    "oracle_result.json": ["command", "lambda_star", "lambda_lower", "method", "certificate", "minimizer"],
+    "compare.json": [
+        "command",
+        "lambda_iterate",
+        "lambda_flow",
+        "lambda_oracle",
+        "lambda_lower",
+        "gap_iterate_oracle",
+        "gap_flow_oracle",
+        "gap_iterate_flow",
+        "lambda_rtol",
+        "pass",
+    ],
+}
+
+
 def write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -176,6 +198,11 @@ class TestConfigErrors:
             ("oracle", "restarts", "[oracle]\nrestarts = -2\n"),
             ("compare", "lambda_rtol", "[compare]\nlambda_rtol = -1\n"),
             ("compare", "tol", "[oracle]\ntol = 0\n"),
+            ("compare", "rtol", "[flow]\nrtol = 0\n"),
+            ("compare", "tau", "[flow]\ntau = -1\n"),
+            ("compare", "t_end", "[flow]\ntau = 0.5\nt_end = 0.1\n"),
+            ("compare", "u0", "[flow]\nu0 = bogus\n"),
+            ("flow", "tau", NEAR_ONE + "[flow]\ntau = 0\n"),
         ],
         ids=[
             "max_iters-0",
@@ -195,10 +222,18 @@ class TestConfigErrors:
             "restarts-neg",
             "lambda_rtol-neg",
             "compare-oracle-tol-0",
+            "compare-flow-rtol-0",
+            "compare-tau-neg",
+            "compare-t_end-below-tau",
+            "compare-u0-bogus",
+            "tau-0-before-auto-t_end",
         ],
     )
     def test_bad_option_exits_2_naming_key(self, tmp_path, capsys, command, key, body):
-        cfg = write(tmp_path, "[instance]\nkind = pdirichlet1d\np = 2.0\nn = 4\n" + body)
+        # a body with its own [instance] replaces the default one; near p = 1
+        # an auto t_end's rough_mu solve would fail if it ran first
+        head = "" if body.startswith("[instance]") else "[instance]\nkind = pdirichlet1d\np = 2.0\nn = 4\n"
+        cfg = write(tmp_path, head + body)
         code = main([command, "--config", cfg, "--out", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {key}:")
@@ -232,14 +267,29 @@ class TestOutputs:
         assert oracle["lambda_lower"] is None
         assert (tmp_path / "flow_trace.csv").read_text().split("\n")[0] == CSV_HEADER
 
-    @pytest.mark.parametrize("u0", ["ones", "random"])
-    def test_determinism_byte_identical(self, tmp_path, u0):
-        cfg = write(tmp_path, PD_ITERATE + f"u0 = {u0}\n")
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        for out in (out1, out2):
-            assert main(["iterate", "--config", cfg, "--out", str(out), "--seed", "7", "--quiet"]) == 0
-        for name in ("iterate_trace.csv", "iterate_summary.json"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    @pytest.mark.parametrize(
+        "u0, command",
+        [
+            pytest.param(u0, command, id=u0 if command == "iterate" else f"{u0}-{command}")
+            for command in ("iterate", "flow", "compare")
+            for u0 in ("ones", "random")
+        ],
+    )
+    def test_determinism_byte_identical(self, tmp_path, capsys, u0, command):
+        cfg = write(tmp_path, PD_ITERATE + f"u0 = {u0}\n\n[flow]\nu0 = {u0}\n")
+        runs = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert main([command, "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
+            runs.append(({f.name: f.read_bytes() for f in out.iterdir()}, capsys.readouterr().out))
+        assert runs[0] == runs[1]
+        files = runs[0][0]
+        schemes = ["iterate", "flow"] if command == "compare" else [command]
+        written = [f"{s}_{kind}" for s in schemes for kind in ("trace.csv", "summary.json")]
+        written += ["oracle_result.json", "compare.json"] if command == "compare" else []
+        assert sorted(files) == sorted(written)
+        for name in written:
+            if name.endswith(".json"):
+                assert list(json.loads(files[name])) == JSON_KEYS[name], name
 
     def test_oracle_brackets_the_fractional_lambda(self, tmp_path):
         # the check the CI runs through the installed console script
@@ -247,7 +297,7 @@ class TestOutputs:
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
         oracle = json.loads((tmp_path / "oracle_result.json").read_text())
         assert oracle["lambda_lower"] <= oracle["lambda_star"] and oracle["certificate"] <= 1e-8
-        assert list(oracle) == ["command", "lambda_star", "lambda_lower", "method", "certificate", "minimizer"]
+        assert list(oracle) == JSON_KEYS["oracle_result.json"]
 
     def test_uncertified_oracle_exits_1_and_keeps_result(self, tmp_path, monkeypatch):
         cfg = write(tmp_path, MATRIX_COMPARE + "\n[oracle]\ntol = 1e-8\n")

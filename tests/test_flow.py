@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import rayflow.flow
+from helpers import record_states
 from rayflow.errors import DegenerateInputError
-from rayflow.flow import FlowOptions, FlowRow, FlowTrace, check_decay, local_slope, run_flow
-from rayflow.iterate import StopReason, iterate, IterOptions, rough_mu
+from rayflow.flow import FlowOptions, FlowRow, check_decay, local_slope, run_flow
+from rayflow.iterate import StopReason, Trace, iterate, IterOptions, rough_mu
 from rayflow.config import start_vector
 from rayflow.problems import (
     FractionalSeminorm1D,
@@ -20,17 +21,19 @@ from rayflow.problems import (
 )
 from rayflow.spaces import unit_representative
 
-TIGHT = FlowOptions(rtol=1e-12, dtol=1e-7, grad_tol=1e-11, keep_states=True)
+TIGHT = FlowOptions(rtol=1e-12, dtol=1e-7, grad_tol=1e-11)
 
 
 class TestImplicitEulerClosedForm:
-    def test_diagonal_states(self):
+    def test_diagonal_states(self, monkeypatch):
         # v_{n+1} = (I + tau A)^{-1} v_n componentwise on a diagonal matrix
         sigmas = np.array([1.0, 4.0])
         inst = MatrixQuadratic(np.diag(sigmas))
         tau = 1e-3
+        states = record_states(monkeypatch, np.ones(2))
         trace, summary = run_flow(inst, np.ones(2), tau, 2.0, TIGHT)
-        for n, v in enumerate(trace.states):
+        assert len(states) == len(trace)
+        for n, v in enumerate(states):
             expect = (1.0 + tau * sigmas) ** (-n)
             np.testing.assert_allclose(v, expect, rtol=1e-8)
 
@@ -50,12 +53,14 @@ class TestImplicitEulerClosedForm:
 
 
 class TestRayConfinement:
-    def test_flow_from_minimizer_stays_on_ray(self):
+    def test_flow_from_minimizer_stays_on_ray(self, monkeypatch):
         inst = MatrixQuadratic(np.diag([1.0, 2.0, 5.0]))
         w = np.array([1.0, 0.0, 0.0])
-        opts = FlowOptions(rtol=None, dtol=None, grad_tol=1e-12, keep_states=True)
+        opts = FlowOptions(rtol=None, dtol=None, grad_tol=1e-12)
+        states = record_states(monkeypatch, w)
         trace, _ = run_flow(inst, w, 0.01, 10 * 0.01, opts)
-        for v in trace.states:
+        assert len(states) == 11
+        for v in states:
             direction = v / np.linalg.norm(v)
             assert np.linalg.norm(direction - w) <= 1e-6
         rqs = trace.column("rq")
@@ -122,7 +127,7 @@ class TestCheckDecay:
 
     def test_synthetic_constant_trace_flagged(self):
         rows = [FlowRow(n, 0.1 * n, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0) for n in range(5)]
-        trace = FlowTrace(p=2.0, rows=rows)
+        trace = Trace(2.0, rows)
         violations = check_decay(trace, mu_hat=1.0, phi0=1.0)
         assert [v.k for v in violations] == [1, 2, 3, 4]
 
@@ -142,7 +147,7 @@ class TestCheckDecay:
             FlowRow(n, tau * n, factor * phi0 * (1.0 + p * tau * mu) ** (-n), 1.0, 1.0, 0.0, 0.0, 0.0)
             for n in range(21)
         ]
-        return FlowTrace(p=p, rows=rows)
+        return Trace(p, rows)
 
     def test_trace_on_bound_passes(self):
         trace = self._bound_trace(3.0, 0.05, 2.0, 1.7, 1.0)
@@ -154,7 +159,7 @@ class TestCheckDecay:
         assert [v.k for v in violations] == list(range(1, 21))
 
     def test_single_row_trace_empty(self):
-        trace = FlowTrace(p=2.0, rows=[FlowRow(0, 0.0, 1.0, 1.0, 1.0, math.nan, 0.0, math.nan)])
+        trace = Trace(2.0, [FlowRow(0, 0.0, 1.0, 1.0, 1.0, math.nan, 0.0, math.nan)])
         assert check_decay(trace, 1.0, 1.0) == []
 
 
@@ -211,7 +216,8 @@ class TestSupFlow:
                 return _f(*args)
 
             monkeypatch.setattr(inst, name, counted)
-        trace, summary = run_flow(inst, u0, 0.01 / mu, 50.0 / mu, FlowOptions(keep_states=True))
+        states = record_states(monkeypatch, u0)
+        trace, summary = run_flow(inst, u0, 0.01 / mu, 50.0 / mu)
         assert summary.converged and calls["solve_box"] > summary.steps
         assert calls["gradient"] == calls["solve_box"] + 1
         assert calls["value"] == summary.steps + 1
@@ -220,7 +226,7 @@ class TestSupFlow:
         # spacing of doubles just below the peak 1) in each entry; lambda_hat is
         # the last state's quotient to the last bit, and that is 2^p rounded
         # (one ulp below it at p = 1.5 and 3)
-        last = trace.states[-1]
+        last = states[-1]
         x_hat = unit_representative(inst.space, *inst.space.representative_norm(last))
         assert np.abs(x_hat - tent).max() <= 2.0**-53
         assert summary.lambda_hat == inst.rayleigh(last)

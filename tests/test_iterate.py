@@ -7,15 +7,15 @@ import pytest
 
 import rayflow.flow
 import rayflow.spaces
-from helpers import hilbert_closed_form
+from helpers import hilbert_closed_form, record_states
 from rayflow.config import start_vector
 from rayflow.errors import DegenerateInputError
 from rayflow.iterate import (
     IterationRow,
-    IterationTrace,
     IterOptions,
     SchemeFailure,
     StopReason,
+    Trace,
     check_monotonicity,
     iterate,
     measure_state,
@@ -37,16 +37,17 @@ from rayflow.problems import (
 )
 from rayflow.spaces import pow2_scale, unit_representative
 
-TIGHT = IterOptions(rtol=1e-13, dtol=1e-10, max_iters=200, grad_tol=1e-12, keep_iterates=True)
+TIGHT = IterOptions(rtol=1e-13, dtol=1e-10, max_iters=200, grad_tol=1e-12)
 
 
 class TestMatrixGroundTruth:
-    def test_iterates_match_closed_form(self):
+    def test_iterates_match_closed_form(self, monkeypatch):
         sigmas = np.array([1.0, 2.0, 5.0])
         inst = MatrixQuadratic(np.diag(sigmas))
+        states = record_states(monkeypatch, np.ones(3))
         trace, summary = iterate(inst, np.ones(3), TIGHT)
-        assert summary.converged
-        for k, u in enumerate(trace.iterates):
+        assert summary.converged and len(states) == len(trace)
+        for k, u in enumerate(states):
             expect = hilbert_closed_form(sigmas, np.ones(3), k=k)
             assert np.linalg.norm(u - expect) <= 1e-9 * np.linalg.norm(expect)
         assert summary.lambda_hat == pytest.approx(1.0, abs=1e-12)
@@ -58,13 +59,15 @@ class TestMatrixGroundTruth:
         w = summary.limit_vec
         assert np.linalg.norm(w / np.linalg.norm(w) - np.array([1.0, 0.0, 0.0])) <= 1e-8
 
-    def test_restarting_from_minimizer_is_separable(self):
+    def test_restarting_from_minimizer_is_separable(self, monkeypatch):
         # from an exact minimizer w the unique solution is u_k = mu^-k w
         inst = MatrixQuadratic(np.diag([1.0, 2.0, 5.0]))
         w = np.array([1.0, 0.0, 0.0])
-        opts = IterOptions(rtol=None, dtol=None, max_iters=10, grad_tol=1e-13, keep_iterates=True)
-        trace, summary = iterate(inst, w, opts)
-        for k, u in enumerate(trace.iterates):
+        opts = IterOptions(rtol=None, dtol=None, max_iters=10, grad_tol=1e-13)
+        states = record_states(monkeypatch, w)
+        iterate(inst, w, opts)
+        assert len(states) == 11
+        for k, u in enumerate(states):
             np.testing.assert_allclose(u, w, rtol=0, atol=1e-10)
 
 
@@ -77,7 +80,7 @@ class TestCollapse:
         assert not summary.converged
         np.testing.assert_array_equal(summary.limit_vec, 0.0)
         # norms contract exactly at rate 1/2 (the sigma = 2 eigenray)
-        for row in trace.rows[: summary.iters]:
+        for row in trace.rows[: summary.steps]:
             assert row.norm == pytest.approx(0.5**row.k, rel=1e-10)
 
 
@@ -119,18 +122,19 @@ class TestInvariants:
 
 class TestCheckMonotonicity:
     def test_synthetic_rq_violation(self):
-        trace = IterationTrace(
-            rows=[
+        trace = Trace(
+            2.0,
+            [
                 IterationRow(0, 1.0, 1.0, 1.0, math.nan, 0, math.nan),
                 IterationRow(1, 0.5, 0.5, 2.0, 2.0, 3, 1e-12),
-            ]
+            ],
         )
         violations = check_monotonicity(trace)
         assert len(violations) == 1
         assert violations[0].k == 1 and violations[0].quantity == "rq"
 
     def test_single_row_trace(self):
-        trace = IterationTrace(rows=[IterationRow(0, 1.0, 1.0, 1.0, math.nan, 0, math.nan)])
+        trace = Trace(2.0, [IterationRow(0, 1.0, 1.0, 1.0, math.nan, 0, math.nan)])
         assert check_monotonicity(trace) == []
 
     def test_scaled_norm_check_needs_mu(self):
@@ -138,7 +142,7 @@ class TestCheckMonotonicity:
             IterationRow(0, 1.0, 1.0, 1.0, math.nan, 0, math.nan),
             IterationRow(1, 0.9, 0.5, 0.9, 1.11, 3, 1e-12),
         ]
-        trace = IterationTrace(rows=rows)
+        trace = Trace(2.0, rows)
         assert check_monotonicity(trace) == []  # ratio/rq fine
         bad = check_monotonicity(trace, mu_hat=2.0)  # 0.9 > 1.0/2
         assert [v.quantity for v in bad] == ["scaled_norm"]
@@ -167,15 +171,17 @@ class TestShiftSolves:
         # each iterate: one solve in outer_loop, one in the next step's duality map
         calls = self._count(monkeypatch)
         inst = NeumannQuotient1D(3.0, 31)
-        trace, _ = iterate(inst, np.linspace(-1.0, 1.0, 31), IterOptions(keep_iterates=True))
-        counts = [calls.get(pow2_scale(u)[0].tobytes(), 0) for u in trace.iterates]
+        states = record_states(monkeypatch, np.linspace(-1.0, 1.0, 31))
+        iterate(inst, states[0])
+        counts = [calls.get(pow2_scale(u)[0].tobytes(), 0) for u in states]
         assert counts == [2] * (len(counts) - 1) + [1]
 
     def test_flow_solves_each_state_once(self, monkeypatch):
         calls = self._count(monkeypatch)
         inst = NeumannQuotient1D(3.0, 31)
-        trace, _ = run_flow(inst, np.linspace(-1.0, 1.0, 31), 1e-3, 0.02, FlowOptions(keep_states=True))
-        assert [calls.get(pow2_scale(v)[0].tobytes(), 0) for v in trace.states] == [1] * len(trace.states)
+        states = record_states(monkeypatch, np.linspace(-1.0, 1.0, 31))
+        run_flow(inst, states[0], 1e-3, 0.02)
+        assert [calls.get(pow2_scale(v)[0].tobytes(), 0) for v in states] == [1] * len(states)
 
 
 GRID_KINDS = [PDirichlet1D, SupDirichlet1D, Robin1D, NeumannQuotient1D, Steklov1D, FractionalSeminorm1D, PDirichlet2D]
@@ -198,16 +204,15 @@ class TestRowMeasure:
     @pytest.mark.parametrize(
         "inst, scale", _row_cases(), ids=lambda c: c.kind + f"-p{c.p:g}" if hasattr(c, "kind") else f"{c:g}"
     )
-    def test_rows_match_the_states(self, inst, scale, scheme):
+    def test_rows_match_the_states(self, monkeypatch, inst, scale, scheme):
         # rq is inst.rayleigh(x) and the norm column space.norm(x) to the
         # bit; phi is Phi(x) up to rounding
         u0 = scale * start_vector(inst, "auto", 0)
+        states = record_states(monkeypatch, u0)
         if scheme == "iterate":
-            trace, _ = iterate(inst, u0, IterOptions(rtol=None, dtol=None, max_iters=4, keep_iterates=True))
-            states = trace.iterates
+            trace, _ = iterate(inst, u0, IterOptions(rtol=None, dtol=None, max_iters=4))
         else:
-            trace, _ = run_flow(inst, u0, 1e-3, 4e-3, FlowOptions(rtol=None, dtol=None, keep_states=True))
-            states = trace.states
+            trace, _ = run_flow(inst, u0, 1e-3, 4e-3, FlowOptions(rtol=None, dtol=None))
         assert len(states) == len(trace.rows) == 5
         for row, x in zip(trace.rows, states):
             assert row.rq == inst.rayleigh(x)
@@ -223,17 +228,17 @@ class TestRowMeasure:
         # last state, with the bits of the one taken on the state itself
         rng = np.random.default_rng(3)
         states = [10.0 ** rng.uniform(-200, 200) * rng.standard_normal(9) for _ in range(4)]
-        trace = IterationTrace()
+        trace = Trace(inst.p)
         x_hat, norm, phi, rq = measure_state(inst, states[0])
         trace.rows.append(IterationRow(0, norm, phi, rq, math.nan, 0, math.nan))
 
         def step(k, x):
             return states[k], lambda norm, phi, rq: IterationRow(k, norm, phi, rq, 1.0, 0, 0.0)
 
-        *_, limit, steps, _, _ = outer_loop(inst, states[0], x_hat, trace, step, lambda mu: 3.0, 3, None, None, 30)
-        assert steps == 3 and [r.norm for r in trace.rows] == [inst.space.norm(x) for x in states]
+        summary = outer_loop(inst, states[0], x_hat, trace, step, lambda mu: 3.0, 3, None, None, 30)
+        assert summary.steps == 3 and [r.norm for r in trace.rows] == [inst.space.norm(x) for x in states]
         x_hat = unit_representative(inst.space, *inst.space.representative_norm(states[-1]))
-        assert limit.tobytes() == (3.0 * x_hat).tobytes()
+        assert summary.limit_vec.tobytes() == (3.0 * x_hat).tobytes()
 
     @pytest.mark.parametrize("inst", [NeumannQuotient1D(3.0, 9), FractionalSeminorm1D(3.0, 9)], ids=lambda c: c.kind)
     def test_one_value_and_no_rayleigh_per_step(self, monkeypatch, inst):
@@ -281,7 +286,7 @@ class TestGuards:
         # non-finite limit vector
         inst = MatrixQuadratic(np.diag([1.0, 4.0]))
         x = np.array([1.0, 0.0])
-        trace = IterationTrace([IterationRow(0, 1.0, inst.value(x), inst.rayleigh(x), math.nan, 0, math.nan)])
+        trace = Trace(inst.p, [IterationRow(0, 1.0, inst.value(x), inst.rayleigh(x), math.nan, 0, math.nan)])
 
         def step(k, x):  # stays on the ground ray
             return x, lambda norm, phi, rq: IterationRow(k, norm, phi, rq, 1.0, 0, 0.0)
@@ -357,5 +362,5 @@ class TestGuards:
         # the iterate shrinks about 346x per step: the quotient shift must stay
         # exact down to max|u| ~ 1e-16, or the quotient falls into a 2-cycle
         _, summary = iterate(NeumannQuotient1D(1.2, 31), np.linspace(-1.0, 1.0, 31))
-        assert summary.converged and summary.iters < 20
+        assert summary.converged and summary.steps < 20
         assert summary.lambda_hat == pytest.approx(3.220964201675858, rel=1e-12)
