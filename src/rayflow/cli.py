@@ -8,6 +8,11 @@ Commands:
 * ``compare``    all three, with pairwise relative gaps and a check against
                  the oracle's lower bound on lambda -> joint JSON
 
+Each command reads ``[instance]``, ``[run]`` and its own sections of
+``config.SECTIONS`` (``compare`` all of them).  ``main`` assembles the
+instance once, and a bad option value exits 2, naming its key, before the
+first solve that would read it.
+
 Outputs are deterministic for a fixed config and seed: floats are written
 with 17 significant digits, field order is fixed, line endings are \\n.
 Exit codes: 0 all good, 1 numeric failure (trace retained), 2 config error.
@@ -20,6 +25,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +34,7 @@ from .config import RunConfig, load_config, start_vector
 from .errors import ConfigError, DegenerateInputError, NumericsError
 from .flow import FlowOptions, check_step, run_flow
 from .iterate import IterOptions, SchemeFailure, Trace, iterate, rough_mu
-from .oracles import DEFAULT_SEED, oracle_lambda
+from .oracles import DEFAULT_RESTARTS, DEFAULT_SEED, DEFAULT_TOL, oracle_lambda
 from .problems import assemble
 from .util import derive_seed
 
@@ -101,14 +107,6 @@ def _positive(section, key, x) -> float:
     return float(x)
 
 
-def _oracle_params(cfg: RunConfig):
-    """(restarts, tol) of the [oracle] section, range-checked."""
-    restarts = cfg.oracle.get("restarts", 16)
-    if restarts < 0:
-        raise ConfigError(f"restarts: must be >= 0, got {restarts} (in [oracle])")
-    return int(restarts), _positive("oracle", "tol", cfg.oracle.get("tol", 1e-8))
-
-
 def _scheme_options(cls, section: str, c: dict):
     """``cls`` from the keys that ``section`` sets; the rest keep their
     dataclass defaults."""
@@ -117,45 +115,39 @@ def _scheme_options(cls, section: str, c: dict):
         return cls(**{k: v for k, v in c.items() if k in names})
 
 
-def _iterate_solve(cfg: RunConfig):
-    """The iterate run's solve, with its start and options built now."""
-    inst = assemble(cfg.instance)
+def _iterate_run(cfg: RunConfig, inst):
+    """The iterate run, with its start and options built now."""
     u0 = start_vector(inst, cfg.iterate.get("u0"), cfg.seed)
     opts = _scheme_options(IterOptions, "iterate", cfg.iterate)
-    return lambda: (*iterate(inst, u0, opts), {})
+    return partial(_run_scheme, "iterate", "iters", lambda: (*iterate(inst, u0, opts), {}), _iterate_rows)
 
 
-def _flow_solve(cfg: RunConfig):
-    """The flow run's solve, with its start, options and explicit tau and
-    t_end checked now.  An ``auto`` value comes from ``rough_mu`` inside the
-    solve: its failure is the flow's own SchemeFailure, with an empty trace,
-    and an auto t_end below an explicit tau is rejected only then."""
+def _flow_run(cfg: RunConfig, inst):
+    """The flow run, with its start, options and explicit tau and t_end
+    checked now.  An ``auto`` value comes from ``rough_mu`` inside the solve:
+    its failure is the flow's own SchemeFailure, with an empty trace, and an
+    auto t_end below an explicit tau is rejected only then."""
     c = cfg.flow
-    inst = assemble(cfg.instance)
     u0 = start_vector(inst, c.get("u0"), cfg.seed)
     opts = _scheme_options(FlowOptions, "flow", c)
-    tau, t_end = c.get("tau", "auto"), c.get("t_end", "auto")
+    tau, t_end = (None if x == "auto" else x for x in (c.get("tau"), c.get("t_end")))  # None: auto
     with _options_of("flow"):
-        if "auto" not in (tau, t_end):
-            check_step(tau, t_end)
-    for key, x in (("tau", tau), ("t_end", t_end)):
-        if x != "auto":
-            _positive("flow", key, x)
+        check_step(tau, t_end)
 
     def solve():
         step, horizon = tau, t_end
-        if "auto" in (tau, t_end):
+        if None in (tau, t_end):
             try:
                 mu = rough_mu(inst, u0)
             except SchemeFailure as e:
                 raise SchemeFailure(f"automatic step: {e}", Trace(inst.p)) from None
-            step = 0.01 / mu if tau == "auto" else tau
-            horizon = 50.0 / mu if t_end == "auto" else t_end
+            step = 0.01 / mu if tau is None else tau
+            horizon = 50.0 / mu if t_end is None else t_end
             with _options_of("flow"):
                 check_step(step, horizon)
         return (*run_flow(inst, u0, step, horizon, opts), {"tau": step})
 
-    return solve
+    return partial(_run_scheme, "flow", "steps", solve, _flow_rows)
 
 
 def _run_scheme(name, count_key, solve, rows, out: Path, say):
@@ -190,36 +182,40 @@ def _run_scheme(name, count_key, solve, rows, out: Path, say):
     return 0, summary
 
 
-def _run_oracle(cfg: RunConfig, out: Path, say):
-    restarts, tol = _oracle_params(cfg)
-    inst = assemble(cfg.instance)
+def _oracle_run(cfg: RunConfig, inst):
+    """The oracle run, with its [oracle] section checked now."""
+    restarts = cfg.oracle.get("restarts", DEFAULT_RESTARTS)
+    if restarts < 0:
+        raise ConfigError(f"restarts: must be >= 0, got {restarts} (in [oracle])")
+    tol = _positive("oracle", "tol", cfg.oracle.get("tol", DEFAULT_TOL))
     seed = derive_seed(cfg.seed, "oracle") ^ DEFAULT_SEED
-    result = oracle_lambda(inst, restarts=restarts, tol=tol, seed=seed)
-    _write_json(
-        out / "oracle_result.json",
-        {
-            "command": "oracle",
-            "lambda_star": result.lambda_star,
-            "lambda_lower": result.lambda_lower,
-            "method": result.method.value,
-            "certificate": result.certificate,
-            "minimizer": result.minimizer,
-        },
-    )
-    say(f"oracle: lambda_star={_g17(result.lambda_star)} (cert {_g17(result.certificate)})")
-    if not result.certificate <= tol:
-        say(f"oracle: certificate {_g17(result.certificate)} exceeds tol {_g17(tol)}")
-        return 1, result
-    return 0, result
+
+    def run(out: Path, say):
+        result = oracle_lambda(inst, restarts=restarts, tol=tol, seed=seed)
+        _write_json(
+            out / "oracle_result.json",
+            {
+                "command": "oracle",
+                "lambda_star": result.lambda_star,
+                "lambda_lower": result.lambda_lower,
+                "method": result.method.value,
+                "certificate": result.certificate,
+                "minimizer": result.minimizer,
+            },
+        )
+        say(f"oracle: lambda_star={_g17(result.lambda_star)} (cert {_g17(result.certificate)})")
+        if not result.certificate <= tol:
+            say(f"oracle: certificate {_g17(result.certificate)} exceeds tol {_g17(tol)}")
+            return 1, result
+        return 0, result
+
+    return run
 
 
-def _run_compare(cfg: RunConfig, out: Path, say):
+def _run_compare(cfg: RunConfig, inst, out: Path, say):
     rtol = _positive("compare", "lambda_rtol", cfg.compare.get("lambda_rtol", 1e-3))
-    _oracle_params(cfg)  # reject a bad [oracle] section before the solves run
-    solve_it, solve_fl = _iterate_solve(cfg), _flow_solve(cfg)
-    code_i, s_it = _run_scheme("iterate", "iters", solve_it, _iterate_rows, out, say)
-    code_f, s_fl = _run_scheme("flow", "steps", solve_fl, _flow_rows, out, say)
-    code_o, res = _run_oracle(cfg, out, say)
+    runs = [make(cfg, inst) for make in (_iterate_run, _flow_run, _oracle_run)]  # every option checked before a solve
+    (code_i, s_it), (code_f, s_fl), (code_o, res) = (run(out, say) for run in runs)
     if code_i or code_f or code_o:
         return 1
     lam_o, lower = res.lambda_star, res.lambda_lower
@@ -284,13 +280,11 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
-        dispatch = {
-            "iterate": lambda: _run_scheme("iterate", "iters", _iterate_solve(cfg), _iterate_rows, out, say)[0],
-            "flow": lambda: _run_scheme("flow", "steps", _flow_solve(cfg), _flow_rows, out, say)[0],
-            "oracle": lambda: _run_oracle(cfg, out, say)[0],
-            "compare": lambda: _run_compare(cfg, out, say),
-        }
-        return dispatch[args.command]()
+        inst = assemble(cfg.instance)
+        if args.command == "compare":
+            return _run_compare(cfg, inst, out, say)
+        runs = {"iterate": _iterate_run, "flow": _flow_run, "oracle": _oracle_run}
+        return runs[args.command](cfg, inst)(out, say)[0]
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -26,10 +26,18 @@ The CLI reads an INI-style file with one section per concern:
     [compare]
     lambda_rtol = 1e-3
 
-Matrix instances take ``diag = 1 2 5`` or ``matrix = 2 1; 1 2``.  Unknown
-sections or keys, and values of the wrong type, are rejected with an error
-naming the key.  ``auto`` is accepted for the flow's ``tau`` and ``t_end``,
-``none`` (disable the stop) for ``rtol`` and ``dtol``.
+    [run]
+    seed = 0
+
+``SECTIONS`` is the one table of what a file may set: section -> key ->
+reader.  A reader takes a number, an integer, a word, a number or ``none``
+(``rtol`` and ``dtol``: disable the stop), or a number or ``auto`` (the
+flow's ``tau`` and ``t_end``).  The instance keys are the constructors'
+parameters (``problems.INSTANCE_KEYS``); matrix instances take
+``diag = 1 2 5`` or ``matrix = 2 1; 1 2``.  Unknown sections or keys, and
+values of the wrong type, are rejected with an error naming the key.  The
+ranges are checked where the values are used: ``problems.assemble``, the
+scheme options and ``flow.check_step``.
 """
 
 from __future__ import annotations
@@ -45,12 +53,6 @@ from .problems import INSTANCE_KEYS
 from .util import rng_from
 
 __all__ = ["RunConfig", "load_config"]
-
-_ITERATE_KEYS = {"rtol", "dtol", "max_iters", "grad_tol", "u0"}
-_FLOW_KEYS = {"tau", "t_end", "rtol", "dtol", "grad_tol", "u0"}
-_ORACLE_KEYS = {"restarts", "tol"}
-_COMPARE_KEYS = {"lambda_rtol"}
-_RUN_KEYS = {"seed"}
 
 
 @dataclass
@@ -77,14 +79,37 @@ def _integer(section, key, raw):
     return int(x)
 
 
-def _numbers(key, raw):
-    return [_number("instance", key, x) for x in raw.split()]
+def _word(section, key, raw):
+    return raw.strip()
 
 
-def _check_keys(section, given, allowed):
-    for key in given:
-        if key not in allowed:
-            raise ConfigError(f"{key}: unknown key in section [{section}]")
+def _number_or_none(section, key, raw):
+    return None if raw.strip().lower() == "none" else _number(section, key, raw)
+
+
+def _number_or_auto(section, key, raw):
+    return "auto" if raw.strip() == "auto" else _number(section, key, raw)
+
+
+def _numbers(section, key, raw):
+    return [_number(section, key, x) for x in raw.split()]
+
+
+def _rows(section, key, raw):
+    return [_numbers(section, key, r) for r in raw.split(";") if r.strip()]
+
+
+_INSTANCE_READERS = {"kind": _word, "n": _integer, "diag": _numbers, "matrix": _rows}
+_STOP = {"rtol": _number_or_none, "dtol": _number_or_none, "grad_tol": _number, "u0": _word}
+#: section -> key -> reader(section, key, raw) of every key a config may set
+SECTIONS = {
+    "instance": {key: _INSTANCE_READERS.get(key, _number) for key in INSTANCE_KEYS},
+    "iterate": {**_STOP, "max_iters": _integer},
+    "flow": {**_STOP, "tau": _number_or_auto, "t_end": _number_or_auto},
+    "oracle": {"restarts": _integer, "tol": _number},
+    "compare": {"lambda_rtol": _number},
+    "run": {"seed": _integer},
+}
 
 
 def load_config(path) -> RunConfig:
@@ -98,64 +123,24 @@ def load_config(path) -> RunConfig:
     except configparser.Error as e:
         raise ConfigError(f"config: parse error in {path}: {e}") from None
 
-    known = {"instance", "iterate", "flow", "oracle", "compare", "run"}
     for section in parser.sections():
-        if section not in known:
+        if section not in SECTIONS:
             raise ConfigError(f"{section}: unknown section")
     if not parser.has_section("instance"):
         raise ConfigError("instance: missing [instance] section")
 
-    inst_raw = dict(parser.items("instance"))
-    # configparser lowercases keys by default; L is the only cased key we use
-    if "l" in inst_raw:
-        inst_raw["L"] = inst_raw.pop("l")
-    _check_keys("instance", inst_raw, INSTANCE_KEYS)
-    instance: dict = {}
-    for key, raw in inst_raw.items():
-        if key == "kind":
-            instance[key] = raw.strip()
-        elif key == "n":
-            instance[key] = _integer("instance", key, raw)
-        elif key == "diag":
-            instance[key] = _numbers(key, raw)
-        elif key == "matrix":
-            instance[key] = [_numbers(key, r) for r in raw.split(";") if r.strip()]
-        else:
-            instance[key] = _number("instance", key, raw)
-
-    def section_dict(name, allowed, ints=(), strings=(), auto=(), nullable=()):
-        if not parser.has_section(name):
-            return {}
-        raw = dict(parser.items(name))
-        _check_keys(name, raw, allowed)
-        out = {}
-        for key, val in raw.items():
-            if key in ints:
-                out[key] = _integer(name, key, val)
-            elif key in strings:
-                out[key] = val.strip()
-            elif key in auto and val.strip() == "auto":
-                out[key] = "auto"
-            elif key in nullable and val.strip().lower() == "none":
-                out[key] = None
-            else:
-                out[key] = _number(name, key, val)
-        return out
-
-    stops = {"rtol", "dtol"}
-    cfg = RunConfig(
-        instance=instance,
-        iterate=section_dict("iterate", _ITERATE_KEYS, ints={"max_iters"}, strings={"u0"}, nullable=stops),
-        flow=section_dict("flow", _FLOW_KEYS, strings={"u0"}, auto={"tau", "t_end"}, nullable=stops),
-        oracle=section_dict("oracle", _ORACLE_KEYS, ints={"restarts"}),
-        compare=section_dict("compare", _COMPARE_KEYS),
-    )
-    if parser.has_section("run"):
-        raw = dict(parser.items("run"))
-        _check_keys("run", raw, _RUN_KEYS)
-        if "seed" in raw:
-            cfg.seed = _integer("run", "seed", raw["seed"])
-    return cfg
+    read = {}
+    for section, readers in SECTIONS.items():
+        raw = dict(parser.items(section)) if parser.has_section(section) else {}
+        # configparser lowercases keys; L is the only cased key we use
+        if section == "instance" and "l" in raw:
+            raw["L"] = raw.pop("l")
+        for key in raw:
+            if key not in readers:
+                raise ConfigError(f"{key}: unknown key in section [{section}]")
+        read[section] = {key: readers[key](section, key, val) for key, val in raw.items()}
+    run = read.pop("run")
+    return RunConfig(**read, seed=run.get("seed", 0))
 
 
 def start_vector(inst, policy, seed) -> np.ndarray:

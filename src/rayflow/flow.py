@@ -66,12 +66,16 @@ def local_slope(inst: ProblemInstance, u) -> float:
     return inst.space.dual_norm(inst.gradient(u))
 
 
-def check_step(tau: float, t_end: float):
-    """Validate the flow's step size and horizon."""
-    if not (0.0 < tau < math.inf):
+def check_step(tau: float | None, t_end: float | None):
+    """Validate the flow's step size and horizon, either of which may be
+    None (not known yet): both positive and finite, and t_end at least one
+    step with a finite step count t_end/tau."""
+    if tau is not None and not (0.0 < tau < math.inf):
         raise DegenerateInputError(f"tau: must be a positive finite number, got {tau}")
-    if not (tau <= t_end < math.inf):
-        raise DegenerateInputError(f"t_end: must be finite and at least one step tau = {tau}, got {t_end}")
+    if t_end is not None and not (0.0 < t_end < math.inf):
+        raise DegenerateInputError(f"t_end: must be a positive finite number, got {t_end}")
+    if None not in (tau, t_end) and not (tau <= t_end and t_end / tau < math.inf):
+        raise DegenerateInputError(f"t_end: must span from one to finitely many steps tau = {tau}, got {t_end}")
 
 
 def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOptions | None = None):

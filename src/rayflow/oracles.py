@@ -58,6 +58,9 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 0x5EED
+#: random starts and certificate tolerance of an oracle run, unless configured
+DEFAULT_RESTARTS = 16
+DEFAULT_TOL = 1e-8
 #: the multistart stops once the polished first start has
 #: (R - lambda_lo) <= BRACKET_RTOL R; the benchmark checks lambda to 1e-6
 BRACKET_RTOL = 1e-6
@@ -244,8 +247,8 @@ def _bracketed(inst, u, tol):
 
 def direct_rayleigh_min(
     inst: ProblemInstance,
-    restarts: int = 16,
-    tol: float = 1e-8,
+    restarts: int = DEFAULT_RESTARTS,
+    tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
 ) -> OracleResult:
     """Direct minimization of p Phi(u)/||u||^p over the unit sphere.
@@ -311,7 +314,9 @@ def direct_rayleigh_min(
     return OracleResult(lam, u, OracleMethod.PROJECTED_GRADIENT, cert, inst.lambda_lower(u))
 
 
-def oracle_lambda(inst: ProblemInstance, restarts: int = 16, tol: float = 1e-8, seed: int = DEFAULT_SEED) -> OracleResult:
+def oracle_lambda(
+    inst: ProblemInstance, restarts: int = DEFAULT_RESTARTS, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED
+) -> OracleResult:
     """Best available independent oracle for an instance.
 
     Matrix instances use the Jacobi eigensolver; everything else goes

@@ -32,6 +32,7 @@ Every energy is positively homogeneous of degree p, which the inner solves,
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -573,34 +574,25 @@ _KINDS = {
     )
 }
 
-_GRID_KEYS = {"p", "n", "L"}
-_KIND_KEYS = {
-    "matrix": {"matrix", "diag", "p"},
-    "pdirichlet1d": _GRID_KEYS,
-    "pdirichlet2d": _GRID_KEYS,
-    "fractional1d": _GRID_KEYS | {"s"},
-    "robin1d": _GRID_KEYS | {"beta"},
-    "neumann1d": _GRID_KEYS,
-    "supdirichlet1d": _GRID_KEYS,
-    "steklov1d": _GRID_KEYS,
-}
-#: every key an instance description may carry, for any kind
-INSTANCE_KEYS = {"kind"}.union(*_KIND_KEYS.values())
+#: every key an instance description may carry: each kind's constructor
+#: parameters, ``diag`` (a diagonal matrix) and the kind itself
+INSTANCE_KEYS = {"kind", "diag"}.union(*(inspect.signature(cls).parameters for cls in _KINDS.values()))
 
 
 def assemble(config: dict) -> ProblemInstance:
     """Build a problem instance from a flat key-value description.
 
-    Recognized keys: INSTANCE_KEYS (kind, p, n, L, s, beta, matrix, diag),
-    of which each kind takes its own subset.  Unknown keys and
-    out-of-range values raise ConfigError naming the key.
+    Each kind takes its constructor's parameters, with their defaults;
+    ``matrix`` also takes ``diag`` for a diagonal matrix and ``p`` (only 2).
+    Unknown keys and out-of-range values raise ConfigError naming the key.
     """
     cfg = dict(config)
     kind = cfg.pop("kind", None)
     if kind not in _KINDS:
         raise ConfigError(f"kind: unknown instance kind {kind!r}")
+    params = inspect.signature(_KINDS[kind]).parameters
     for key in cfg:
-        if key not in _KIND_KEYS[kind]:
+        if key not in params and not (kind == "matrix" and key in ("diag", "p")):
             raise ConfigError(f"{key}: unknown key for kind {kind!r}")
 
     def as_float(key, default=None):
@@ -629,26 +621,20 @@ def assemble(config: dict) -> ProblemInstance:
             if a.ndim != 1 or a.size == 0:
                 raise ConfigError(f"diag: expected a nonempty list of numbers, got shape {a.shape}")
             a = np.diag(a)
-        inst = MatrixQuadratic(a)
-    else:
-        p = as_float("p")
-        if not (p > 1.0):
-            raise ConfigError(f"p: must be > 1, got {p}")
-        n_raw = cfg.pop("n", None)
-        try:
-            n = int(n_raw)
-            ok = n == float(n_raw) and n >= 1
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-        if not ok:
-            raise ConfigError(f"n: must be a positive integer, got {n_raw}")
-        L = as_float("L", 1.0)
-        if L <= 0.0:
-            raise ConfigError(f"L: must be > 0, got {L}")
-        kwargs = {"p": p, "n": n, "L": L}
-        if kind == "fractional1d":
-            kwargs["s"] = as_float("s", 0.5)
-        if kind == "robin1d":
-            kwargs["beta"] = as_float("beta", 1.0)
-        inst = _KINDS[kind](**kwargs)
-    return inst
+        return MatrixQuadratic(a)
+    p = as_float("p")
+    if not (p > 1.0):
+        raise ConfigError(f"p: must be > 1, got {p}")
+    n_raw = cfg.pop("n", None)
+    try:
+        n = int(n_raw)
+        ok = n == float(n_raw) and n >= 1
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"n: must be a positive integer, got {n_raw}")
+    L = as_float("L", params["L"].default)
+    if L <= 0.0:
+        raise ConfigError(f"L: must be > 0, got {L}")
+    # the kind's own parameters after (p, n, L): fractional1d's s, robin1d's beta
+    return _KINDS[kind](p, n, L, *(as_float(key, params[key].default) for key in list(params)[3:]))

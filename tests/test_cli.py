@@ -49,6 +49,8 @@ dtol = 1e-8
 
 
 NEAR_ONE = "[instance]\nkind = pdirichlet1d\np = 1.1\nn = 31\n"
+#: t_end/tau overflows to inf: the flow has no step count
+OVERFLOW = "[instance]\nkind = pdirichlet1d\np = 3\nn = 9\n[flow]\ntau = 1e-300\nt_end = 1e300\n"
 
 #: every JSON file's keys, in the order they are written
 JSON_KEYS = {
@@ -111,6 +113,14 @@ class TestCompare:
             assert json.loads((tmp_path / "compare.json").read_text())["pass"] is (code == 0)
 
 
+    def test_one_instance_per_run(self, tmp_path, monkeypatch):
+        cfg = write(tmp_path, MATRIX_COMPARE)
+        calls = []
+        monkeypatch.setattr(rayflow.cli, "assemble", lambda c: calls.append(c) or assemble(c))
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        assert len(calls) == 1
+
+
 class TestConfigErrors:
     def test_bad_p_exits_2_naming_key(self, tmp_path, capsys):
         cfg = write(tmp_path, "[instance]\nkind = pdirichlet1d\np = 0.5\nn = 4\n")
@@ -135,6 +145,27 @@ class TestConfigErrors:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "key, text",
+        [("config", None), ("config", "kind = matrix\n"), ("instance", "[iterate]\nrtol = 1e-9\n")],
+        ids=["missing-file", "parse-error", "no-instance"],
+    )
+    def test_unusable_config_file_exits_2(self, tmp_path, capsys, key, text):
+        cfg = write(tmp_path, text) if text is not None else str(tmp_path / "absent.cfg")
+        assert main(["iterate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}:")
+        assert [f.name for f in tmp_path.iterdir()] == ([] if text is None else ["run.cfg"])
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "[instance]\nkind = matrix\ndiag = 1 2\n")
+        assert main(["iterate", "--config", cfg, "--out", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: out:")
+
+    def test_numeric_failure_outside_a_scheme_exits_1(self, tmp_path, capsys):
+        cfg = write(tmp_path, "[instance]\nkind = pdirichlet1d\np = 3\nn = 300\n")
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "numeric failure: direct oracle is limited to dim <= 256\n"
+
+    @pytest.mark.parametrize(
         "key, body",
         [
             ("diag", "kind = matrix\ndiag = 1 x\n"),
@@ -147,6 +178,10 @@ class TestConfigErrors:
             ("L", "kind = pdirichlet1d\np = 2.0\nn = 4\nL = inf\n"),
             ("seed", "kind = pdirichlet1d\np = 2.0\nn = 4\nseed = 3\n"),
             ("eps", "kind = matrix\ndiag = 1 2\neps = 0.7\n"),
+            ("matrix", "kind = matrix\ndiag = 1 2\nmatrix = 2 1; 1 2\n"),
+            ("matrix", "kind = matrix\n"),
+            ("n", "kind = pdirichlet1d\np = 2.0\nn = 0\n"),
+            ("L", "kind = pdirichlet1d\np = 2.0\nn = 4\nL = -1\n"),
         ],
         ids=[
             "diag-word",
@@ -159,6 +194,10 @@ class TestConfigErrors:
             "L-inf",
             "seed",
             "matrix-eps",
+            "matrix-and-diag",
+            "matrix-missing",
+            "n-0",
+            "L-neg",
         ],
     )
     def test_bad_instance_value_exits_2_naming_key(self, tmp_path, capsys, key, body):
@@ -203,6 +242,8 @@ class TestConfigErrors:
             ("compare", "t_end", "[flow]\ntau = 0.5\nt_end = 0.1\n"),
             ("compare", "u0", "[flow]\nu0 = bogus\n"),
             ("flow", "tau", NEAR_ONE + "[flow]\ntau = 0\n"),
+            ("flow", "t_end", OVERFLOW),
+            ("compare", "t_end", OVERFLOW),
         ],
         ids=[
             "max_iters-0",
@@ -227,6 +268,8 @@ class TestConfigErrors:
             "compare-t_end-below-tau",
             "compare-u0-bogus",
             "tau-0-before-auto-t_end",
+            "t_end-overflow",
+            "compare-t_end-overflow",
         ],
     )
     def test_bad_option_exits_2_naming_key(self, tmp_path, capsys, command, key, body):

@@ -265,6 +265,12 @@ class TestGuards:
         with pytest.raises(DegenerateInputError):
             run_flow(inst, np.ones(4), 0.5, 0.1)
 
+    def test_step_count_overflow(self):
+        # t_end/tau = inf: no step count, rejected before the first step
+        inst = PDirichlet1D(3.0, 9)
+        with pytest.raises(DegenerateInputError, match="^t_end: "):
+            run_flow(inst, np.ones(9), 1e-300, 1e300)
+
 
 class TestSchemeCrossCheck:
     def test_flow_agrees_with_iteration(self):

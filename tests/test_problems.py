@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from rayflow.problems import (
     Robin1D,
     Steklov1D,
     SupDirichlet1D,
+    INSTANCE_KEYS,
     _increasing_root,
     assemble,
 )
@@ -233,6 +235,32 @@ class TestAssemble:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="kind"):
             assemble({"kind": "helmholtz", "p": 2.0, "n": 4})
+
+    def test_instance_keys(self):
+        assert INSTANCE_KEYS == {"kind", "p", "n", "L", "s", "beta", "matrix", "diag"}
+
+    @pytest.mark.parametrize(
+        "cls",
+        [PDirichlet1D, PDirichlet2D, FractionalSeminorm1D, Robin1D, NeumannQuotient1D, SupDirichlet1D, Steklov1D, MatrixQuadratic],
+        ids=lambda cls: cls.kind,
+    )
+    def test_each_kind_takes_its_constructor_parameters(self, cls):
+        # a key is accepted exactly when the constructor takes it (matrix also
+        # takes diag and p), and an unset key takes the signature's default
+        params = set(inspect.signature(cls).parameters)
+        params |= {"diag", "p"} if cls is MatrixQuadratic else set()
+        base = {"kind": cls.kind, "diag": [1.0, 2.0]} if cls is MatrixQuadratic else {"kind": cls.kind, "p": 3.0, "n": 4}
+        values = {"p": 2.0, "n": 4, "L": 2.0, "s": 0.25, "beta": 0.5, "matrix": [[2.0]], "diag": [1.0, 2.0]}
+        for key in INSTANCE_KEYS - {"kind"} - set(base):
+            try:
+                assemble({**base, key: values[key]})
+                accepted = True
+            except ConfigError as e:
+                accepted = "unknown key" not in str(e)
+            assert accepted == (key in params), key
+        if cls is not MatrixQuadratic:
+            u = np.linspace(0.5, 1.0, assemble(base).space.dim)
+            assert assemble(base).value(u) == cls(3.0, 4).value(u)
 
     def test_matrix_p_must_be_two(self):
         with pytest.raises(ConfigError, match="p"):
