@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .inner import minimize_movement
-from .iterate import SchemeFailure, Trace, Violation, check_stop_rules, measure_state, outer_loop
+from .iterate import SchemeFailure, Trace, Violation, check_stop_rules, measure_start, outer_loop
 from .problems import ProblemInstance
 from .spaces import SpaceKind, mu_from_lambda
 
@@ -109,9 +109,7 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
     check_step(tau, t_end)
     space = inst.space
     v = space.check_dim(v0)
-    v_hat, norm, phi, rq = measure_state(inst, v)
-    if not math.isfinite(phi):
-        raise DegenerateInputError("Phi(v0) must be finite")
+    v_hat, norm, phi, rq = measure_start(inst, v)
     trace = Trace(inst.p, [FlowRow(0, 0.0, phi, norm, rq, math.nan, local_slope(inst, v), math.nan)])
     p, q = inst.exponent.p, inst.exponent.q
     carry: dict = {}  # the sup radius of the last step

@@ -8,9 +8,9 @@ Both outer schemes reduce to strictly convex minimizations:
 Each solve depends only on its instance, its data and one ``grad_tol``.
 Both run ``descend``, the one line-search loop for smooth problems.  Its
 direction is the Newton direction wherever the instance has a Hessian
-(``ProblemInstance.hessian``: a tridiagonal band for the 1D kinds, solved
-by a Thomas sweep, and a dense matrix for the fractional and matrix
-kinds); the movement solve adds the diagonal curvature of its penalty.
+(``ProblemInstance.hessian``: a ``BandHessian`` for the 1D kinds and a
+``DenseHessian`` for the fractional and matrix kinds, each with its own
+solve); the movement solve adds the diagonal curvature of its penalty.
 That penalty is the exact ||v - g||^p / (p tau^(p-1)) for every p, so a
 movement solve's residual is the one of the scheme's own step.
 The movement solve starts at the caller's warm start (``run_flow``
@@ -236,33 +236,15 @@ def descend(x, value, grad, merit, tol, max_iters, w, project=None, newton=None)
     return x, f, resid, iters, resid <= tol
 
 
-def _thomas(diag, off, rhs):
-    """x with T x = rhs for the symmetric tridiagonal T = (diag, off), by
-    elimination without pivoting (T is positive definite where it is used)."""
-    d, e, x = diag.tolist(), off.tolist(), rhs.tolist()
-    for i in range(1, len(d)):
-        m = e[i - 1] / d[i - 1]
-        d[i] -= m * e[i - 1]
-        x[i] -= m * x[i - 1]
-    x[-1] /= d[-1]
-    for i in range(len(d) - 2, -1, -1):
-        x[i] = (x[i] - e[i] * x[i + 1]) / d[i]
-    return np.array(x)
-
-
 class _Newton:
     """Newton directions for ``descend`` from the instance's Hessian hook.
 
     Solves (H(x) + diag(extra(x))) d = -w r, with H the Euclidean Hessian
-    of Phi, ``extra`` the Euclidean curvature of a separable term added to
-    Phi (the movement penalty) and w r the Euclidean residual: a Thomas
-    sweep for a tridiagonal band, ``np.linalg.solve`` for a dense matrix.
-    On quotient spaces the constants span the kernel of H, so the solve
-    pins node 0 and then fits the constant component against the added
-    curvature; where that curvature vanishes (the first movement iterate
-    for p > 2, every phi-minus-linear iterate) the direction is the one
-    with zero weighted mean.  A direction that is not finite or not a
-    descent direction is declined (None) and descend keeps its L-BFGS step.
+    of Phi (a ``problems.BandHessian`` or ``DenseHessian``, which owns its
+    solve), ``extra`` the Euclidean curvature of a separable term added to
+    Phi (the movement penalty) and w r the Euclidean residual.  A direction
+    that is not finite or not a descent direction is declined (None) and
+    descend keeps its L-BFGS step.
 
     For p < 2 the Hessian underestimates the curvature of long steps: on
     the p-homogeneous part, where H(x) x = (p-1) dPhi(x), a full Newton
@@ -285,37 +267,16 @@ class _Newton:
             h = self.inst.hessian(x)
             if h is None:
                 return None
-            w, b = self.w, -self.w * r
-            dg = np.zeros(len(x)) if self.extra is None else self.extra(x)
-            band = not isinstance(h, np.ndarray)
-            a = (h[0] + dg, h[1]) if band else h.copy()
-            if not band:
-                a.flat[:: len(x) + 1] += dg
-
-            def solve(a, rhs):
-                return _thomas(*a, rhs) if band else np.linalg.solve(a, rhs)
-
+            a = h.add_diagonal(np.zeros(len(x)) if self.extra is None else self.extra(x))
             shrink = 1.0
             if self.inst.p < 2.0 and self.last is not None:
-                s, y = x - self.last[0], w * (r - self.last[1])
-                sas = float(s @ (a[0] * s) + 2.0 * s[:-1] @ (a[1] * s[1:])) if band else float(s @ a @ s)
+                s, y = x - self.last[0], self.w * (r - self.last[1])
+                sas = a.quad(s)
                 if float(y @ s) > SECANT_RATIO * sas > 0.0:
                     shrink = sas / float(y @ s)
             self.last = x, r
-            try:
-                if self.inst.space.kind is not SpaceKind.QUOTIENT_LP:
-                    d = solve(a, b)
-                else:
-                    pinned = (a[0][1:], a[1][1:]) if band else a[1:, 1:]
-                    vb, vd = solve(pinned, b[1:]), solve(pinned, dg[1:])
-                    schur = dg.sum() - dg[1:] @ vd
-                    alpha = (b.sum() - dg[1:] @ vb) / schur if schur > 1e-14 * dg.sum() else 0.0
-                    d = np.concatenate(([0.0], vb - alpha * vd)) + alpha
-                    if alpha == 0.0:
-                        d -= (w * d).sum() / w.sum()
-            except (ZeroDivisionError, np.linalg.LinAlgError):
-                return None
-        if not (np.isfinite(d).all() and float((w * r * d).sum()) < 0.0):
+            d = a.solve(-self.w * r)
+        if d is None or not (np.isfinite(d).all() and float((self.w * r * d).sum()) < 0.0):
             return None
         self.steps += 1
         return shrink * d

@@ -166,6 +166,19 @@ def measure_state(inst, x):
     return x_hat, float(np.ldexp(norm, k)), phi, rq
 
 
+def measure_start(inst, x, scale_free=False):
+    """``measure_state`` of a start x; raises, with no warning, unless Phi is
+    finite at x, or for a scale-free scheme (inverse iteration) at the
+    nonzero x / 2^k its quotient is taken at."""
+    with np.errstate(over="ignore"):
+        state = measure_state(inst, x)
+    if scale_free and state[1] == 0.0:
+        raise DegenerateInputError("u0 must have nonzero norm")
+    if not math.isfinite(state[3] if scale_free else state[2]):
+        raise DegenerateInputError("Phi at the start is not finite")
+    return state
+
+
 def outer_loop(inst, x, x_hat, trace, step, rescale, max_steps, rtol, dtol, rq_patience, min_steps=1):
     """The outer loop both schemes share; returns the run's RunSummary,
     whose ``steps`` counts the rows after the start's.
@@ -241,9 +254,7 @@ def iterate(inst: ProblemInstance, u0, opts: IterOptions | None = None):
     opts = opts or IterOptions()
     space = inst.space
     u = space.check_dim(u0)
-    u_hat, norm, phi, rq = measure_state(inst, u)
-    if norm == 0.0:
-        raise DegenerateInputError("u0 must have nonzero norm")
+    u_hat, norm, phi, rq = measure_start(inst, u, scale_free=True)
     trace = Trace(inst.p, [IterationRow(0, norm, phi, rq, math.nan, 0, math.nan)])
 
     def step(k, u):

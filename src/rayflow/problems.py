@@ -120,6 +120,71 @@ def _increasing_root(f, lo, hi, ends=None):
     return x, iters
 
 
+class BandHessian:
+    """A symmetric tridiagonal Hessian (diag, off), solved by a Thomas sweep
+    without pivoting, as it is positive definite where it is solved (None on
+    a zero pivot).  A band whose kernel holds the constants (the quotient's)
+    carries the weights w of its mean: ``solve`` pins node 0 and fits the
+    constant against the diagonal ``add_diagonal`` added, or where that
+    vanishes returns the solution of zero w-mean."""
+
+    def __init__(self, diag, off, mean_weights=None, added=None):
+        self.diag, self.off, self.mean_weights, self.added = diag, off, mean_weights, added
+
+    def add_diagonal(self, dg):
+        return BandHessian(self.diag + dg, self.off, self.mean_weights, dg)
+
+    def quad(self, s) -> float:
+        return float(s @ (self.diag * s) + 2.0 * s[:-1] @ (self.off * s[1:]))
+
+    def _sweep(self, rhs, k=0):  # on rows and columns k onward
+        d, e, x = self.diag[k:].tolist(), self.off[k:].tolist(), rhs[k:].tolist()
+        for i in range(1, len(d)):
+            m = e[i - 1] / d[i - 1]
+            d[i] -= m * e[i - 1]
+            x[i] -= m * x[i - 1]
+        x[-1] /= d[-1]
+        for i in range(len(d) - 2, -1, -1):
+            x[i] = (x[i] - e[i] * x[i + 1]) / d[i]
+        return np.array(x)
+
+    def solve(self, b):
+        try:
+            if self.mean_weights is None:
+                return self._sweep(b)
+            w, dg = self.mean_weights, np.zeros(len(b)) if self.added is None else self.added
+            vb, vd = self._sweep(b, 1), self._sweep(dg, 1)
+        except ZeroDivisionError:
+            return None
+        schur = dg.sum() - dg[1:] @ vd
+        alpha = (b.sum() - dg[1:] @ vb) / schur if schur > 1e-14 * dg.sum() else 0.0
+        d = np.concatenate(([0.0], vb - alpha * vd)) + alpha
+        if alpha == 0.0:
+            d -= (w * d).sum() / w.sum()
+        return d
+
+
+class DenseHessian:
+    """A dense symmetric Hessian, solved by ``np.linalg.solve`` (None where singular)."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def add_diagonal(self, dg):
+        a = self.matrix.copy()
+        a.flat[:: len(dg) + 1] += dg
+        return DenseHessian(a)
+
+    def quad(self, s) -> float:
+        return float(s @ self.matrix @ s)
+
+    def solve(self, b):
+        try:
+            return np.linalg.solve(self.matrix, b)
+        except np.linalg.LinAlgError:
+            return None
+
+
 class ProblemInstance:
     """Base class: energy value, gradient in dual coordinates, and space."""
 
@@ -155,9 +220,9 @@ class ProblemInstance:
         return None
 
     def hessian(self, u):
-        """The Euclidean Hessian of Phi at u: a dense matrix, or the
-        (diagonal, off-diagonal) pair of a symmetric tridiagonal band.  None
-        where the kind has none (descend then takes L-BFGS directions)."""
+        """The Euclidean Hessian of Phi at u: a ``BandHessian`` or a
+        ``DenseHessian``, or None where the kind has none (descend then takes
+        L-BFGS directions)."""
         return None
 
     def lambda_lower(self, u):
@@ -230,7 +295,7 @@ class MatrixQuadratic(ProblemInstance):
         return self.matrix @ u
 
     def hessian(self, u):
-        return self.matrix
+        return DenseHessian(self.matrix)
 
 
 class _Chain1D(ProblemInstance):
@@ -293,7 +358,8 @@ class _Chain1D(ProblemInstance):
         diag = c[:-1] + c[1:]
         if self.ground is not None:
             diag[self.ground] += self.mass * smoothed_curvature(u[self.ground], p)
-        return diag, -c[1:-1]
+        quotient = self.space.kind is SpaceKind.QUOTIENT_LP
+        return BandHessian(diag, -c[1:-1], self.space.pairing_weights() if quotient else None)
 
     def solve_gradient(self, xi):
         """The u with gradient(u) = xi, integrated along the flux.
@@ -557,7 +623,7 @@ class FractionalSeminorm1D(ProblemInstance):
         m = (self.p - 1.0) * a if self.p >= 2.0 else smoothed_curvature(t, self.p) * self._kernel
         hess = 0.0 - m[:, :-1]  # not -m: an entry m = 0 stays +0.0
         hess.flat[:: self.n + 1] += m.sum(axis=1)
-        return 2.0 * self.h * self.h * hess
+        return DenseHessian(2.0 * self.h * self.h * hess)
 
 
 _KINDS = {

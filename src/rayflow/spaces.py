@@ -232,7 +232,10 @@ def mu_from_lambda(lam: float, exp: Exponent) -> float:
     """mu = lambda^(1/(p-1)), the per-step contraction rate of the schemes."""
     if not (lam > 0.0):
         raise DegenerateInputError(f"lambda must be > 0, got {lam}")
-    return float(lam) ** (1.0 / (exp.p - 1.0))
+    try:
+        return float(lam) ** (1.0 / (exp.p - 1.0))
+    except OverflowError:  # near p = 1 on a small domain
+        raise DegenerateInputError(f"mu = lambda^(1/(p-1)) overflows at lambda = {lam}, p = {exp.p}") from None
 
 
 def optimal_shift(u, space: SpaceDescriptor) -> float:

@@ -5,6 +5,7 @@ import importlib
 import numpy as np
 
 from rayflow.errors import DegenerateInputError
+from rayflow.problems import DenseHessian
 
 
 def hilbert_closed_form(sigmas, a, k: int | None = None, t: float | None = None) -> np.ndarray:
@@ -25,6 +26,14 @@ def hilbert_closed_form(sigmas, a, k: int | None = None, t: float | None = None)
     if k is not None:
         return a * sig ** (-float(k))
     return a * np.exp(-sig * float(t))
+
+
+def hessian_matrix(h) -> np.ndarray:
+    """The n x n matrix of a Hessian hook's operator (a ``DenseHessian``'s
+    own matrix, or a ``BandHessian`` filled in)."""
+    if isinstance(h, DenseHessian):
+        return h.matrix
+    return np.diag(h.diag) + np.diag(h.off, 1) + np.diag(h.off, -1)
 
 
 def euler_identity_residual(inst, u) -> float:

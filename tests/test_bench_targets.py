@@ -137,6 +137,6 @@ def test_hot_paths_skip_numpy_dispatch():
     reduction.  The sup movement step (``inner._box_kkt``, ``solve_box``,
     ``inner._sup_movement``) is exempt: perfbench's traced ``sup1d-p3-n5``
     case already comes close to the 50 ms sampler period that its test
-    asserts on, so that path waits for the sampler fix (ROADMAP item 9)."""
+    asserts on, so that path waits for the sampler fix (ROADMAP item 1)."""
     entered = {label: _wrapper_calls(call) for label, call in _hot_calls()}
     assert {label: dict(c) for label, c in entered.items() if c} == {}

@@ -51,6 +51,13 @@ dtol = 1e-8
 NEAR_ONE = "[instance]\nkind = pdirichlet1d\np = 1.1\nn = 31\n"
 #: t_end/tau overflows to inf: the flow has no step count
 OVERFLOW = "[instance]\nkind = pdirichlet1d\np = 3\nn = 9\n[flow]\ntau = 1e-300\nt_end = 1e300\n"
+#: Phi overflows at every start on this domain, even at unit scale
+TINY_DOMAIN = "[instance]\nkind = pdirichlet1d\np = 3\nn = 15\nL = 1e-200\n"
+#: the start's quotient is finite, but mu = lambda^(1/(p-1)) overflows
+MU_OVERFLOW = {
+    "p1.1": "[instance]\nkind = pdirichlet1d\np = 1.1\nn = 7\nL = 1e-30\n",
+    "p1.05": "[instance]\nkind = pdirichlet1d\np = 1.05\nn = 15\nL = 1e-20\n",
+}
 
 #: every JSON file's keys, in the order they are written
 JSON_KEYS = {
@@ -164,6 +171,23 @@ class TestConfigErrors:
         cfg = write(tmp_path, "[instance]\nkind = pdirichlet1d\np = 3\nn = 300\n")
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "numeric failure: direct oracle is limited to dim <= 256\n"
+
+    @pytest.mark.parametrize("command", ["iterate", "flow", "compare"])
+    def test_overflowing_start_exits_1_before_any_solve(self, tmp_path, capsys, command):
+        # a numeric failure naming Phi, not a config error about the auto
+        # tau; no RuntimeWarning (the test configuration makes one an error)
+        cfg = write(tmp_path, TINY_DOMAIN)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "numeric failure: Phi at the start is not finite\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
+
+    @pytest.mark.parametrize("case", sorted(MU_OVERFLOW))
+    @pytest.mark.parametrize("command", ["iterate", "flow"])
+    def test_overflowing_mu_exits_1(self, tmp_path, capsys, command, case):
+        cfg = write(tmp_path, MU_OVERFLOW[case])
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("numeric failure: mu = lambda^(1/(p-1)) overflows at lambda = ")
+        assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
 
     @pytest.mark.parametrize(
         "key, body",

@@ -271,6 +271,15 @@ class TestGuards:
         with pytest.raises(DegenerateInputError, match="^t_end: "):
             run_flow(inst, np.ones(9), 1e-300, 1e300)
 
+    def test_overflowing_phi_at_the_start(self):
+        # Phi(v0) overflows on this domain: refused with no RuntimeWarning
+        # (the test configuration turns one into an error)
+        with pytest.raises(DegenerateInputError, match="^Phi at the start is not finite$"):
+            run_flow(PDirichlet1D(3.0, 15, L=1e-200), np.ones(15), 1e-3, 1e-2)
+        # a huge start with a finite Phi(v0 / 2^k) is refused too: the flow reads Phi(v0)
+        with pytest.raises(DegenerateInputError, match="^Phi at the start is not finite$"):
+            run_flow(PDirichlet1D(3.0, 15), 1e300 * np.ones(15), 1e-3, 1e-2)
+
 
 class TestSchemeCrossCheck:
     def test_flow_agrees_with_iteration(self):

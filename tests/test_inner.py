@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import hessian_matrix
 from rayflow.errors import DegenerateInputError
 from rayflow.inner import (
     _box_kkt,
@@ -425,14 +426,6 @@ class TestMovement:
             assert inst.value(cand) + pen(cand) >= best - 1e-10
 
 
-def _dense(h):
-    """The n x n matrix of a Hessian hook's value (dense, or a band)."""
-    if isinstance(h, np.ndarray):
-        return h
-    diag, off = h
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-
-
 HESSIAN_KINDS = {
     "pdirichlet1d": lambda p: PDirichlet1D(p, 6),
     "supdirichlet1d": lambda p: SupDirichlet1D(p, 6),
@@ -469,7 +462,7 @@ class TestHessian:
         zero_arg = len(set(u.tolist() + [0.0])) < n + 1
         assume(not zero_arg or p >= 3.0)
         w = inst.space.pairing_weights()
-        h = _dense(inst.hessian(u))
+        h = hessian_matrix(inst.hessian(u))
         assume(not zero_arg or h.any())
         assert np.all(np.isfinite(h))
         np.testing.assert_array_equal(h, h.T)
@@ -488,7 +481,7 @@ class TestHessian:
         # would give (p - 1) |0|^(p - 2) = inf without the floor
         u = np.array([0.0, 0.5, 0.5, 1.0, 0.0, -0.5])
         for kind in ("pdirichlet1d", "steklov1d", "fractional1d"):
-            assert np.all(np.isfinite(_dense(HESSIAN_KINDS[kind](p).hessian(u)))), kind
+            assert np.all(np.isfinite(hessian_matrix(HESSIAN_KINDS[kind](p).hessian(u)))), kind
 
 
 def _no_hook(inst):

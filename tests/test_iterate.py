@@ -343,6 +343,18 @@ class TestGuards:
             with pytest.raises(DegenerateInputError, match="dual vector has non-finite entries"):
                 iterate(PDirichlet1D(20.0, n), u0)
 
+    def test_overflowing_quotient_at_the_start(self):
+        # Phi overflows at u0 / 2^k itself, so the quotient does: refused
+        # before the first step, with no RuntimeWarning
+        with pytest.raises(DegenerateInputError, match="^Phi at the start is not finite$"):
+            iterate(PDirichlet1D(3.0, 15, L=1e-200), np.ones(15))
+
+    @pytest.mark.parametrize("p, n, L", [(1.1, 7, 1e-30), (1.05, 15, 1e-20)])
+    def test_overflowing_mu_is_refused(self, p, n, L):
+        # the warm start divides by mu = lambda^(1/(p-1)), past the double range
+        with pytest.raises(DegenerateInputError, match=f"overflows at lambda = .*, p = {p}$"):
+            iterate(PDirichlet1D(p, n, L=L), np.ones(n))
+
     @pytest.mark.parametrize(
         "inst, u0, lam",
         [

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import euler_identity_residual
+from helpers import euler_identity_residual, hessian_matrix
 from rayflow.errors import ConfigError, DegenerateInputError
 from rayflow import problems
 from rayflow.problems import (
+    BandHessian,
     FractionalSeminorm1D,
     MatrixQuadratic,
     NeumannQuotient1D,
@@ -336,7 +337,7 @@ class TestDiscretizationalOracles:
         hess = 2.0 * h * h * (np.diag(m.sum(axis=1)) - m[:, interior])
         assert inst.value(u) == pytest.approx(value, rel=1e-12)
         assert np.max(np.abs(inst.gradient(u) - grad)) <= 1e-12 * np.max(np.abs(grad))
-        assert np.max(np.abs(inst.hessian(u) - hess)) <= 1e-12 * np.max(np.abs(hess))
+        assert np.max(np.abs(hessian_matrix(inst.hessian(u)) - hess)) <= 1e-12 * np.max(np.abs(hess))
 
 
 ROBIN_BETA = 0.7
@@ -438,9 +439,7 @@ def _assert_matches_edge_list(inst, u):
     value = np.sum(c * np.abs(d) ** p) / p
     grad = D.T @ (c * np.sign(d) * np.abs(d) ** (p - 1.0))
     hess = D.T @ np.diag(c * smoothed_curvature(d, p)) @ D
-    h = inst.hessian(u)
-    if isinstance(h, tuple):
-        h = np.diag(h[0]) + np.diag(h[1], 1) + np.diag(h[1], -1)
+    h = hessian_matrix(inst.hessian(u))
     assert abs(inst.value(u) - value) <= 1e-13 * value
     assert np.max(np.abs(inst.space.pairing_weights() * inst.gradient(u) - grad)) <= 1e-13 * np.max(np.abs(grad))
     assert np.max(np.abs(h - hess)) <= 1e-13 * np.max(np.abs(hess))
@@ -507,3 +506,54 @@ class TestIncreasingRoot:
             fx = f(x)
             assert abs(fx) > ftol
             lo, f_lo, hi, f_hi = (x, fx, hi, f_hi) if fx < 0.0 else (lo, f_lo, x, fx)
+
+
+class TestHessianOperators:
+    """Each operator's solve against ``np.linalg.solve`` of its dense matrix."""
+
+    @staticmethod
+    def _close(x, ref):
+        assert x is not None and np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [PDirichlet1D(3.0, 31), Robin1D(1.5, 31), Steklov1D(3.0, 31), FractionalSeminorm1D(3.0, 15)]
+        + [MatrixQuadratic(np.eye(6) + 0.2 * np.ones((6, 6)))],
+        ids=lambda inst: inst.kind,
+    )
+    def test_band_and_dense(self, inst):
+        rng = np.random.default_rng(7)
+        n = inst.space.dim
+        h = inst.hessian(np.sin(np.linspace(0.3, 2.8, n)) + 0.1 * rng.standard_normal(n))
+        dg, b = rng.uniform(0.0, 1.0, n), rng.standard_normal(n)
+        a = h.add_diagonal(dg)
+        self._close(a.solve(b), np.linalg.solve(hessian_matrix(h) + np.diag(dg), b))
+        assert a.quad(b) == pytest.approx(b @ hessian_matrix(a) @ b, rel=1e-12)
+
+    def _quotient(self, n):
+        rng = np.random.default_rng(n)
+        inst = NeumannQuotient1D(3.0, n)
+        h = inst.hessian(np.cos(np.linspace(0.0, 3.0, n)) + 0.1 * rng.standard_normal(n))
+        assert isinstance(h, BandHessian)
+        return h, inst.space.pairing_weights(), rng
+
+    @pytest.mark.parametrize("n", [2, 9, 31])
+    def test_constant_kernel_with_added_diagonal(self, n):
+        # the pinned solve plus the Schur fit of the constant component
+        h, _, rng = self._quotient(n)
+        dg, b = rng.uniform(0.5, 1.5, n), rng.standard_normal(n)
+        self._close(h.add_diagonal(dg).solve(b), np.linalg.solve(hessian_matrix(h) + np.diag(dg), b))
+
+    @pytest.mark.parametrize("n", [2, 9, 31])
+    def test_constant_kernel_without_added_diagonal(self, n):
+        # H is singular: the solve returns the solution of zero weighted mean,
+        # which the bordered system [[H, w], [w', 0]] also gives
+        h, w, rng = self._quotient(n)
+        b = rng.standard_normal(n)
+        b -= b.mean()  # in the range of H, which annihilates the constants
+        bordered = np.block([[hessian_matrix(h), w[:, None]], [w[None, :], np.zeros((1, 1))]])
+        ref = np.linalg.solve(bordered, np.append(b, 0.0))[:n]
+        for a in (h, h.add_diagonal(np.zeros(n))):
+            x = a.solve(b)
+            self._close(x, ref)
+            assert abs(w @ x) <= 1e-14 * (w @ np.abs(x))

@@ -227,6 +227,14 @@ class TestMuFromLambda:
             with pytest.raises(DegenerateInputError):
                 mu_from_lambda(lam, Exponent(2.0))
 
+    def test_overflow_names_lambda_and_p(self):
+        # near p = 1 on a small domain lambda^(1/(p-1)) leaves the double range
+        with pytest.raises(DegenerateInputError, match=r"lambda = 2\.8e\+33, p = 1\.1"):
+            mu_from_lambda(2.8e33, Exponent(1.1))
+        # finite results are the plain power, bit for bit
+        for lam, p in ((2.8e30, 1.1), (1e300, 2.0), (37.5, 3.0), (1e-300, 1.05)):
+            assert mu_from_lambda(lam, Exponent(p)) == lam ** (1.0 / (p - 1.0))
+
 
 class TestPow2Scale:
     def test_exact_power_of_two(self):
