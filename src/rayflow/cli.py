@@ -46,12 +46,7 @@ BOUND_SLACK = 64.0 * sys.float_info.epsilon
 
 
 def _g17(x) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+    return format(float(x), ".17g")  # also "nan", "inf" and "-inf"
 
 
 def _json_value(x) -> str:

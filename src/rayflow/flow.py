@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .inner import minimize_movement
-from .iterate import SchemeFailure, Trace, Violation, check_stop_rules, measure_start, outer_loop
+from .iterate import Trace, Violation, check_stop_rules, measure_start, outer_loop
 from .problems import ProblemInstance
 from .spaces import SpaceKind, mu_from_lambda
 
@@ -99,11 +99,11 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
     the last row's slope and returns the next row's, so a smooth step
     evaluates the gradient only inside ``descend`` and a sup step only in
     its box checks, where the last step's radius starts the root search.
-    Stop rules and collapse handling are ``iterate.outer_loop``'s (no stop
-    before MIN_STEPS; t_end bounds the run).  The limit is
-    (1 + tau mu)^n v_n at the last step: on the ground ray each step
-    shrinks the state by exactly (1 + tau mu)^(-1), for every p, so a unit
-    ground state keeps unit norm.
+    Stop rules, collapse handling, the limit and the failed-step check are
+    ``iterate.outer_loop``'s (no stop before MIN_STEPS; t_end bounds the
+    run): the limit is (1 + tau mu_hat)^K v_K at the last step K, since on
+    the ground ray each step shrinks the state by exactly
+    (1 + tau mu)^(-1), for every p, so a unit ground state keeps unit norm.
     """
     opts = opts or FlowOptions()
     check_step(tau, t_end)
@@ -132,28 +132,21 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
         rep = minimize_movement(inst, v, tau, opts.grad_tol, carry, init=predict(v), slope=trace.rows[-1].slope)
         if n > 1:
             past[:] = [v] + past[:1]
-        if not rep.converged:
-            raise SchemeFailure(
-                f"{inst.kind}: movement solve failed to converge at step {n} (merit {rep.grad_dual_norm:.3e})", trace
-            )
-        v_new = rep.minimizer
-        speed = space.norm(v_new - v) / tau
-        slope_new = local_slope(inst, v_new) if rep.slope is None else rep.slope
 
         def row(norm_new, phi_new, rq_new):
-            prev = trace.rows[-1]
-            prev.speed = speed
-            prev.energy_residual = abs((prev.phi - phi_new) / tau - (speed**p / p + slope_new**q / q))
+            v_new, prev = rep.minimizer, trace.rows[-1]
+            slope_new = local_slope(inst, v_new) if rep.slope is None else rep.slope
+            prev.speed = space.norm(v_new - v) / tau
+            prev.energy_residual = abs((prev.phi - phi_new) / tau - (prev.speed**p / p + slope_new**q / q))
             return FlowRow(n, n * tau, phi_new, norm_new, rq_new, math.nan, slope_new, math.nan)
 
-        return v_new, row
+        return rep, row
 
-    def rescale(mu_hat):
-        last = trace.rows[-1]
-        return math.exp(last.n * math.log1p(tau * mu_hat) + math.log(last.norm))
+    def log_rate(mu):
+        return math.log1p(tau * mu)
 
     max_steps = max(1, int(round(t_end / tau)))
-    summary = outer_loop(inst, v, v_hat, trace, step, rescale, max_steps, opts.rtol, opts.dtol, RQ_PATIENCE, MIN_STEPS)
+    summary = outer_loop(inst, v, v_hat, trace, step, log_rate, max_steps, opts.rtol, opts.dtol, RQ_PATIENCE, MIN_STEPS)
     return trace, summary
 
 

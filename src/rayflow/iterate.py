@@ -52,8 +52,6 @@ class StopReason(Enum):
 
 #: an iterate whose norm falls below this has collapsed to the zero element
 COLLAPSE_NORM = 1e-300
-#: trailing steps whose mu^k ||u_k|| are averaged into the limit scale
-TAIL_WINDOW = 10
 #: Rayleigh-stable steps in a row that stop a run whose direction never settles
 RQ_PATIENCE = 30
 #: relative slack of the Rayleigh-quotient and norm-ratio monotonicity checks
@@ -179,22 +177,25 @@ def measure_start(inst, x, scale_free=False):
     return state
 
 
-def outer_loop(inst, x, x_hat, trace, step, rescale, max_steps, rtol, dtol, rq_patience, min_steps=1):
+def outer_loop(inst, x, x_hat, trace, step, log_rate, max_steps, rtol, dtol, rq_patience, min_steps=1):
     """The outer loop both schemes share; returns the run's RunSummary,
     whose ``steps`` counts the rows after the start's.
 
     ``trace`` holds the row of the start x, and ``x_hat`` is its unit
     representative (None at norm 0), both from ``measure_state``.
-    ``step(k, x)`` runs one scheme step from x and returns (x_new, row),
-    where ``row(norm_new, phi_new, rq_new)`` builds the trace row of x_new
-    (the row of x is still last).  ``measure_state`` gives each new state's
-    row and direction from one Phi and one norm: its quotient shift is
-    solved once, and ``inst.rayleigh`` is not called.
+    ``step(k, x)`` runs one scheme step from x and returns (report, row):
+    the SolveReport whose minimizer is the new state x_new, and
+    ``row(norm_new, phi_new, rq_new)``, which builds the trace row of x_new
+    (the row of x is still last).  An unconverged solve raises SchemeFailure
+    with the rows so far.  ``measure_state`` gives each new state's row and
+    direction from one Phi and one norm: its quotient shift is solved once,
+    and ``inst.rayleigh`` is not called.
     The run stops once the Rayleigh quotient is rtol-stable and the
     sign-normalized direction dtol-stable, or after ``rq_patience``
     Rayleigh-stable steps in a row (neither before ``min_steps``), or at
-    ``max_steps``; a norm underflow stops it as CollapsedToZero.  The limit
-    is ``rescale(mu_hat)`` times the unit representative of the last state,
+    ``max_steps``; a norm underflow stops it as CollapsedToZero.  A step
+    shrinks a state on the ground ray by s, with log s = ``log_rate(mu_hat)``,
+    so the limit at the last step K is exp(K log s + log ||x_K||) x_hat_K,
     or zero after a collapse; a limit outside the double range raises
     DegenerateInputError.
     """
@@ -203,8 +204,12 @@ def outer_loop(inst, x, x_hat, trace, step, rescale, max_steps, rtol, dtol, rq_p
     stop = StopReason.MAX_ITERS
     rq_stable_run = 0
     for k in range(1, max_steps + 1):
-        x_new, row = step(k, x)
-        x_hat_new, norm_new, phi_new, rq_new = measure_state(inst, x_new)
+        rep, row = step(k, x)
+        if not rep.converged:
+            raise SchemeFailure(
+                f"{inst.kind}: inner solve failed to converge at outer step {k} (merit {rep.grad_dual_norm:.3e})", trace
+            )
+        x_hat_new, norm_new, phi_new, rq_new = measure_state(inst, rep.minimizer)
         trace.rows.append(row(norm_new, phi_new, rq_new))
         if norm_new < COLLAPSE_NORM:
             stop = StopReason.COLLAPSED_TO_ZERO
@@ -212,7 +217,7 @@ def outer_loop(inst, x, x_hat, trace, step, rescale, max_steps, rtol, dtol, rq_p
         dir_dist = space.norm(x_hat_new - x_hat) if x_hat is not None else math.inf
         rq_stable = rtol is not None and abs(rq_new - rq) <= rtol * abs(rq_new)
         dir_stable = dtol is not None and dir_dist <= dtol
-        x, rq, x_hat = x_new, rq_new, x_hat_new
+        x, rq, x_hat = rep.minimizer, rq_new, x_hat_new
         rq_stable_run = rq_stable_run + 1 if rq_stable else 0
         if k >= min_steps:
             if rq_stable and dir_stable:
@@ -235,7 +240,7 @@ def outer_loop(inst, x, x_hat, trace, step, rescale, max_steps, rtol, dtol, rq_p
     mu_hat = mu_from_lambda(lambda_hat, inst.exponent)
     if stop is StopReason.COLLAPSED_TO_ZERO:
         return RunSummary(lambda_hat, mu_hat, zero, steps, converged, stop)
-    limit = rescale(mu_hat) * x_hat
+    limit = math.exp(steps * log_rate(mu_hat) + math.log(trace.rows[-1].norm)) * x_hat
     if not np.isfinite(limit).all():
         raise DegenerateInputError("rescaled limit vector has non-finite entries")
     return RunSummary(lambda_hat, mu_hat, limit, steps, converged, stop)
@@ -246,10 +251,10 @@ def iterate(inst: ProblemInstance, u0, opts: IterOptions | None = None):
     one IterationRow per iterate.
 
     Each step solves dPhi(u_k) = J_p(u_{k-1}), warm-started on the
-    predicted iterate u_{k-1}/mu.  Stop rules and collapse handling are
-    ``outer_loop``'s.  The limit scale is the geometric mean of
-    mu^k ||u_k|| over the last TAIL_WINDOW steps.  Raises SchemeFailure,
-    holding the rows so far, if an inner solve does not converge.
+    predicted iterate u_{k-1}/mu.  Stop rules, collapse handling, the
+    limit and the failed-step check are ``outer_loop``'s: the limit is
+    mu_hat^K u_K at the last step K, and an inner solve that does not
+    converge raises SchemeFailure, holding the rows so far.
     """
     opts = opts or IterOptions()
     space = inst.space
@@ -260,23 +265,14 @@ def iterate(inst: ProblemInstance, u0, opts: IterOptions | None = None):
     def step(k, u):
         warm = u / mu_from_lambda(trace.rows[-1].rq, inst.exponent)
         rep = minimize_phi_minus_linear(inst, space.duality_map(u), opts.grad_tol, init=warm)
-        if not rep.converged:
-            raise SchemeFailure(
-                f"{inst.kind}: inner solve failed to converge at outer step {k} (merit {rep.grad_dual_norm:.3e})", trace
-            )
 
         def row(norm_new, phi_new, rq_new):
             ratio = trace.rows[-1].norm / max(norm_new, 5e-324)
             return IterationRow(k, norm_new, phi_new, rq_new, ratio, rep.iters, rep.grad_dual_norm)
 
-        return rep.minimizer, row
+        return rep, row
 
-    def rescale(mu_hat):
-        rows = trace.rows[-min(TAIL_WINDOW, len(trace) - 1) :]
-        logs = [r.k * math.log(mu_hat) + math.log(r.norm) for r in rows]
-        return math.exp(sum(logs) / len(logs))
-
-    return trace, outer_loop(inst, u, u_hat, trace, step, rescale, opts.max_iters, opts.rtol, opts.dtol, RQ_PATIENCE)
+    return trace, outer_loop(inst, u, u_hat, trace, step, math.log, opts.max_iters, opts.rtol, opts.dtol, RQ_PATIENCE)
 
 
 def check_monotonicity(trace: Trace, mu_hat: float | None = None):

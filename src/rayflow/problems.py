@@ -298,6 +298,16 @@ class MatrixQuadratic(ProblemInstance):
         return DenseHessian(self.matrix)
 
 
+def _grid(n, L):
+    """(n, L) of a grid kind as (int, float); a non-integer or nonpositive n,
+    or a nonpositive or non-finite L, raises the ConfigError naming its key."""
+    if not (n >= 1 and float(n).is_integer()):
+        raise ConfigError(f"n: must be a positive integer, got {n}")
+    if not (0.0 < L < math.inf):
+        raise ConfigError(f"L: must be a positive finite number, got {L}")
+    return int(n), float(L)
+
+
 class _Chain1D(ProblemInstance):
     """The chain energy of the 1D difference kinds (see the module docstring).
 
@@ -317,8 +327,8 @@ class _Chain1D(ProblemInstance):
 
     def __init__(self, p, n, L, space_kind, **space_args):
         exp = Exponent(p)
-        self.n, self.L = int(n), float(L)
-        if not self.zero_padded and self.n < 2:
+        self.n, self.L = n, L = _grid(n, L)
+        if not self.zero_padded and n < 2:
             raise ConfigError(f"n: kind {self.kind!r} needs n >= 2, got {n}")
         self.h = L / (n + 1) if self.zero_padded else L / (n - 1)
         # the sup space reads no cell weight: its pairing weights are 1
@@ -508,10 +518,9 @@ class PDirichlet2D(ProblemInstance):
 
     def __init__(self, p, n, L=1.0):
         exp = Exponent(p)
-        h = L / (n + 1)
-        space = SpaceDescriptor(SpaceKind.WEIGHTED_LP, n * n, exp, weight=h * h)
-        super().__init__(exp, space)
-        self.n, self.L, self.h = int(n), float(L), h
+        self.n, self.L = n, L = _grid(n, L)
+        self.h = L / (n + 1)
+        super().__init__(exp, SpaceDescriptor(SpaceKind.WEIGHTED_LP, n * n, exp, weight=self.h * self.h))
 
     def _padded(self, u) -> np.ndarray:
         g = np.zeros((self.n + 2, self.n + 2))
@@ -573,11 +582,10 @@ class FractionalSeminorm1D(ProblemInstance):
         if not (0.0 < s < 1.0):
             raise ConfigError("s: fractional order must lie in (0, 1)")
         exp = Exponent(p)
-        h = L / (n + 1)
-        space = SpaceDescriptor(SpaceKind.WEIGHTED_LP, n, exp, weight=h)
-        super().__init__(exp, space)
-        self.n, self.L, self.s, self.h = int(n), float(L), float(s), h
-        x = np.arange(1 - n, 2 * n + 1) * h  # collar | interior | collar
+        self.n, self.L = n, L = _grid(n, L)
+        self.s, self.h = float(s), L / (n + 1)
+        super().__init__(exp, SpaceDescriptor(SpaceKind.WEIGHTED_LP, n, exp, weight=self.h))
+        x = np.arange(1 - n, 2 * n + 1) * self.h  # collar | interior | collar
         interior = np.arange(n - 1, 2 * n - 1)
         d = np.abs(x[interior, None] - x[None, :])
         d[d == 0.0] = np.inf  # the principal value drops i = j
@@ -691,16 +699,5 @@ def assemble(config: dict) -> ProblemInstance:
     p = as_float("p")
     if not (p > 1.0):
         raise ConfigError(f"p: must be > 1, got {p}")
-    n_raw = cfg.pop("n", None)
-    try:
-        n = int(n_raw)
-        ok = n == float(n_raw) and n >= 1
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        raise ConfigError(f"n: must be a positive integer, got {n_raw}")
-    L = as_float("L", params["L"].default)
-    if L <= 0.0:
-        raise ConfigError(f"L: must be > 0, got {L}")
-    # the kind's own parameters after (p, n, L): fractional1d's s, robin1d's beta
-    return _KINDS[kind](p, n, L, *(as_float(key, params[key].default) for key in list(params)[3:]))
+    # n, then L and the kind's own s or beta, each checked by the constructor
+    return _KINDS[kind](p, as_float("n"), *(as_float(key, params[key].default) for key in list(params)[2:]))

@@ -16,6 +16,7 @@ from rayflow.iterate import (
     SchemeFailure,
     StopReason,
     Trace,
+    Violation,
     check_monotonicity,
     iterate,
     measure_state,
@@ -104,6 +105,19 @@ class TestInvariants:
             assert summary.converged
             assert check_monotonicity(trace, summary.mu_hat) == []
 
+    @pytest.mark.parametrize("p, n", [(2.0, 127), (3.0, 127), (1.5, 63)])
+    def test_limit_scale_is_the_last_steps(self, p, n):
+        # the limit is mu_hat^K u_K at the last step K, so a run stopped at
+        # the default rules has the scale of a long one; a scale averaged
+        # over trailing steps would carry the start-up transient
+        inst = PDirichlet1D(p, n)
+        u0 = start_vector(inst, "auto", 0)
+        _, summary = iterate(inst, u0)
+        _, long = iterate(inst, u0, IterOptions(rtol=None, dtol=None, max_iters=60, grad_tol=1e-12))
+        assert summary.converged and summary.steps < 60
+        scale = inst.space.norm(summary.limit_vec)
+        assert scale == pytest.approx(inst.space.norm(long.limit_vec), rel=1e-12, abs=0.0)
+
     def test_estimator_consistency(self):
         inst = PDirichlet1D(2.0, 9)
         trace, summary = iterate(inst, np.ones(9), TIGHT)
@@ -136,6 +150,18 @@ class TestCheckMonotonicity:
     def test_single_row_trace(self):
         trace = Trace(2.0, [IterationRow(0, 1.0, 1.0, 1.0, math.nan, 0, math.nan)])
         assert check_monotonicity(trace) == []
+
+    def test_synthetic_ratio_violation(self):
+        # the norm ratio rises from 2.0 to 2.5 while the quotient falls
+        trace = Trace(
+            2.0,
+            [
+                IterationRow(0, 1.0, 1.0, 1.0, math.nan, 0, math.nan),
+                IterationRow(1, 0.5, 0.2, 0.8, 2.0, 3, 1e-12),
+                IterationRow(2, 0.2, 0.03, 0.6, 2.5, 3, 1e-12),
+            ],
+        )
+        assert check_monotonicity(trace) == [Violation(2, "ratio", 0.25)]
 
     def test_scaled_norm_check_needs_mu(self):
         rows = [
@@ -224,8 +250,9 @@ class TestRowMeasure:
         ids=lambda c: c.kind,
     )
     def test_limit_direction_keeps_its_bits(self, inst):
-        # the limit is rescale(mu_hat) times the unit representative of the
-        # last state, with the bits of the one taken on the state itself
+        # the limit is exp(K log_rate(mu_hat) + log ||x_K||) times the unit
+        # representative of the last state, with the bits of the one taken
+        # on the state itself
         rng = np.random.default_rng(3)
         states = [10.0 ** rng.uniform(-200, 200) * rng.standard_normal(9) for _ in range(4)]
         trace = Trace(inst.p)
@@ -233,12 +260,13 @@ class TestRowMeasure:
         trace.rows.append(IterationRow(0, norm, phi, rq, math.nan, 0, math.nan))
 
         def step(k, x):
-            return states[k], lambda norm, phi, rq: IterationRow(k, norm, phi, rq, 1.0, 0, 0.0)
+            return SolveReport(states[k], 0.0, 0, True), lambda norm, phi, rq: IterationRow(k, norm, phi, rq, 1.0, 0, 0.0)
 
-        summary = outer_loop(inst, states[0], x_hat, trace, step, lambda mu: 3.0, 3, None, None, 30)
+        summary = outer_loop(inst, states[0], x_hat, trace, step, lambda mu: 0.5, 3, None, None, 30)
         assert summary.steps == 3 and [r.norm for r in trace.rows] == [inst.space.norm(x) for x in states]
         x_hat = unit_representative(inst.space, *inst.space.representative_norm(states[-1]))
-        assert summary.limit_vec.tobytes() == (3.0 * x_hat).tobytes()
+        scale = math.exp(3 * 0.5 + math.log(inst.space.norm(states[-1])))
+        assert summary.limit_vec.tobytes() == (scale * x_hat).tobytes()
 
     @pytest.mark.parametrize("inst", [NeumannQuotient1D(3.0, 9), FractionalSeminorm1D(3.0, 9)], ids=lambda c: c.kind)
     def test_one_value_and_no_rayleigh_per_step(self, monkeypatch, inst):
@@ -282,18 +310,34 @@ class TestGuards:
             iterate(inst, u0)
 
     def test_non_finite_limit_is_refused(self):
-        # a rescale factor outside the double range must not hand back a
+        # a limit scale outside the double range must not hand back a
         # non-finite limit vector
         inst = MatrixQuadratic(np.diag([1.0, 4.0]))
         x = np.array([1.0, 0.0])
         trace = Trace(inst.p, [IterationRow(0, 1.0, inst.value(x), inst.rayleigh(x), math.nan, 0, math.nan)])
 
         def step(k, x):  # stays on the ground ray
-            return x, lambda norm, phi, rq: IterationRow(k, norm, phi, rq, 1.0, 0, 0.0)
+            return SolveReport(x, 0.0, 0, True), lambda norm, phi, rq: IterationRow(k, norm, phi, rq, 1.0, 0, 0.0)
 
         with pytest.warns(RuntimeWarning, match="invalid value"):  # inf * 0
             with pytest.raises(DegenerateInputError, match="rescaled limit vector has non-finite entries"):
                 outer_loop(inst, x, x, trace, step, lambda mu: math.inf, 5, 1e-10, 1e-8, 30)
+
+    @pytest.mark.parametrize("scheme", ["iterate", "flow"])
+    def test_unconverged_solve_fails_in_outer_loop(self, monkeypatch, scheme):
+        # either scheme's failed solve raises the one SchemeFailure of
+        # outer_loop, holding the rows before the failed step
+        reports = iter([SolveReport(np.full(9, 0.5), 1e-12, 3, True), SolveReport(np.ones(9), 1.5e-3, 7, False)])
+        monkeypatch.setattr(sys.modules["rayflow.iterate"], "minimize_phi_minus_linear", lambda *a, **k: next(reports))
+        monkeypatch.setattr(rayflow.flow, "minimize_movement", lambda *a, **k: next(reports))
+        inst = PDirichlet1D(3.0, 9)
+        message = r"^pdirichlet1d: inner solve failed to converge at outer step 2 \(merit 1\.500e-03\)$"
+        with pytest.raises(SchemeFailure, match=message) as failure:
+            if scheme == "iterate":
+                iterate(inst, np.ones(9), IterOptions(rtol=None, dtol=None))
+            else:
+                run_flow(inst, np.ones(9), 1e-3, 1e-2)
+        assert len(failure.value.trace) == 2
 
     def test_rough_mu(self):
         inst = MatrixQuadratic(np.diag([1.0, 4.0]))

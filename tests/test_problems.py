@@ -233,6 +233,34 @@ class TestAssemble:
         with pytest.raises(ConfigError, match=r"n: kind '\w+' needs n >= 2, got 1"):
             cls(3.0, 1)
 
+    @pytest.mark.parametrize(
+        "cls",
+        [PDirichlet1D, SupDirichlet1D, Robin1D, NeumannQuotient1D, Steklov1D, PDirichlet2D, FractionalSeminorm1D],
+        ids=lambda cls: cls.kind,
+    )
+    @pytest.mark.parametrize(
+        "key, n, L",
+        [
+            ("n", 7.5, 1.0),
+            ("n", 0, 1.0),
+            ("n", -3, 1.0),
+            ("n", math.nan, 1.0),
+            ("n", math.inf, 1.0),
+            ("L", 7, 0.0),
+            ("L", 7, -1.0),
+            ("L", 7, math.inf),
+            ("L", 7, math.nan),
+        ],
+    )
+    def test_grid_constructors_refuse_bad_n_and_L(self, cls, key, n, L):
+        # one check in the constructors names the key; assemble reaches it
+        # for the finite values it converts
+        with pytest.raises(ConfigError, match=f"^{key}: must be a positive"):
+            cls(3.0, n, L)
+        if math.isfinite(n) and math.isfinite(L):
+            with pytest.raises(ConfigError, match=f"^{key}: must be a positive"):
+                assemble({"kind": cls.kind, "p": 3.0, "n": n, "L": L})
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="kind"):
             assemble({"kind": "helmholtz", "p": 2.0, "n": 4})
