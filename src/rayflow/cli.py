@@ -30,12 +30,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, load_config, start_vector
+from .config import RunConfig, load_config
 from .errors import ConfigError, DegenerateInputError, NumericsError
 from .flow import FlowOptions, check_step, run_flow
 from .iterate import IterOptions, SchemeFailure, Trace, iterate, rough_mu
-from .oracles import DEFAULT_RESTARTS, DEFAULT_SEED, DEFAULT_TOL, oracle_lambda
-from .problems import assemble
+from .oracles import DEFAULT_RESTARTS, DEFAULT_SEED, DEFAULT_TOL, check_oracle_options, oracle_lambda
+from .problems import assemble, start_vector
 from .util import derive_seed
 
 __all__ = ["main"]
@@ -94,12 +94,6 @@ def _options_of(section):
         yield
     except DegenerateInputError as e:
         raise ConfigError(f"{e} (in [{section}])") from None
-
-
-def _positive(section, key, x) -> float:
-    if not (0.0 < x < math.inf):
-        raise ConfigError(f"{key}: must be a positive finite number, got {x} (in [{section}])")
-    return float(x)
 
 
 def _scheme_options(cls, section: str, c: dict):
@@ -179,10 +173,9 @@ def _run_scheme(name, count_key, solve, rows, out: Path, say):
 
 def _oracle_run(cfg: RunConfig, inst):
     """The oracle run, with its [oracle] section checked now."""
-    restarts = cfg.oracle.get("restarts", DEFAULT_RESTARTS)
-    if restarts < 0:
-        raise ConfigError(f"restarts: must be >= 0, got {restarts} (in [oracle])")
-    tol = _positive("oracle", "tol", cfg.oracle.get("tol", DEFAULT_TOL))
+    restarts, tol = cfg.oracle.get("restarts", DEFAULT_RESTARTS), cfg.oracle.get("tol", DEFAULT_TOL)
+    with _options_of("oracle"):
+        check_oracle_options(restarts, tol)
     seed = derive_seed(cfg.seed, "oracle") ^ DEFAULT_SEED
 
     def run(out: Path, say):
@@ -208,7 +201,9 @@ def _oracle_run(cfg: RunConfig, inst):
 
 
 def _run_compare(cfg: RunConfig, inst, out: Path, say):
-    rtol = _positive("compare", "lambda_rtol", cfg.compare.get("lambda_rtol", 1e-3))
+    rtol = cfg.compare.get("lambda_rtol", 1e-3)
+    if not (0.0 < rtol < math.inf):
+        raise ConfigError(f"lambda_rtol: must be a positive finite number, got {rtol} (in [compare])")
     runs = [make(cfg, inst) for make in (_iterate_run, _flow_run, _oracle_run)]  # every option checked before a solve
     (code_i, s_it), (code_f, s_fl), (code_o, res) = (run(out, say) for run in runs)
     if code_i or code_f or code_o:

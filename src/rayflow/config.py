@@ -35,9 +35,9 @@ reader.  A reader takes a number, an integer, a word, a number or ``none``
 flow's ``tau`` and ``t_end``).  The instance keys are the constructors'
 parameters (``problems.INSTANCE_KEYS``); matrix instances take
 ``diag = 1 2 5`` or ``matrix = 2 1; 1 2``.  Unknown sections or keys, and
-values of the wrong type, are rejected with an error naming the key.  The
-ranges are checked where the values are used: ``problems.assemble``, the
-scheme options and ``flow.check_step``.
+values of the wrong type, are rejected with an error naming the key.  It only
+parses: ``problems.assemble``, ``problems.start_vector`` (``u0``), the scheme
+and oracle options and ``flow.check_step`` check the values they use.
 """
 
 from __future__ import annotations
@@ -46,11 +46,8 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ConfigError
 from .problems import INSTANCE_KEYS
-from .util import rng_from
 
 __all__ = ["RunConfig", "load_config"]
 
@@ -142,28 +139,3 @@ def load_config(path) -> RunConfig:
     run = read.pop("run")
     return RunConfig(**read, seed=run.get("seed", 0))
 
-
-def start_vector(inst, policy, seed) -> np.ndarray:
-    """Resolve the configured start-vector policy for an instance.
-
-    ``auto`` (the default) picks a generic start per space kind: a linear
-    ramp on quotient spaces (constants are the zero element there), a
-    centered parabolic bump on sup spaces, and all-ones otherwise.  On sup
-    spaces the all-ones vector lies on an invariant ray of the set-valued
-    duality map: both schemes keep its direction and stop, converged, at a
-    critical value far above the least quotient (the flow at 2 h^(1-p)).
-    """
-    dim = inst.space.dim
-    kind = inst.space.kind.value
-    if policy in (None, "auto"):
-        policy = {"quotient_lp": "ramp", "sup": "bump"}.get(kind, "ones")
-    if policy == "ones":
-        return np.ones(dim)
-    if policy == "ramp":
-        return np.linspace(-1.0, 1.0, dim)
-    if policy == "bump":
-        t = (np.arange(dim) + 0.5) / dim
-        return t * (1.0 - t)
-    if policy == "random":
-        return rng_from(seed, "u0").standard_normal(dim)
-    raise ConfigError(f"u0: unknown start policy {policy!r}")

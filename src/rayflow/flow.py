@@ -82,6 +82,7 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
     """Advance the minimizing-movement flow from v0; returns (Trace, RunSummary),
     with one FlowRow per state.
 
+    A zero start (on a Steklov space, one of zero trace norm) is refused.
     Each step is one movement solve anchored at the previous state v_n.
     On smooth spaces the solve starts at a predicted state, with
     s = 1 + tau mu and mu from the quotient of v_n: on the ground ray each
@@ -94,9 +95,9 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
     the smooth path (a Steklov start's interior is free, its first state's
     is fixed by the boundary).  Either prediction is rescaled to the radial
     norm ||v_n||/s: a prediction within the inner tolerance is accepted
-    uncorrected, and an unscaled one would drift along the ray.  A zero
-    state starts at the anchor.  Each solve takes its tolerance scale from
-    the last row's slope and returns the next row's, so a smooth step
+    uncorrected, and an unscaled one would drift along the ray.  A quotient
+    of 0 or inf starts at the anchor.  Each solve takes its tolerance scale
+    from the last row's slope and returns the next row's, so a smooth step
     evaluates the gradient only inside ``descend`` and a sup step only in
     its box checks, where the last step's radius starts the root search.
     Stop rules, collapse handling, the limit and the failed-step check are

@@ -87,8 +87,8 @@ class IterOptions:
 
     def __post_init__(self):
         check_stop_rules(self.rtol, self.dtol, self.grad_tol)
-        if self.max_iters < 1:
-            raise DegenerateInputError(f"max_iters: must be >= 1, got {self.max_iters}")
+        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
+            raise DegenerateInputError(f"max_iters: must be an integer >= 1, got {self.max_iters}")
 
 
 @dataclass
@@ -120,8 +120,8 @@ class Trace:
 
 @dataclass
 class RunSummary:
-    """The outcome of either scheme: the last finite quotient lambda_hat, its
-    mu_hat = lambda_hat^(1/(p-1)), the rescaled limit and the steps taken."""
+    """Either scheme's outcome: lambda_hat, the quotient of the last state
+    before any collapse, mu_hat = lambda_hat^(1/(p-1)), limit and steps."""
 
     lambda_hat: float
     mu_hat: float
@@ -165,12 +165,12 @@ def measure_state(inst, x):
 
 
 def measure_start(inst, x, scale_free=False):
-    """``measure_state`` of a start x; raises, with no warning, unless Phi is
-    finite at x, or for a scale-free scheme (inverse iteration) at the
-    nonzero x / 2^k its quotient is taken at."""
+    """``measure_state`` of a start x; raises, with no warning, at norm 0 or
+    unless Phi is finite at x, or for a scale-free scheme (inverse
+    iteration) at the x / 2^k its quotient is taken at."""
     with np.errstate(over="ignore"):
         state = measure_state(inst, x)
-    if scale_free and state[1] == 0.0:
+    if state[1] == 0.0:
         raise DegenerateInputError("u0 must have nonzero norm")
     if not math.isfinite(state[3] if scale_free else state[2]):
         raise DegenerateInputError("Phi at the start is not finite")
@@ -182,7 +182,7 @@ def outer_loop(inst, x, x_hat, trace, step, log_rate, max_steps, rtol, dtol, rq_
     whose ``steps`` counts the rows after the start's.
 
     ``trace`` holds the row of the start x, and ``x_hat`` is its unit
-    representative (None at norm 0), both from ``measure_state``.
+    representative, both from ``measure_start``.
     ``step(k, x)`` runs one scheme step from x and returns (report, row):
     the SolveReport whose minimizer is the new state x_new, and
     ``row(norm_new, phi_new, rq_new)``, which builds the trace row of x_new
@@ -193,10 +193,11 @@ def outer_loop(inst, x, x_hat, trace, step, log_rate, max_steps, rtol, dtol, rq_
     The run stops once the Rayleigh quotient is rtol-stable and the
     sign-normalized direction dtol-stable, or after ``rq_patience``
     Rayleigh-stable steps in a row (neither before ``min_steps``), or at
-    ``max_steps``; a norm underflow stops it as CollapsedToZero.  A step
-    shrinks a state on the ground ray by s, with log s = ``log_rate(mu_hat)``,
-    so the limit at the last step K is exp(K log s + log ||x_K||) x_hat_K,
-    or zero after a collapse; a limit outside the double range raises
+    ``max_steps``; a norm underflow stops it as CollapsedToZero.  lambda_hat
+    is the quotient of the last state before any collapse.  A step shrinks a
+    state on the ground ray by s, with log s = ``log_rate(mu_hat)``, so the
+    limit at the last step K is exp(K log s + log ||x_K||) x_hat_K, or zero
+    after a collapse; a limit outside the double range raises
     DegenerateInputError.
     """
     space = inst.space
@@ -214,9 +215,8 @@ def outer_loop(inst, x, x_hat, trace, step, log_rate, max_steps, rtol, dtol, rq_
         if norm_new < COLLAPSE_NORM:
             stop = StopReason.COLLAPSED_TO_ZERO
             break
-        dir_dist = space.norm(x_hat_new - x_hat) if x_hat is not None else math.inf
         rq_stable = rtol is not None and abs(rq_new - rq) <= rtol * abs(rq_new)
-        dir_stable = dtol is not None and dir_dist <= dtol
+        dir_stable = dtol is not None and space.norm(x_hat_new - x_hat) <= dtol
         x, rq, x_hat = rep.minimizer, rq_new, x_hat_new
         rq_stable_run = rq_stable_run + 1 if rq_stable else 0
         if k >= min_steps:
@@ -229,27 +229,20 @@ def outer_loop(inst, x, x_hat, trace, step, log_rate, max_steps, rtol, dtol, rq_
                 stop = StopReason.RQ_STABLE
                 break
 
-    steps = len(trace) - 1
-    converged = stop in (StopReason.DIRECTION_STABLE, StopReason.RQ_STABLE)
-    finite_rq = [r.rq for r in trace.rows if math.isfinite(r.rq)]
-    zero = np.zeros(space.dim)
-    if not finite_rq:
-        # started at (and stayed on) the zero element
-        return RunSummary(math.nan, math.nan, zero, steps, False, stop)
-    lambda_hat = finite_rq[-1]
-    mu_hat = mu_from_lambda(lambda_hat, inst.exponent)
+    steps, mu_hat = len(trace) - 1, mu_from_lambda(rq, inst.exponent)
     if stop is StopReason.COLLAPSED_TO_ZERO:
-        return RunSummary(lambda_hat, mu_hat, zero, steps, converged, stop)
+        return RunSummary(rq, mu_hat, np.zeros(space.dim), steps, False, stop)
     limit = math.exp(steps * log_rate(mu_hat) + math.log(trace.rows[-1].norm)) * x_hat
     if not np.isfinite(limit).all():
         raise DegenerateInputError("rescaled limit vector has non-finite entries")
-    return RunSummary(lambda_hat, mu_hat, limit, steps, converged, stop)
+    return RunSummary(rq, mu_hat, limit, steps, stop is not StopReason.MAX_ITERS, stop)
 
 
 def iterate(inst: ProblemInstance, u0, opts: IterOptions | None = None):
     """Run inverse iteration from u0; returns (Trace, RunSummary), with
     one IterationRow per iterate.
 
+    A zero start (on a Steklov space, one of zero trace norm) is refused.
     Each step solves dPhi(u_k) = J_p(u_{k-1}), warm-started on the
     predicted iterate u_{k-1}/mu.  Stop rules, collapse handling, the
     limit and the failed-step check are ``outer_loop``'s: the limit is

@@ -45,8 +45,8 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .inner import descend
-from .problems import ProblemInstance
-from .spaces import SpaceKind, optimal_shift, pow2_scale, unit_representative  # noqa: F401 (perfbench traces it here)
+from .problems import ProblemInstance, start_vector
+from .spaces import optimal_shift, pow2_scale, unit_representative  # noqa: F401 (perfbench traces it here)
 
 __all__ = [
     "OracleMethod",
@@ -83,6 +83,14 @@ class OracleResult:
     certificate: float
     #: the Picone lower bound at the minimizer; None where the kind has none
     lambda_lower: float | None = None
+
+
+def check_oracle_options(restarts, tol):
+    """Refuse a restart count that is not a nonnegative integer, or a tol not positive and finite."""
+    if not (isinstance(restarts, (int, np.integer)) and restarts >= 0):
+        raise DegenerateInputError(f"restarts: must be a nonnegative integer, got {restarts}")
+    if not (0.0 < tol < math.inf):
+        raise DegenerateInputError(f"tol: must be a positive finite number, got {tol}")
 
 
 def eigen_residual(inst: ProblemInstance, u, lam: float) -> float:
@@ -253,16 +261,17 @@ def direct_rayleigh_min(
 ) -> OracleResult:
     """Direct minimization of p Phi(u)/||u||^p over the unit sphere.
 
-    Runs ``restarts`` seeded random starts plus the all-ones start at a
-    coarse tolerance, keeps the best by (value, start index), then polishes
-    it to the requested certificate tolerance.  The certificate is the
-    relative dual-norm residual of dPhi(u) - lambda J_p(u).  The returned
-    unit minimizer is sign-normalized like ``unit_representative``'s: its
-    largest-magnitude entry is positive, whichever sign the winning start
+    Runs the generic start ``start_vector(inst, "auto", seed)`` and
+    ``restarts`` seeded random starts at a coarse tolerance, keeps the best
+    by (value, start index), then polishes it to the requested certificate
+    tolerance (``check_oracle_options`` validates both).  The certificate
+    is the relative dual-norm residual of dPhi(u) - lambda J_p(u).  The
+    returned unit minimizer is sign-normalized like ``unit_representative``'s:
+    its largest-magnitude entry is positive, whichever sign the winning start
     converged to.
 
     Stop rule: where the kind has the Picone bound (module docstring) and
-    the all-ones start's coarse descent met its tolerance, that point is
+    the generic start's coarse descent met its tolerance, that point is
     polished at once.  If the polished point is positive, certified, and
     its bound lambda_lo has (R - lambda_lo) <= BRACKET_RTOL R, it is
     returned: no restart can lower lambda by more than that.  Otherwise
@@ -279,6 +288,7 @@ def direct_rayleigh_min(
     unit sup ball, so lambda is the least quotient of the n tents, and the
     method is ``closed_form``.
     """
+    check_oracle_options(restarts, tol)
     space = inst.space
     if space.dim > 256:
         raise DegenerateInputError("direct oracle is limited to dim <= 256")
@@ -289,11 +299,7 @@ def direct_rayleigh_min(
         lam, u = min(((inst.rayleigh(t), t) for t in tents), key=lambda c: c[0])
         return OracleResult(lam, u, OracleMethod.CLOSED_FORM, eigen_residual(inst, u, lam))
 
-    rng = np.random.default_rng(seed)
-    starts = [np.ones(space.dim)]
-    if space.kind is SpaceKind.QUOTIENT_LP:
-        starts = [np.linspace(-1.0, 1.0, space.dim)]  # ones is the zero class
-    starts += [rng.standard_normal(space.dim) for _ in range(restarts)]
+    starts = [start_vector(inst, "auto", seed), *np.random.default_rng(seed).standard_normal((restarts, space.dim))]
 
     best = None
     coarse = max(tol, 1e-5)
@@ -320,8 +326,9 @@ def oracle_lambda(
     """Best available independent oracle for an instance.
 
     Matrix instances use the Jacobi eigensolver; everything else goes
-    through direct Rayleigh minimization.
+    through direct Rayleigh minimization.  Both check their options first.
     """
+    check_oracle_options(restarts, tol)
     if inst.kind == "matrix":
         w, v = symmetric_eigs(inst.matrix)
         u = unit_representative(inst.space, v[:, 0], 1.0)  # a unit vector, sign-normalized

@@ -46,6 +46,7 @@ from .spaces import (
     signed_power,
     smoothed_curvature,
 )
+from .util import rng_from
 
 __all__ = [
     "ProblemInstance",
@@ -58,6 +59,7 @@ __all__ = [
     "SupDirichlet1D",
     "Steklov1D",
     "assemble",
+    "start_vector",
 ]
 
 
@@ -478,8 +480,8 @@ class Robin1D(_Chain1D):
     kind = "robin1d"
 
     def __init__(self, p, n, L=1.0, beta=1.0):
-        if beta <= 0.0:
-            raise ConfigError("beta: Robin parameter must be > 0")
+        if not (0.0 < beta < math.inf):
+            raise ConfigError(f"beta: Robin parameter must be a positive finite number, got {beta}")
         super().__init__(p, n, L, SpaceKind.WEIGHTED_LP)
         self.ground, self.mass = np.array([0, -1]), float(beta)
 
@@ -701,3 +703,28 @@ def assemble(config: dict) -> ProblemInstance:
         raise ConfigError(f"p: must be > 1, got {p}")
     # n, then L and the kind's own s or beta, each checked by the constructor
     return _KINDS[kind](p, as_float("n"), *(as_float(key, params[key].default) for key in list(params)[2:]))
+
+
+def start_vector(inst, policy, seed) -> np.ndarray:
+    """The start a ``u0`` policy names; ``auto`` is also the oracle's first.
+
+    ``auto`` (the default) picks a generic start per space kind: a linear
+    ramp on quotient spaces (constants are the zero element there), a
+    centered parabolic bump on sup spaces, and all-ones otherwise.  On sup
+    spaces the all-ones vector lies on an invariant ray of the set-valued
+    duality map: both schemes keep its direction and stop, converged, at a
+    critical value far above the least quotient (the flow at 2 h^(1-p)).
+    """
+    dim = inst.space.dim
+    if policy in (None, "auto"):
+        policy = {SpaceKind.QUOTIENT_LP: "ramp", SpaceKind.SUP: "bump"}.get(inst.space.kind, "ones")
+    if policy == "ones":
+        return np.ones(dim)
+    if policy == "ramp":
+        return np.linspace(-1.0, 1.0, dim)
+    if policy == "bump":
+        t = (np.arange(dim) + 0.5) / dim
+        return t * (1.0 - t)
+    if policy == "random":
+        return rng_from(seed, "u0").standard_normal(dim)
+    raise ConfigError(f"u0: unknown start policy {policy!r}")

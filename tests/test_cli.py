@@ -8,11 +8,10 @@ import pytest
 
 import rayflow.cli
 from rayflow.cli import CSV_HEADER, main
-from rayflow.config import start_vector
 from rayflow.errors import ConfigError
 from rayflow.iterate import rough_mu
 from rayflow.oracles import OracleMethod, OracleResult
-from rayflow.problems import PDirichlet1D, assemble
+from rayflow.problems import PDirichlet1D, assemble, start_vector
 
 MATRIX_COMPARE = """
 [instance]
@@ -179,6 +178,17 @@ class TestConfigErrors:
         cfg = write(tmp_path, TINY_DOMAIN)
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "numeric failure: Phi at the start is not finite\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
+
+    @pytest.mark.parametrize(
+        "command, options", [("iterate", ""), ("flow", "tau = 0.01\nt_end = 1\n")], ids=["iterate", "flow"]
+    )
+    def test_zero_start_exits_1_before_any_solve(self, tmp_path, capsys, command, options):
+        # all-ones is the zero class of the quotient space; with an explicit
+        # tau the flow used to exit 0 with a null lambda_hat
+        cfg = write(tmp_path, f"[instance]\nkind = neumann1d\np = 3\nn = 9\n[{command}]\nu0 = ones\n{options}")
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "numeric failure: u0 must have nonzero norm\n"
         assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
 
     @pytest.mark.parametrize("case", sorted(MU_OVERFLOW))

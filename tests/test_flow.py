@@ -10,7 +10,6 @@ from helpers import record_states
 from rayflow.errors import DegenerateInputError
 from rayflow.flow import FlowOptions, FlowRow, check_decay, local_slope, run_flow
 from rayflow.iterate import StopReason, Trace, iterate, IterOptions, rough_mu
-from rayflow.config import start_vector
 from rayflow.problems import (
     FractionalSeminorm1D,
     MatrixQuadratic,
@@ -18,6 +17,7 @@ from rayflow.problems import (
     PDirichlet1D,
     Steklov1D,
     SupDirichlet1D,
+    start_vector,
 )
 from rayflow.spaces import unit_representative
 
@@ -78,12 +78,18 @@ class TestRayConfinement:
         assert summary.steps == round(100 * horizon)
         assert abs(np.linalg.norm(summary.limit_vec) - 1.0) <= 1e-12
 
-    def test_zero_start_is_fixed(self):
-        inst = PDirichlet1D(2.0, 5)
-        trace, summary = run_flow(inst, np.zeros(5), 0.1, 1.0)
-        assert all(r.norm == 0.0 for r in trace.rows)
-        assert not summary.converged
-        np.testing.assert_array_equal(summary.limit_vec, 0.0)
+    def test_zero_start_is_refused(self):
+        # the quotient is undefined at zero: the flow refuses the start, as
+        # inverse iteration does, instead of returning a nan summary
+        with pytest.raises(DegenerateInputError, match="u0 must have nonzero norm"):
+            run_flow(PDirichlet1D(2.0, 5), np.zeros(5), 0.1, 1.0)
+
+    def test_steklov_interior_start_is_refused(self):
+        # an interior-supported vector has zero trace norm
+        u0 = np.zeros(6)
+        u0[2] = 1.0
+        with pytest.raises(DegenerateInputError, match="u0 must have nonzero norm"):
+            run_flow(Steklov1D(2.0, 6), u0, 0.1, 1.0)
 
 
 class TestEnergyLaws:

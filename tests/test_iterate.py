@@ -8,7 +8,6 @@ import pytest
 import rayflow.flow
 import rayflow.spaces
 from helpers import hilbert_closed_form, record_states
-from rayflow.config import start_vector
 from rayflow.errors import DegenerateInputError
 from rayflow.iterate import (
     IterationRow,
@@ -35,6 +34,7 @@ from rayflow.problems import (
     Robin1D,
     Steklov1D,
     SupDirichlet1D,
+    start_vector,
 )
 from rayflow.spaces import pow2_scale, unit_representative
 
@@ -83,6 +83,21 @@ class TestCollapse:
         # norms contract exactly at rate 1/2 (the sigma = 2 eigenray)
         for row in trace.rows[: summary.steps]:
             assert row.norm == pytest.approx(0.5**row.k, rel=1e-10)
+
+    def test_lambda_hat_is_the_quotient_before_the_collapse(self):
+        # the collapsed state's own quotient (1, on the first eigenray) is
+        # not the run's: lambda_hat is the start's 2.5
+        inst = MatrixQuadratic(np.diag([1.0, 4.0]))
+        x = np.array([1.0, 1.0])
+        trace = Trace(inst.p, [IterationRow(0, 1.0, inst.value(x), inst.rayleigh(x), math.nan, 0, math.nan)])
+
+        def step(k, x):  # onto the first eigenray, below COLLAPSE_NORM
+            rep = SolveReport(np.array([1e-301, 0.0]), 0.0, 0, True)
+            return rep, lambda norm, phi, rq: IterationRow(k, norm, phi, rq, 1.0, 0, 0.0)
+
+        summary = outer_loop(inst, x, x / np.sqrt(2.0), trace, step, math.log, 5, 1e-10, 1e-8, 30)
+        assert summary.stop_reason is StopReason.COLLAPSED_TO_ZERO and summary.steps == 1
+        assert trace.rows[-1].rq == 1.0 and summary.lambda_hat == trace.rows[0].rq == pytest.approx(2.5)
 
 
 class TestInvariants:
@@ -296,6 +311,11 @@ class TestRowMeasure:
 
 
 class TestGuards:
+    @pytest.mark.parametrize("max_iters", [2.5, 3.0])
+    def test_max_iters_must_be_an_integer(self, max_iters):
+        with pytest.raises(DegenerateInputError, match="max_iters"):
+            IterOptions(max_iters=max_iters)
+
     def test_zero_start_rejected(self):
         inst = PDirichlet1D(2.0, 5)
         with pytest.raises(DegenerateInputError):

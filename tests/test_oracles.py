@@ -290,6 +290,20 @@ class TestDirectRayleighMin:
 
 
 class TestOracleLambda:
+    @pytest.mark.parametrize("route", [oracle_lambda, direct_rayleigh_min])
+    @pytest.mark.parametrize(
+        "key, value", [("tol", math.nan), ("tol", math.inf), ("tol", 0.0), ("restarts", 2.5), ("restarts", -1)]
+    )
+    def test_bad_option_is_refused(self, route, key, value):
+        # a nan or inf tol used to return an uncertified lambda* = 546 at
+        # PDirichlet1D(3, 15), whose lambda is 28.1
+        with pytest.raises(DegenerateInputError, match=f"^{key}:"):
+            route(PDirichlet1D(3.0, 15), **{"restarts": 2, key: value})
+
+    def test_matrix_route_checks_its_options(self):
+        with pytest.raises(DegenerateInputError, match="^tol:"):
+            oracle_lambda(MatrixQuadratic(np.diag([1.5, 4.0])), tol=math.nan)
+
     def test_matrix_uses_jacobi(self):
         res = oracle_lambda(MatrixQuadratic(np.diag([1.5, 4.0])))
         assert res.method.value == "jacobi_eig"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import euler_identity_residual, hessian_matrix
-from rayflow.errors import ConfigError, DegenerateInputError
+from rayflow.errors import ConfigError, DegenerateInputError, NumericsError
 from rayflow import problems
 from rayflow.problems import (
     BandHessian,
@@ -68,6 +68,11 @@ class TestGradients:
     def test_matrix_gradient(self):
         inst = MatrixQuadratic(np.diag([1.0, 4.0]))
         np.testing.assert_allclose(inst.gradient([1.0, 1.0]), [1.0, 4.0])
+
+    def test_non_finite_gradient_names_its_index(self):
+        u = np.array([1e200, 0.0, 0.0, 0.0, 0.0])
+        with np.errstate(over="ignore"), pytest.raises(NumericsError, match="at index 0$"):
+            PDirichlet1D(3.0, 5).gradient(u)
 
     def test_gradient_at_zero(self):
         for inst in sample_instances():
@@ -223,6 +228,12 @@ class TestAssemble:
     def test_robin_needs_beta_positive(self):
         with pytest.raises(ConfigError, match="beta"):
             assemble({"kind": "robin1d", "p": 2.0, "n": 4, "beta": -1.0})
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0])
+    def test_robin_constructor_needs_beta_positive_finite(self, beta):
+        # the library call makes the check the CLI makes through assemble
+        with pytest.raises(ConfigError, match="beta"):
+            Robin1D(3.0, 15, beta=beta)
 
     def test_free_grid_needs_two_nodes(self):
         with pytest.raises(ConfigError, match="n"):
@@ -507,6 +518,10 @@ class TestIncreasingRoot:
         assert math.isnan(root) and iters == 1
         root, iters = _increasing_root(lambda x: x - 1.0, 0.0, 2.0, ends=(-1.0, math.inf))
         assert math.isnan(root) and iters == 0
+
+    def test_bracket_not_straddling_zero_returns_the_nearer_end(self):
+        assert _increasing_root(lambda x: x + 1.0, 0.0, 2.0) == (0.0, 0)
+        assert _increasing_root(lambda x: x - 5.0, 0.0, 2.0) == (2.0, 0)
 
     def test_bracket_without_inner_float_returns_an_end(self):
         lo, hi = 1.0, math.nextafter(1.0, 2.0)
