@@ -120,9 +120,12 @@ def descend(x, value, grad, merit, tol, max_iters, w, project=None, newton=None)
     the metric is read, and is folded in then, in order.  An Armijo search
     enforces strict decrease while objective differences are resolvable,
     and the endgame below the rounding floor of the objective backtracks
-    on the merit instead.  The loop gives up once the merit has gone
-    STALL_ITERS iterations without halving its best value (at the rounding
-    floor it can creep down by parts in 1e4 for thousands of iterations).
+    on the merit instead, along d and then along the raw residual; it also
+    takes any d that rounding leaves without descent (the metric keeps only
+    pairs with s.y > 0, and ``_Newton`` declines such a d).  The loop gives
+    up once the merit has gone STALL_ITERS iterations without halving its
+    best value (at the rounding floor it can creep down by parts in 1e4 for
+    thousands of iterations).
     ``project``, if given, retracts every trial point onto a constraint set
     (the start must already lie on it).  Returns (x, f, merit, iters,
     converged); an unconverged exit returns the lowest-merit point visited,
@@ -180,13 +183,6 @@ def descend(x, value, grad, merit, tol, max_iters, w, project=None, newton=None)
             if d is None:
                 d = direction()
             slope = dot(r, d)
-            if slope >= 0.0:
-                fold()
-                memory.clear()
-                d = -gamma * r
-                slope = dot(r, d)
-                if slope >= 0.0:
-                    break
             accepted = False
             noise = 16.0 * _EPS * (1.0 + abs(f))
             t = 1.0
@@ -242,9 +238,9 @@ class _Newton:
     Solves (H(x) + diag(extra(x))) d = -w r, with H the Euclidean Hessian
     of Phi (a ``problems.BandHessian`` or ``DenseHessian``, which owns its
     solve), ``extra`` the Euclidean curvature of a separable term added to
-    Phi (the movement penalty) and w r the Euclidean residual.  A direction
-    that is not finite or not a descent direction is declined (None) and
-    descend keeps its L-BFGS step.
+    Phi (the movement penalty, or None) and w r the Euclidean residual.  A
+    direction that is not finite or not a descent direction is declined
+    (None) and descend keeps its L-BFGS step.
 
     For p < 2 the Hessian underestimates the curvature of long steps: on
     the p-homogeneous part, where H(x) x = (p-1) dPhi(x), a full Newton
@@ -267,7 +263,7 @@ class _Newton:
             h = self.inst.hessian(x)
             if h is None:
                 return None
-            a = h.add_diagonal(np.zeros(len(x)) if self.extra is None else self.extra(x))
+            a = h if self.extra is None else h.add_diagonal(self.extra(x))
             shrink = 1.0
             if self.inst.p < 2.0 and self.last is not None:
                 s, y = x - self.last[0], self.w * (r - self.last[1])

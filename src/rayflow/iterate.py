@@ -146,17 +146,17 @@ def measure_state(inst, x):
     """(x_hat, norm, phi, rq) of a state x from one Phi and one norm.
 
     Both are taken at y = x / 2^k from ``pow2_scale``, as in
-    ``inst.rayleigh``, so rq = p Phi(y) / ||y||^p is ``inst.rayleigh(x)``
-    to the bit.  phi = 2^(kp) Phi(y) is Phi(x) up to rounding and
-    overflows where Phi(x) does.  The norm 2^k ||y|| and the
-    sign-normalized unit representative x_hat have the bits of x's own:
-    the norm and the quotient shift scale by the same power of 2 inside.
-    At norm 0, rq is nan and x_hat None.
+    ``inst.rayleigh``, so rq = ``inst.quotient(Phi(y), ||y||)`` is
+    ``inst.rayleigh(x)`` to the bit, and raises where ||y||^p underflows.
+    phi = 2^(kp) Phi(y) is Phi(x) up to rounding and overflows where Phi(x)
+    does.  The norm 2^k ||y|| and the sign-normalized unit representative
+    x_hat have the bits of x's own: the norm and the quotient shift scale by
+    the same power of 2 inside.  At norm 0, rq is nan and x_hat None.
     """
     y, k = pow2_scale(x)
     rep, norm = inst.space.representative_norm(y)
     phi = inst.value(y)
-    rq = inst.p * phi / norm**inst.p if norm > 0.0 else math.nan
+    rq = inst.quotient(phi, norm) if norm > 0.0 else math.nan
     x_hat = unit_representative(inst.space, rep, norm) if norm > 0.0 else None
     e = k * inst.p
     whole = math.floor(e)

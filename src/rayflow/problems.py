@@ -261,23 +261,40 @@ class ProblemInstance:
         # homogeneity makes the quotient scale-free: evaluate at u / 2^k
         # (``pow2_scale``) so extreme magnitudes never under/overflow the powers
         y = pow2_scale(self.space.check_dim(u))[0]
-        n = self.space.norm(y)
-        if n == 0.0:
-            raise DegenerateInputError("Rayleigh quotient undefined on the zero element")
-        return self.p * self.value(y) / n**self.p
+        return self.quotient(self.value(y), self.space.norm(y))
+
+    def quotient(self, phi, norm) -> float:
+        """p phi / norm^p, the quotient at y = u / 2^k from Phi(y) and ||y||;
+        raises at norm 0, or where norm^p underflows (a tiny trace of u)."""
+        if (norm_p := norm**self.p) == 0.0:
+            cause = f"||y||^p underflows at ||y|| = {norm:.3g} (y = u / 2^k, max|y| >= 1/2)" if norm else "u is zero"
+            raise DegenerateInputError(f"Rayleigh quotient undefined: {cause}")
+        return self.p * phi / norm_p
 
 
 class MatrixQuadratic(ProblemInstance):
-    """0.5 u'Au for a symmetric positive definite A; Euclidean norm, p = 2."""
+    """0.5 u'Au for a symmetric positive definite A, given as ``matrix`` (rows
+    of equal length) or as its ``diag``; Euclidean norm, p = 2 only."""
 
     kind = "matrix"
 
-    def __init__(self, matrix):
-        a = np.asarray(matrix, dtype=float)
+    def __init__(self, matrix=None, diag=None, p=2.0):
+        if p != 2.0:
+            raise ConfigError(f"p: matrix instances require p = 2, got {p}")
+        if (matrix is None) == (diag is None):
+            raise ConfigError("matrix: give exactly one of 'matrix' and 'diag'")
+        key = "matrix" if diag is None else "diag"
+        try:
+            a = np.asarray(matrix if diag is None else diag, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{key}: expected numbers in rows of equal length") from None
+        if diag is not None and (a.ndim != 1 or a.size == 0):
+            raise ConfigError(f"diag: expected a nonempty list of numbers, got shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise ConfigError(f"{key}: entries must be finite")
+        a = a if diag is None else np.diag(a)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
             raise ConfigError("matrix: must be square and nonempty")
-        if not np.isfinite(a).all():
-            raise ConfigError("matrix: entries must be finite")
         if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(a).max()))):
             raise ConfigError("matrix: must be symmetric")
         try:
@@ -300,14 +317,17 @@ class MatrixQuadratic(ProblemInstance):
         return DenseHessian(self.matrix)
 
 
-def _grid(n, L):
-    """(n, L) of a grid kind as (int, float); a non-integer or nonpositive n,
-    or a nonpositive or non-finite L, raises the ConfigError naming its key."""
+def _grid(p, n, L):
+    """(Exponent(p), n, L) of a grid kind, n an int and L a float; p <= 1, a
+    non-integer or nonpositive n, or a nonpositive or non-finite L (or p)
+    raises the ConfigError naming its key."""
+    if not (1.0 < p < math.inf):
+        raise ConfigError(f"p: must be finite and > 1, got {p}")
     if not (n >= 1 and float(n).is_integer()):
         raise ConfigError(f"n: must be a positive integer, got {n}")
     if not (0.0 < L < math.inf):
         raise ConfigError(f"L: must be a positive finite number, got {L}")
-    return int(n), float(L)
+    return Exponent(p), int(n), float(L)
 
 
 class _Chain1D(ProblemInstance):
@@ -328,8 +348,8 @@ class _Chain1D(ProblemInstance):
     mass = 0.0
 
     def __init__(self, p, n, L, space_kind, **space_args):
-        exp = Exponent(p)
-        self.n, self.L = n, L = _grid(n, L)
+        exp, n, L = _grid(p, n, L)
+        self.n, self.L = n, L
         if not self.zero_padded and n < 2:
             raise ConfigError(f"n: kind {self.kind!r} needs n >= 2, got {n}")
         self.h = L / (n + 1) if self.zero_padded else L / (n - 1)
@@ -519,9 +539,8 @@ class PDirichlet2D(ProblemInstance):
     kind = "pdirichlet2d"
 
     def __init__(self, p, n, L=1.0):
-        exp = Exponent(p)
-        self.n, self.L = n, L = _grid(n, L)
-        self.h = L / (n + 1)
+        exp, n, L = _grid(p, n, L)
+        self.n, self.L, self.h = n, L, L / (n + 1)
         super().__init__(exp, SpaceDescriptor(SpaceKind.WEIGHTED_LP, n * n, exp, weight=self.h * self.h))
 
     def _padded(self, u) -> np.ndarray:
@@ -583,9 +602,8 @@ class FractionalSeminorm1D(ProblemInstance):
     def __init__(self, p, n, L=1.0, s=0.5):
         if not (0.0 < s < 1.0):
             raise ConfigError("s: fractional order must lie in (0, 1)")
-        exp = Exponent(p)
-        self.n, self.L = n, L = _grid(n, L)
-        self.s, self.h = float(s), L / (n + 1)
+        exp, n, L = _grid(p, n, L)
+        self.n, self.L, self.s, self.h = n, L, float(s), L / (n + 1)
         super().__init__(exp, SpaceDescriptor(SpaceKind.WEIGHTED_LP, n, exp, weight=self.h))
         x = np.arange(1 - n, 2 * n + 1) * self.h  # collar | interior | collar
         interior = np.arange(n - 1, 2 * n - 1)
@@ -651,58 +669,38 @@ _KINDS = {
 }
 
 #: every key an instance description may carry: each kind's constructor
-#: parameters, ``diag`` (a diagonal matrix) and the kind itself
-INSTANCE_KEYS = {"kind", "diag"}.union(*(inspect.signature(cls).parameters for cls in _KINDS.values()))
+#: parameters and the kind itself
+INSTANCE_KEYS = {"kind"}.union(*(inspect.signature(cls).parameters for cls in _KINDS.values()))
 
 
 def assemble(config: dict) -> ProblemInstance:
     """Build a problem instance from a flat key-value description.
 
-    Each kind takes its constructor's parameters, with their defaults;
-    ``matrix`` also takes ``diag`` for a diagonal matrix and ``p`` (only 2).
-    Unknown keys and out-of-range values raise ConfigError naming the key.
+    ``kind`` names the constructor, and every other key is one of its
+    parameters.  A scalar must be a finite number; a list (``matrix``,
+    ``diag``) goes to the constructor as given, and an unset parameter keeps
+    the constructor's default.  Unknown keys, a missing required key and
+    the constructors' range checks raise ConfigError naming the key.
     """
     cfg = dict(config)
     kind = cfg.pop("kind", None)
     if kind not in _KINDS:
         raise ConfigError(f"kind: unknown instance kind {kind!r}")
     params = inspect.signature(_KINDS[kind]).parameters
-    for key in cfg:
-        if key not in params and not (kind == "matrix" and key in ("diag", "p")):
+    for key, raw in cfg.items():
+        if key not in params:
             raise ConfigError(f"{key}: unknown key for kind {kind!r}")
-
-    def as_float(key, default=None):
-        raw = cfg.pop(key, default)
-        try:
-            x = float(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-        if not math.isfinite(x):
-            raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
-        return x
-
-    if kind == "matrix":
-        if "p" in cfg and as_float("p") != 2.0:
-            raise ConfigError("p: matrix instances require p = 2")
-        if "diag" in cfg and "matrix" in cfg:
-            raise ConfigError("matrix: give either 'matrix' or 'diag', not both")
-        if "diag" not in cfg and "matrix" not in cfg:
-            raise ConfigError("matrix: missing 'matrix' or 'diag' entries")
-        key = "diag" if "diag" in cfg else "matrix"
-        try:
-            a = np.asarray(cfg.pop(key), dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key}: expected numbers in rows of equal length") from None
-        if key == "diag":
-            if a.ndim != 1 or a.size == 0:
-                raise ConfigError(f"diag: expected a nonempty list of numbers, got shape {a.shape}")
-            a = np.diag(a)
-        return MatrixQuadratic(a)
-    p = as_float("p")
-    if not (p > 1.0):
-        raise ConfigError(f"p: must be > 1, got {p}")
-    # n, then L and the kind's own s or beta, each checked by the constructor
-    return _KINDS[kind](p, as_float("n"), *(as_float(key, params[key].default) for key in list(params)[2:]))
+        if not isinstance(raw, (list, tuple, np.ndarray)):
+            try:
+                cfg[key] = float(raw)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+            if not math.isfinite(cfg[key]):
+                raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+    for key, param in params.items():
+        if key not in cfg and param.default is param.empty:
+            raise ConfigError(f"{key}: missing, and kind {kind!r} needs it")
+    return _KINDS[kind](**cfg)
 
 
 def start_vector(inst, policy, seed) -> np.ndarray:

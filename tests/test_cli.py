@@ -216,6 +216,8 @@ class TestConfigErrors:
             ("matrix", "kind = matrix\n"),
             ("n", "kind = pdirichlet1d\np = 2.0\nn = 0\n"),
             ("L", "kind = pdirichlet1d\np = 2.0\nn = 4\nL = -1\n"),
+            ("p", "kind = pdirichlet1d\nn = 4\n"),
+            ("diag", "kind = matrix\ndiag = 1 nan\n"),
         ],
         ids=[
             "diag-word",
@@ -232,6 +234,8 @@ class TestConfigErrors:
             "matrix-missing",
             "n-0",
             "L-neg",
+            "p-missing",
+            "diag-nan",
         ],
     )
     def test_bad_instance_value_exits_2_naming_key(self, tmp_path, capsys, key, body):

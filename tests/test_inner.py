@@ -109,6 +109,19 @@ def test_unconverged_descend_returns_lowest_merit_point():
     assert f == 0.5 * float(x0 @ (d * x0)) and resid == float(np.linalg.norm(d * x0))
 
 
+@pytest.mark.parametrize(
+    "newton", [lambda x, r: r.copy(), lambda x, r: np.array([r[1], -r[0], 0.0])], ids=["ascent", "orthogonal"]
+)
+def test_non_descent_direction_goes_to_the_endgame(newton):
+    # a direction with slope >= 0 skips the Armijo search, and the endgame
+    # backtracks on the merit along it and then along the raw residual
+    d = np.array([1.0, 4.0, 9.0])
+    x, f, resid, iters, ok = descend(
+        np.ones(3), lambda x: 0.5 * float(x @ (d * x)), lambda x: d * x, lambda g: float(np.abs(g).max()), 1e-10, 500, np.ones(3), newton=newton
+    )
+    assert ok and resid <= 1e-10 and f <= 1e-20
+
+
 class TestPhiMinusLinear:
     def test_matrix_closed_form(self):
         inst = MatrixQuadratic(np.diag([1.0, 4.0]))

@@ -162,6 +162,16 @@ class TestCheckMonotonicity:
         assert len(violations) == 1
         assert violations[0].k == 1 and violations[0].quantity == "rq"
 
+    @pytest.mark.parametrize("rise, flagged", [(1e-7, True), (1e-9, False)])
+    def test_rq_rise_is_flagged_at_the_stated_slack(self, rise, flagged):
+        # MONOTONE_SLACK = 1e-8 lies between the two rises; a slack of 1e-2
+        # would pass both
+        rows = [
+            IterationRow(0, 1.0, 1.0, 3.0, math.nan, 0, math.nan),
+            IterationRow(1, 0.5, 0.5, 3.0 * (1.0 + rise), 2.0, 3, 1e-12),
+        ]
+        assert [v.quantity for v in check_monotonicity(Trace(2.0, rows))] == (["rq"] if flagged else [])
+
     def test_single_row_trace(self):
         trace = Trace(2.0, [IterationRow(0, 1.0, 1.0, 1.0, math.nan, 0, math.nan)])
         assert check_monotonicity(trace) == []
@@ -259,6 +269,17 @@ class TestRowMeasure:
             assert row.rq == inst.rayleigh(x)
             assert row.phi == pytest.approx(inst.value(x), rel=1e-14)
             assert row.norm == inst.space.norm(x)
+
+    @pytest.mark.parametrize("call", ["rayleigh", "iterate", "flow"])
+    def test_underflowing_norm_power_is_named(self, call):
+        # the trace norm is nonzero, but its p-th power underflows to 0 at
+        # y = u / 2^k: a named error, not a bare ZeroDivisionError
+        inst = Steklov1D(2.0, 6)
+        u = np.ones(6)
+        u[[0, -1]] = 1e-200
+        run = {"rayleigh": inst.rayleigh, "iterate": lambda x: iterate(inst, x), "flow": lambda x: run_flow(inst, x, 0.01, 1.0)}
+        with pytest.raises(DegenerateInputError, match=r"^Rayleigh quotient undefined: \|\|y\|\|\^p underflows at \|\|y\|\| = 7.07e-201"):
+            run[call](u)
 
     @pytest.mark.parametrize(
         "inst", [NeumannQuotient1D(3.0, 9), Steklov1D(1.5, 9), SupDirichlet1D(3.0, 9), FractionalSeminorm1D(8.0, 9)],

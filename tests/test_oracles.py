@@ -416,7 +416,12 @@ class TestBracketStop:
         return calls
 
     @pytest.mark.parametrize(
-        "inst, spg_calls", [(FractionalSeminorm1D(3.0, 31), 2), (NeumannQuotient1D(3.0, 11), 18)], ids=["stop", "no-bound"]
+        "inst, spg_calls",
+        # open-bracket: the first start polishes to certificate 6.1e-9, but its
+        # Picone bracket is 8.8e-5 wide, past BRACKET_RTOL = 1e-6, so the 16
+        # restarts run (with a BRACKET_RTOL of 1e-1 it would stop after 2)
+        [(FractionalSeminorm1D(3.0, 31), 2), (NeumannQuotient1D(3.0, 11), 18), (FractionalSeminorm1D(8.0, 15), 19)],
+        ids=["stop", "no-bound", "open-bracket"],
     )
     def test_sphere_descents(self, monkeypatch, inst, spg_calls):
         calls = self._count_spg(monkeypatch)

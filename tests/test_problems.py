@@ -285,10 +285,9 @@ class TestAssemble:
         ids=lambda cls: cls.kind,
     )
     def test_each_kind_takes_its_constructor_parameters(self, cls):
-        # a key is accepted exactly when the constructor takes it (matrix also
-        # takes diag and p), and an unset key takes the signature's default
+        # a key is accepted exactly when the constructor takes it, and an
+        # unset key takes the signature's default
         params = set(inspect.signature(cls).parameters)
-        params |= {"diag", "p"} if cls is MatrixQuadratic else set()
         base = {"kind": cls.kind, "diag": [1.0, 2.0]} if cls is MatrixQuadratic else {"kind": cls.kind, "p": 3.0, "n": 4}
         values = {"p": 2.0, "n": 4, "L": 2.0, "s": 0.25, "beta": 0.5, "matrix": [[2.0]], "diag": [1.0, 2.0]}
         for key in INSTANCE_KEYS - {"kind"} - set(base):
@@ -301,6 +300,26 @@ class TestAssemble:
         if cls is not MatrixQuadratic:
             u = np.linspace(0.5, 1.0, assemble(base).space.dim)
             assert assemble(base).value(u) == cls(3.0, 4).value(u)
+
+    def test_unset_parameter_keeps_a_none_default(self, monkeypatch):
+        # assemble passes only the given keys: an unset parameter keeps the
+        # constructor's own default, None included
+        class Stub(PDirichlet1D):
+            kind = "stub"
+
+            def __init__(self, p, n, r=None):
+                self.r = r
+                super().__init__(p, n)
+
+        monkeypatch.setitem(problems._KINDS, "stub", Stub)
+        inst = assemble({"kind": "stub", "p": 3, "n": 4})
+        assert inst.r is None and (inst.p, inst.n) == (3.0, 4)
+        assert assemble({"kind": "stub", "p": 3, "n": 4, "r": 2}).r == 2.0
+
+    @pytest.mark.parametrize("value", [None, "x", math.inf, math.nan])
+    def test_given_scalar_must_be_a_finite_number(self, value):
+        with pytest.raises(ConfigError, match="^L: expected a"):
+            assemble({"kind": "pdirichlet1d", "p": 3.0, "n": 4, "L": value})
 
     def test_matrix_p_must_be_two(self):
         with pytest.raises(ConfigError, match="p"):
