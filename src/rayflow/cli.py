@@ -121,7 +121,7 @@ def _flow_run(cfg: RunConfig, inst):
     opts = _scheme_options(FlowOptions, "flow", c)
     tau, t_end = (None if x == "auto" else x for x in (c.get("tau"), c.get("t_end")))  # None: auto
     with _options_of("flow"):
-        check_step(tau, t_end)
+        check_step(tau, t_end, inst.p)
 
     def solve():
         step, horizon = tau, t_end
@@ -133,7 +133,7 @@ def _flow_run(cfg: RunConfig, inst):
             step = 0.01 / mu if tau is None else tau
             horizon = 50.0 / mu if t_end is None else t_end
             with _options_of("flow"):
-                check_step(step, horizon)
+                check_step(step, horizon, inst.p)
         return (*run_flow(inst, u0, step, horizon, opts), {"tau": step})
 
     return partial(_run_scheme, "flow", "steps", solve, _flow_rows)

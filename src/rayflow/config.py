@@ -37,7 +37,7 @@ parameters (``problems.INSTANCE_KEYS``); matrix instances take
 ``diag = 1 2 5`` or ``matrix = 2 1; 1 2``.  Unknown sections or keys, and
 values of the wrong type, are rejected with an error naming the key.  It only
 parses: ``problems.assemble``, ``problems.start_vector`` (``u0``), the scheme
-and oracle options and ``flow.check_step`` check the values they use.
+and oracle options and ``inner.check_step`` check the values they use.
 """
 
 from __future__ import annotations

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError
-from .inner import minimize_movement
+from .inner import check_step, minimize_movement
 from .iterate import Trace, Violation, check_stop_rules, measure_start, outer_loop
 from .problems import ProblemInstance
 from .spaces import SpaceKind, mu_from_lambda
@@ -66,48 +65,36 @@ def local_slope(inst: ProblemInstance, u) -> float:
     return inst.space.dual_norm(inst.gradient(u))
 
 
-def check_step(tau: float | None, t_end: float | None):
-    """Validate the flow's step size and horizon, either of which may be
-    None (not known yet): both positive and finite, and t_end at least one
-    step with a finite step count t_end/tau."""
-    if tau is not None and not (0.0 < tau < math.inf):
-        raise DegenerateInputError(f"tau: must be a positive finite number, got {tau}")
-    if t_end is not None and not (0.0 < t_end < math.inf):
-        raise DegenerateInputError(f"t_end: must be a positive finite number, got {t_end}")
-    if None not in (tau, t_end) and not (tau <= t_end and t_end / tau < math.inf):
-        raise DegenerateInputError(f"t_end: must span from one to finitely many steps tau = {tau}, got {t_end}")
-
-
 def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOptions | None = None):
     """Advance the minimizing-movement flow from v0; returns (Trace, RunSummary),
     with one FlowRow per state.
 
-    A zero start (on a Steklov space, one of zero trace norm) is refused.
-    Each step is one movement solve anchored at the previous state v_n.
-    On smooth spaces the solve starts at a predicted state, with
-    s = 1 + tau mu and mu from the quotient of v_n: on the ground ray each
-    step divides the state by exactly s, so the first two steps start at
-    v_n/s; on it the rescaled states a_k = v_{n-k}/s^k coincide, and off it
-    they vary smoothly in k.  The third step extrapolates
+    A zero start (on a Steklov space, one of zero trace norm) is refused, and
+    so are tau and t_end where ``inner.check_step`` refuses them.  Each step is
+    one movement solve anchored at the previous state v_n.  On smooth spaces it
+    starts at a predicted state, with s = 1 + tau mu and mu from the quotient
+    of v_n: on the ground ray each step divides the state by exactly s, so the
+    first two steps start at v_n/s; on it the rescaled states a_k = v_{n-k}/s^k
+    coincide, and off it they vary smoothly in k.  The third step extrapolates
     e = v_2 + (v_2 - v_1)/s, to O(tau^2) off the ray; later steps take the
     quadratic through three rescaled states, e = 3 a_0 - 3 a_1 + a_2, to
-    O(tau^3).  Neither reads the start v_0, which one step can move far off
-    the smooth path (a Steklov start's interior is free, its first state's
-    is fixed by the boundary).  Either prediction is rescaled to the radial
-    norm ||v_n||/s: a prediction within the inner tolerance is accepted
-    uncorrected, and an unscaled one would drift along the ray.  A quotient
-    of 0 or inf starts at the anchor.  Each solve takes its tolerance scale
+    O(tau^3).  Neither reads the start v_0, which one step can move far off the
+    smooth path (a Steklov start's interior is free, its first state's is fixed
+    by the boundary).  Either prediction is rescaled to the radial norm
+    ||v_n||/s: one within the inner tolerance is accepted uncorrected, and an
+    unscaled one would drift along the ray.  A quotient of 0 or inf, or an e of
+    norm 0 or inf, starts at the anchor.  Each solve takes its tolerance scale
     from the last row's slope and returns the next row's, so a smooth step
-    evaluates the gradient only inside ``descend`` and a sup step only in
-    its box checks, where the last step's radius starts the root search.
-    Stop rules, collapse handling, the limit and the failed-step check are
-    ``iterate.outer_loop``'s (no stop before MIN_STEPS; t_end bounds the
-    run): the limit is (1 + tau mu_hat)^K v_K at the last step K, since on
-    the ground ray each step shrinks the state by exactly
-    (1 + tau mu)^(-1), for every p, so a unit ground state keeps unit norm.
+    evaluates the gradient only inside ``descend`` and a sup step only in its
+    box checks, where the last step's radius starts the root search.  Stop
+    rules, collapse handling, the limit and the failed-step check are
+    ``iterate.outer_loop``'s (no stop before MIN_STEPS; t_end bounds the run):
+    the limit is (1 + tau mu_hat)^K v_K at the last step K, since on the ground
+    ray each step shrinks the state by exactly (1 + tau mu)^(-1), for every p,
+    so a unit ground state keeps unit norm.
     """
     opts = opts or FlowOptions()
-    check_step(tau, t_end)
+    check_step(tau, t_end, inst.p)
     space = inst.space
     v = space.check_dim(v0)
     v_hat, norm, phi, rq = measure_start(inst, v)
@@ -127,7 +114,8 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
             e = v + (v - past[0]) / s
         else:
             e = 3.0 * (v - past[0] / s) + past[1] / (s * s)
-        return e * (norm / s / space.norm(e))
+        size = space.norm(e)
+        return e * (norm / s / size) if 0.0 < size < math.inf else None
 
     def step(n, v):
         rep = minimize_movement(inst, v, tau, opts.grad_tol, carry, init=predict(v), slope=trace.rows[-1].slope)
@@ -138,7 +126,9 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
             v_new, prev = rep.minimizer, trace.rows[-1]
             slope_new = local_slope(inst, v_new) if rep.slope is None else rep.slope
             prev.speed = space.norm(v_new - v) / tau
-            prev.energy_residual = abs((prev.phi - phi_new) / tau - (prev.speed**p / p + slope_new**q / q))
+            with np.errstate(over="ignore", invalid="ignore"):  # an unrepresentable term is inf, inf - inf nan
+                dissipation = np.float64(prev.speed) ** p / p + np.float64(slope_new) ** q / q
+                prev.energy_residual = float(abs((prev.phi - phi_new) / tau - dissipation))
             return FlowRow(n, n * tau, phi_new, norm_new, rq_new, math.nan, slope_new, math.nan)
 
         return rep, row

@@ -60,7 +60,7 @@ from .errors import DegenerateInputError, NumericsError
 from .problems import ProblemInstance, _increasing_root, _power_sum
 from .spaces import SpaceKind, _scaled_pnorm, signed_power, smoothed_curvature
 
-__all__ = ["SolveReport", "descend", "minimize_phi_minus_linear", "minimize_movement"]
+__all__ = ["SolveReport", "check_step", "descend", "minimize_phi_minus_linear", "minimize_movement"]
 
 #: iteration cap of the inner solves; it does not bind, since descend gives
 #: up after STALL_ITERS iterations without halving its merit
@@ -317,11 +317,11 @@ def minimize_phi_minus_linear(inst: ProblemInstance, xi, grad_tol: float = 1e-9,
     return SolveReport(scale * v, float(s * resid), iters, ok, newton_steps=newton.steps)
 
 
-def _smooth_movement(inst, g, tau, grad_tol, ref, v0):
-    """The movement step by ``descend`` from v0, for the anchor g (both
-    normalized) with ref = ||dPhi(g)||_*.
+def _smooth_movement(inst, g, c, tol, v0):
+    """The movement step by ``descend`` from v0 to the residual ``tol``,
+    for the anchor g (both normalized) and c = tau^(p-1).
 
-    The penalty ||v - g||^p / (p tau^(p-1)) is exact for every p.  ||u||^p
+    The penalty ||v - g||^p / (p c) is exact for every p.  ||u||^p
     is the power sum of u weighted by m: the pairing weights, or on trace
     spaces 1 on the boundary nodes and 0 inside.  Differences off the
     boundary are zeroed, so the dual gradient (m/w) times the kernel is the
@@ -336,7 +336,6 @@ def _smooth_movement(inst, g, tau, grad_tol, ref, v0):
     point.
     """
     space, p = inst.space, inst.exponent.p
-    c = tau ** (p - 1.0)
     trace = space.kind is SpaceKind.TRACE_BOUNDARY
     w = m = space.pairing_weights()
     if trace:
@@ -358,7 +357,6 @@ def _smooth_movement(inst, g, tau, grad_tol, ref, v0):
     def curvature(v):
         return m * smoothed_curvature(diff(v), p) / c
 
-    tol = grad_tol * (1.0 + ref)
     newton = _Newton(inst, curvature)
     v, _, resid, iters, ok = descend(v0, value, grad, space.dual_norm, tol, MAX_ITERS, w, newton=newton)
     slope = space.dual_norm(last[1] if v is last[0] else inst.gradient(v))
@@ -384,15 +382,15 @@ def _box_kkt(v, gr, lo, hi):
     return viol, mass
 
 
-def _sup_movement(inst, g, tau, grad_tol, ref, carry: dict):
-    """Exact sup-norm movement step via the box reformulation, for the
-    normalized anchor g with ref = ||dPhi(g)||_*.
+def _sup_movement(inst, g, tau, c, tol, ref, carry: dict):
+    """The exact sup-norm movement step to the residual ``tol``, for the
+    normalized anchor g, c = tau^(p-1) and ref = ||dPhi(g)||_*.
 
     For rho = ||v - g||_inf the subproblem splits into an energy
     minimization over the box |v - g|_inf <= rho (all nonsmoothness absorbed
     by the constraint), which the instance solves exactly (``solve_box``),
     and a scalar optimality condition on rho: the active multiplier mass
-    must equal rho^(p-1)/tau^(p-1).  The mass is nonincreasing in rho, so
+    must equal rho^(p-1)/c.  The mass is nonincreasing in rho, so
     the mismatch G(rho) is decreasing; the radius is bracketed from the one
     in ``carry["sup_rho"]`` (the last step's, which is usually within about
     1% of the root) by a factor that starts at 1.01 and squares up to 2, and
@@ -404,8 +402,6 @@ def _sup_movement(inst, g, tau, grad_tol, ref, carry: dict):
     solve, bracketing included.
     """
     p, q = inst.exponent.p, inst.exponent.q
-    c = tau ** (p - 1.0)
-    tol = grad_tol * (1.0 + ref)
     evals = 0
     best = []  # residual, rho, v and dPhi(v) of the lowest-residual box point
 
@@ -442,30 +438,45 @@ def _sup_movement(inst, g, tau, grad_tol, ref, carry: dict):
     return SolveReport(v, resid, evals, resid <= tol, "exact", slope=inst.space.dual_norm(gr))
 
 
+def check_step(tau: float | None, t_end: float | None, p: float):
+    """Refuse a step tau at exponent p, or a horizon t_end, that the flow
+    cannot take; None is not known yet.  Both must be positive and finite,
+    t_end must span one to finitely many steps, and tau^(p-1), which both
+    movement paths divide by, a normal double: tested on logs, with a binade
+    of margin, after the horizon (an overflowing step count is t_end's)."""
+    for name, x in (("tau", tau), ("t_end", t_end)):
+        if x is not None and not (0.0 < x < math.inf):
+            raise DegenerateInputError(f"{name}: must be a positive finite number, got {x}")
+    if None not in (tau, t_end) and not (tau <= t_end and t_end / tau < math.inf):
+        raise DegenerateInputError(f"t_end: must span from one to finitely many steps tau = {tau}, got {t_end}")
+    if tau is not None and not (-1021.0 <= (p - 1.0) * math.log2(tau) <= 1023.0):
+        raise DegenerateInputError(f"tau: tau^(p-1) must be a normal double, got tau = {tau} at p = {p}")
+
+
 def minimize_movement(
     inst: ProblemInstance, g, tau: float, grad_tol: float = 1e-9, carry: dict | None = None, init=None, slope=None
 ) -> SolveReport:
     """One implicit minimizing-movement step from anchor g with step tau.
 
     Minimizes Phi(v) + ||v - g||^p / (p tau^(p-1)), the exact penalty for
-    every p; terminates when the dual norm of the full objective gradient,
-    the residual of dPhi(v) + J_p((v - g)/tau) = 0, drops below
-    grad_tol * (1 + ||grad Phi(g)||_*).  The smooth path starts ``descend``
-    at the warm start ``init`` (default: the anchor g); ``run_flow`` passes
-    its predicted next state.  Both paths solve for the anchor normalized
-    to unit norm and the report is scaled back here.  dPhi is
-    (p-1)-homogeneous, so the caller's ``slope`` = ||grad Phi(g)||_* gives
-    both paths' tolerance scale (evaluated here if not given), and the
+    every p, for a tau that ``check_step`` accepts; terminates when the dual
+    norm of the full objective gradient, the residual of dPhi(v) +
+    J_p((v - g)/tau) = 0, drops below grad_tol * (1 + ||grad Phi(g)||_*).
+    Both paths take tau^(p-1) and that tolerance from here.  The smooth path
+    starts ``descend`` at the warm start ``init`` (default: the anchor g);
+    ``run_flow`` passes its predicted next state.  Both paths solve for the
+    anchor normalized to unit norm, and the report is scaled back here.
+    dPhi is (p-1)-homogeneous, so the caller's ``slope`` = ||grad Phi(g)||_*
+    gives both paths' tolerance scale (evaluated here if not given), and the
     report's slope scales back the same way, while scale^(p-1) is a normal
     double.  The sup path ignores ``init``: ``run_flow`` passes a mutable
     ``carry`` dict, which holds only the sup radius of the last step, and
     the next sup step grows its radius bracket from there.
     """
-    if not (tau > 0.0):
-        raise DegenerateInputError(f"step size tau must be > 0, got {tau}")
+    p = inst.exponent.p
+    check_step(tau, None, p)
     space = inst.space
     g = space.check_dim(g)
-    p = inst.exponent.p
     scale = _scaled_pnorm(g, space.pairing_weights(), p)
     if scale == 0.0:
         return SolveReport(np.zeros(space.dim), 0.0, 0, True)
@@ -476,11 +487,12 @@ def minimize_movement(
     homogeneous = _TINY <= s_p1 < math.inf
     g = g / scale
     ref = float(slope / s_p1) if slope is not None and homogeneous else space.dual_norm(inst.gradient(g))
+    c, tol = tau ** (p - 1.0), grad_tol * (1.0 + ref)
     if space.kind is SpaceKind.SUP:
-        rep = _sup_movement(inst, g, tau, grad_tol, ref, {} if carry is None else carry)
+        rep = _sup_movement(inst, g, tau, c, tol, ref, {} if carry is None else carry)
     else:
         v0 = g if init is None else space.check_dim(init) / scale
-        rep = _smooth_movement(inst, g, tau, grad_tol, ref, v0)
+        rep = _smooth_movement(inst, g, c, tol, v0)
     resid = s_p1 * float(rep.grad_dual_norm)
     slope_new = s_p1 * float(rep.slope) if homogeneous else None
     return SolveReport(scale * rep.minimizer, resid, rep.iters, rep.converged, rep.path, rep.newton_steps, slope_new)

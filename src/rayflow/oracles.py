@@ -290,14 +290,14 @@ def direct_rayleigh_min(
     """
     check_oracle_options(restarts, tol)
     space = inst.space
-    if space.dim > 256:
-        raise DegenerateInputError("direct oracle is limited to dim <= 256")
     if inst.kind == "supdirichlet1d":
         n = space.dim
         j = np.arange(1, n + 1)
         tents = (np.where(j <= i, j / i, (n + 1 - j) / (n + 1 - i)) for i in range(1, n + 1))
         lam, u = min(((inst.rayleigh(t), t) for t in tents), key=lambda c: c[0])
         return OracleResult(lam, u, OracleMethod.CLOSED_FORM, eigen_residual(inst, u, lam))
+    if space.dim > 256:
+        raise DegenerateInputError("direct oracle is limited to dim <= 256")
 
     starts = [start_vector(inst, "auto", seed), *np.random.default_rng(seed).standard_normal((restarts, space.dim))]
 

@@ -677,10 +677,10 @@ def assemble(config: dict) -> ProblemInstance:
     """Build a problem instance from a flat key-value description.
 
     ``kind`` names the constructor, and every other key is one of its
-    parameters.  A scalar must be a finite number; a list (``matrix``,
-    ``diag``) goes to the constructor as given, and an unset parameter keeps
-    the constructor's default.  Unknown keys, a missing required key and
-    the constructors' range checks raise ConfigError naming the key.
+    parameters.  A list goes as given to a parameter whose default is None
+    (``matrix``, ``diag``), any other value must be a finite number, and an
+    unset parameter keeps the constructor's default.  Unknown keys, a missing
+    required key and failed range checks raise ConfigError naming the key.
     """
     cfg = dict(config)
     kind = cfg.pop("kind", None)
@@ -690,7 +690,7 @@ def assemble(config: dict) -> ProblemInstance:
     for key, raw in cfg.items():
         if key not in params:
             raise ConfigError(f"{key}: unknown key for kind {kind!r}")
-        if not isinstance(raw, (list, tuple, np.ndarray)):
+        if not (isinstance(raw, (list, tuple, np.ndarray)) and params[key].default is None):
             try:
                 cfg[key] = float(raw)
             except (TypeError, ValueError):

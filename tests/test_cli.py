@@ -50,6 +50,8 @@ dtol = 1e-8
 NEAR_ONE = "[instance]\nkind = pdirichlet1d\np = 1.1\nn = 31\n"
 #: t_end/tau overflows to inf: the flow has no step count
 OVERFLOW = "[instance]\nkind = pdirichlet1d\np = 3\nn = 9\n[flow]\ntau = 1e-300\nt_end = 1e300\n"
+#: tau^(p-1) at p = 3 overflows, or underflows, the doubles
+TAU_OVERFLOW, TAU_UNDERFLOW = "tau = 1e300\nt_end = 1e300\n", "tau = 1e-200\nt_end = 1e-199\n"
 #: Phi overflows at every start on this domain, even at unit scale
 TINY_DOMAIN = "[instance]\nkind = pdirichlet1d\np = 3\nn = 15\nL = 1e-200\n"
 #: the start's quotient is finite, but mu = lambda^(1/(p-1)) overflows
@@ -320,6 +322,52 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith(f"error: {key}:")
         # rejected before any solve: nothing but the config in the output directory
         assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
+
+    @pytest.mark.parametrize("command", ["flow", "compare"])
+    @pytest.mark.parametrize("step", [TAU_OVERFLOW, TAU_UNDERFLOW], ids=["overflow", "underflow"])
+    def test_unrepresentable_penalty_exits_2_naming_tau(self, tmp_path, capsys, command, step):
+        # tau^(p-1), the movement penalty's divisor, leaves the normal doubles
+        cfg = write(tmp_path, "[instance]\nkind = pdirichlet1d\np = 3\nn = 5\n[flow]\n" + step)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: tau: tau^(p-1) must be a normal double, got tau = ")
+        assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_unrepresentable_auto_penalty_exits_2_naming_tau(self, tmp_path, capsys, monkeypatch):
+        # an automatic tau = 0.01/mu is checked like an explicit one
+        monkeypatch.setattr(rayflow.cli, "rough_mu", lambda inst, u0: 1e-200)
+        cfg = write(tmp_path, "[instance]\nkind = pdirichlet1d\np = 3\nn = 5\n")
+        assert main(["flow", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: tau: tau^(p-1) must be a normal double, got tau = 1e+198 at p = 3.0 (in [flow])\n"
+        )
+        assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
+
+
+class TestExtremeMagnitudes:
+    """Runs whose terms leave the double range end in a documented exit code, never a traceback."""
+
+    def test_prediction_of_zero_norm_starts_at_the_anchor(self, tmp_path, capsys):
+        # the start's quotient, about 1e200, divides each predicted state by
+        # s = 1 + tau mu, about 1e98: the third prediction underflows to norm 0
+        cfg = write(tmp_path, "[instance]\nkind = robin1d\np = 3\nn = 4\nbeta = 1e200\n")
+        assert main(["flow", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+        assert capsys.readouterr().err == "numeric failure: non-finite gradient entry at index 0\n"
+
+    @pytest.mark.parametrize(
+        "body, lam",
+        [
+            ("kind = matrix\ndiag = 1e300 2e300\n", 1.0000000268715645e300),
+            ("kind = robin1d\np = 3\nn = 2\nbeta = 1e300\n", 9.9999999999999976e299),
+        ],
+        ids=["matrix", "robin1d"],
+    )
+    def test_energy_identity_terms_past_the_double_range(self, tmp_path, body, lam):
+        # speed^p/p and slope^q/q overflow: the residual column reads nan, the run goes on
+        cfg = write(tmp_path, "[instance]\n" + body)
+        assert main(["flow", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        assert json.loads((tmp_path / "flow_summary.json").read_text())["lambda_hat"] == pytest.approx(lam, rel=1e-12)
+        rows = (tmp_path / "flow_trace.csv").read_text().splitlines()[1:]
+        assert all(row.endswith(",nan") for row in rows)
 
 
 class TestOutputs:

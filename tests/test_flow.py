@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rayflow.flow
+import rayflow.inner
 from helpers import record_states
 from rayflow.errors import DegenerateInputError
 from rayflow.flow import FlowOptions, FlowRow, check_decay, local_slope, run_flow
@@ -276,6 +277,16 @@ class TestGuards:
         inst = PDirichlet1D(3.0, 9)
         with pytest.raises(DegenerateInputError, match="^t_end: "):
             run_flow(inst, np.ones(9), 1e-300, 1e300)
+
+    @pytest.mark.parametrize("tau, t_end", [(1e300, 1e300), (1e-200, 1e-199)], ids=["overflow", "underflow"])
+    def test_unrepresentable_penalty(self, tau, t_end):
+        # tau^(p-1) at p = 3 leaves the doubles: refused before the first step
+        with pytest.raises(DegenerateInputError, match=r"^tau: tau\^\(p-1\) must be a normal double"):
+            run_flow(PDirichlet1D(3.0, 5), np.ones(5), tau, t_end)
+
+    def test_one_step_check(self):
+        # the flow checks its step with the movement step's own precondition
+        assert rayflow.flow.check_step is rayflow.inner.check_step
 
     def test_overflowing_phi_at_the_start(self):
         # Phi(v0) overflows on this domain: refused with no RuntimeWarning

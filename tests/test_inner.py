@@ -381,6 +381,12 @@ class TestMovement:
         with pytest.raises(DegenerateInputError):
             minimize_movement(inst, np.ones(5), 0.0)
 
+    @pytest.mark.parametrize("tau", [1e300, 1e-200])
+    def test_rejects_tau_whose_power_leaves_the_doubles(self, tau):
+        # the penalty divides by tau^(p-1): 1e600 or 1e-400 at p = 3
+        with pytest.raises(DegenerateInputError, match=r"^tau: tau\^\(p-1\) must be a normal double, got tau = "):
+            minimize_movement(PDirichlet1D(3.0, 5), np.ones(5), tau)
+
     def test_movement_objective_no_worse_than_anchor(self):
         # unconditional energy descent: the step value never exceeds Phi(g)
         rng = np.random.default_rng(3)

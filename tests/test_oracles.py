@@ -330,6 +330,13 @@ class TestOracleLambda:
         # dual norm sums it over n nodes (1.6e-12 at p = 8, 4.5e-12 at p = 20, n = 129)
         assert res.certificate <= 1e-12 * max(1.0, (p - 1.0) * n / 256)
 
+    def test_sup_closed_form_past_the_sphere_cap(self):
+        # the tents run no sphere search, so the direct route's dim <= 256 cap
+        # does not hold them back; at odd n the centred tent gives 2^p exactly
+        res = oracle_lambda(SupDirichlet1D(3.0, 301))
+        assert res.method.value == "closed_form"
+        assert res.lambda_star == pytest.approx(8.0, rel=1e-14)
+
 
 BOUNDED_KINDS = [PDirichlet1D, Robin1D, FractionalSeminorm1D]
 

@@ -221,6 +221,20 @@ class TestAssemble:
         with pytest.raises(ConfigError, match="p"):
             assemble({"kind": "pdirichlet1d", "p": 0.5, "n": 4})
 
+    @pytest.mark.parametrize(
+        "key, config",
+        [
+            ("p", {"kind": "pdirichlet1d", "p": [3], "n": 4}),
+            ("n", {"kind": "pdirichlet1d", "p": 3.0, "n": [4]}),
+            ("beta", {"kind": "robin1d", "p": 3.0, "n": 4, "beta": (1.0,)}),
+        ],
+        ids=["p-list", "n-list", "beta-tuple"],
+    )
+    def test_list_for_a_scalar_names_key(self, key, config):
+        # only a parameter whose default is None (matrix, diag) takes a list
+        with pytest.raises(ConfigError, match=rf"^{key}: expected a number, got [\[(]"):
+            assemble(config)
+
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="wavelength"):
             assemble({"kind": "pdirichlet1d", "p": 2.0, "n": 4, "wavelength": 3})
