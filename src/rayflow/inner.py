@@ -189,8 +189,6 @@ def descend(x, value, grad, merit, tol, max_iters, w, project=None, newton=None)
             if -LS_SLOPE * t * slope > noise:
                 for _ in range(200):
                     x_new = trial(t, d)
-                    if (x_new == x).all():
-                        break
                     f_new = value(x_new)
                     if math.isfinite(f_new) and f_new <= f + LS_SLOPE * t * slope:
                         accepted = True

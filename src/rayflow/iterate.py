@@ -98,7 +98,6 @@ class IterationRow:
     phi: float
     rq: float
     ratio: float
-    inner_iters: int
     residual: float
 
 
@@ -186,10 +185,10 @@ def outer_loop(inst, x, x_hat, trace, step, log_rate, max_steps, rtol, dtol, rq_
     ``step(k, x)`` runs one scheme step from x and returns (report, row):
     the SolveReport whose minimizer is the new state x_new, and
     ``row(norm_new, phi_new, rq_new)``, which builds the trace row of x_new
-    (the row of x is still last).  An unconverged solve raises SchemeFailure
-    with the rows so far.  ``measure_state`` gives each new state's row and
-    direction from one Phi and one norm: its quotient shift is solved once,
-    and ``inst.rayleigh`` is not called.
+    (the row of x is still last).  An unconverged solve, or a non-finite
+    minimizer, raises SchemeFailure with the rows so far.  ``measure_state``
+    gives each new state's row and direction from one Phi and one norm: its
+    quotient shift is solved once, and ``inst.rayleigh`` is not called.
     The run stops once the Rayleigh quotient is rtol-stable and the
     sign-normalized direction dtol-stable, or after ``rq_patience``
     Rayleigh-stable steps in a row (neither before ``min_steps``), or at
@@ -210,6 +209,8 @@ def outer_loop(inst, x, x_hat, trace, step, log_rate, max_steps, rtol, dtol, rq_
             raise SchemeFailure(
                 f"{inst.kind}: inner solve failed to converge at outer step {k} (merit {rep.grad_dual_norm:.3e})", trace
             )
+        if not np.isfinite(rep.minimizer).all():
+            raise SchemeFailure(f"{inst.kind}: minimizer at outer step {k} is not finite", trace)
         x_hat_new, norm_new, phi_new, rq_new = measure_state(inst, rep.minimizer)
         trace.rows.append(row(norm_new, phi_new, rq_new))
         if norm_new < COLLAPSE_NORM:
@@ -253,7 +254,7 @@ def iterate(inst: ProblemInstance, u0, opts: IterOptions | None = None):
     space = inst.space
     u = space.check_dim(u0)
     u_hat, norm, phi, rq = measure_start(inst, u, scale_free=True)
-    trace = Trace(inst.p, [IterationRow(0, norm, phi, rq, math.nan, 0, math.nan)])
+    trace = Trace(inst.p, [IterationRow(0, norm, phi, rq, math.nan, math.nan)])
 
     def step(k, u):
         warm = u / mu_from_lambda(trace.rows[-1].rq, inst.exponent)
@@ -261,7 +262,7 @@ def iterate(inst: ProblemInstance, u0, opts: IterOptions | None = None):
 
         def row(norm_new, phi_new, rq_new):
             ratio = trace.rows[-1].norm / max(norm_new, 5e-324)
-            return IterationRow(k, norm_new, phi_new, rq_new, ratio, rep.iters, rep.grad_dual_norm)
+            return IterationRow(k, norm_new, phi_new, rq_new, ratio, rep.grad_dual_norm)
 
         return rep, row
 

@@ -263,7 +263,7 @@ def direct_rayleigh_min(
 
     Runs the generic start ``start_vector(inst, "auto", seed)`` and
     ``restarts`` seeded random starts at a coarse tolerance, keeps the best
-    by (value, start index), then polishes it to the requested certificate
+    by value (first on ties), then polishes it to the requested certificate
     tolerance (``check_oracle_options`` validates both).  The certificate
     is the relative dual-norm residual of dPhi(u) - lambda J_p(u).  The
     returned unit minimizer is sign-normalized like ``unit_representative``'s:
@@ -312,10 +312,10 @@ def direct_rayleigh_min(
         if idx == 0 and cert <= coarse and (done := _bracketed(inst, u, tol)) is not None:
             return done
         if best is None or lam < best[0]:
-            best = (lam, idx, u)
+            best = (lam, u)
     if best is None:
         raise DegenerateInputError("all oracle starts were degenerate")
-    u, lam, cert = _spg(inst, best[2], tol, 50_000)
+    u, lam, cert = _spg(inst, best[1], tol, 50_000)
     u = unit_representative(inst.space, u, 1.0)
     return OracleResult(lam, u, OracleMethod.PROJECTED_GRADIENT, cert, inst.lambda_lower(u))
 

@@ -1,6 +1,7 @@
 """The benchmark's tracer finds every name it wraps where it looks it up,
 and reads real counts off their return values; the solve paths the
-benchmark times enter none of numpy's Python-level wrappers.
+benchmark times enter none of numpy's Python-level wrappers; each module's
+public names are where its ``__all__`` says.
 
 ``perfbench/tracing.py`` wraps rayflow functions by module and attribute
 name and counts iterations and steps from the reports they return; a rename
@@ -9,8 +10,10 @@ traced run.
 """
 
 import dataclasses
+import importlib
 import json
 import os
+import pkgutil
 import sys
 import types
 from collections import Counter
@@ -38,6 +41,24 @@ def test_every_traced_name_is_where_the_tracer_looks():
     targets = _tracing().targets()
     assert len(targets) > 10
     missing = [(getattr(owner, "__name__", owner), attr) for owner, attr, _ in targets if attr not in vars(owner)]
+    assert missing == []
+
+
+def test_a_submodule_import_binds_the_module():
+    # the package root re-exports nothing, so no name there shadows a module
+    import rayflow.iterate as m
+
+    assert m is sys.modules["rayflow.iterate"]
+
+
+def test_every_listed_public_name_resolves():
+    # each module's __all__ is the one declaration of its public names
+    import rayflow
+
+    modules = [importlib.import_module(f"rayflow.{info.name}") for info in pkgutil.iter_modules(rayflow.__path__)]
+    listed = [m for m in modules if hasattr(m, "__all__")]
+    assert len(listed) >= 8
+    missing = [(m.__name__, name) for m in listed for name in m.__all__ if not hasattr(m, name)]
     assert missing == []
 
 

@@ -353,6 +353,18 @@ class TestExtremeMagnitudes:
         assert main(["flow", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
         assert capsys.readouterr().err == "numeric failure: non-finite gradient entry at index 0\n"
 
+    @pytest.mark.parametrize("command", ["iterate", "flow"])
+    def test_non_finite_minimizer_exits_1_naming_the_step(self, tmp_path, capsys, command):
+        # lambda is about 1e-99: the state grows about 1e99-fold per step
+        # until step 4's minimizer is nan, in the run or in the automatic
+        # step's rough_mu; the failure names the step
+        cfg = write(tmp_path, "[instance]\nkind = pdirichlet1d\np = 2\nn = 5\nL = 1e50\n")
+        with np.errstate(all="ignore"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        [line] = [line for line in capsys.readouterr().out.splitlines() if line.startswith(f"{command}: ")]
+        assert line.endswith("pdirichlet1d: minimizer at outer step 4 is not finite")
+        assert len((tmp_path / f"{command}_trace.csv").read_text().splitlines()) == (5 if command == "iterate" else 1)
+
     @pytest.mark.parametrize(
         "body, lam",
         [

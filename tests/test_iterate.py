@@ -89,11 +89,11 @@ class TestCollapse:
         # not the run's: lambda_hat is the start's 2.5
         inst = MatrixQuadratic(np.diag([1.0, 4.0]))
         x = np.array([1.0, 1.0])
-        trace = Trace(inst.p, [IterationRow(0, 1.0, inst.value(x), inst.rayleigh(x), math.nan, 0, math.nan)])
+        trace = Trace(inst.p, [IterationRow(0, 1.0, inst.value(x), inst.rayleigh(x), math.nan, math.nan)])
 
         def step(k, x):  # onto the first eigenray, below COLLAPSE_NORM
             rep = SolveReport(np.array([1e-301, 0.0]), 0.0, 0, True)
-            return rep, lambda norm, phi, rq: IterationRow(k, norm, phi, rq, 1.0, 0, 0.0)
+            return rep, lambda norm, phi, rq: IterationRow(k, norm, phi, rq, 1.0, 0.0)
 
         summary = outer_loop(inst, x, x / np.sqrt(2.0), trace, step, math.log, 5, 1e-10, 1e-8, 30)
         assert summary.stop_reason is StopReason.COLLAPSED_TO_ZERO and summary.steps == 1
@@ -154,8 +154,8 @@ class TestCheckMonotonicity:
         trace = Trace(
             2.0,
             [
-                IterationRow(0, 1.0, 1.0, 1.0, math.nan, 0, math.nan),
-                IterationRow(1, 0.5, 0.5, 2.0, 2.0, 3, 1e-12),
+                IterationRow(0, 1.0, 1.0, 1.0, math.nan, math.nan),
+                IterationRow(1, 0.5, 0.5, 2.0, 2.0, 1e-12),
             ],
         )
         violations = check_monotonicity(trace)
@@ -167,13 +167,13 @@ class TestCheckMonotonicity:
         # MONOTONE_SLACK = 1e-8 lies between the two rises; a slack of 1e-2
         # would pass both
         rows = [
-            IterationRow(0, 1.0, 1.0, 3.0, math.nan, 0, math.nan),
-            IterationRow(1, 0.5, 0.5, 3.0 * (1.0 + rise), 2.0, 3, 1e-12),
+            IterationRow(0, 1.0, 1.0, 3.0, math.nan, math.nan),
+            IterationRow(1, 0.5, 0.5, 3.0 * (1.0 + rise), 2.0, 1e-12),
         ]
         assert [v.quantity for v in check_monotonicity(Trace(2.0, rows))] == (["rq"] if flagged else [])
 
     def test_single_row_trace(self):
-        trace = Trace(2.0, [IterationRow(0, 1.0, 1.0, 1.0, math.nan, 0, math.nan)])
+        trace = Trace(2.0, [IterationRow(0, 1.0, 1.0, 1.0, math.nan, math.nan)])
         assert check_monotonicity(trace) == []
 
     def test_synthetic_ratio_violation(self):
@@ -181,17 +181,17 @@ class TestCheckMonotonicity:
         trace = Trace(
             2.0,
             [
-                IterationRow(0, 1.0, 1.0, 1.0, math.nan, 0, math.nan),
-                IterationRow(1, 0.5, 0.2, 0.8, 2.0, 3, 1e-12),
-                IterationRow(2, 0.2, 0.03, 0.6, 2.5, 3, 1e-12),
+                IterationRow(0, 1.0, 1.0, 1.0, math.nan, math.nan),
+                IterationRow(1, 0.5, 0.2, 0.8, 2.0, 1e-12),
+                IterationRow(2, 0.2, 0.03, 0.6, 2.5, 1e-12),
             ],
         )
         assert check_monotonicity(trace) == [Violation(2, "ratio", 0.25)]
 
     def test_scaled_norm_check_needs_mu(self):
         rows = [
-            IterationRow(0, 1.0, 1.0, 1.0, math.nan, 0, math.nan),
-            IterationRow(1, 0.9, 0.5, 0.9, 1.11, 3, 1e-12),
+            IterationRow(0, 1.0, 1.0, 1.0, math.nan, math.nan),
+            IterationRow(1, 0.9, 0.5, 0.9, 1.11, 1e-12),
         ]
         trace = Trace(2.0, rows)
         assert check_monotonicity(trace) == []  # ratio/rq fine
@@ -293,10 +293,10 @@ class TestRowMeasure:
         states = [10.0 ** rng.uniform(-200, 200) * rng.standard_normal(9) for _ in range(4)]
         trace = Trace(inst.p)
         x_hat, norm, phi, rq = measure_state(inst, states[0])
-        trace.rows.append(IterationRow(0, norm, phi, rq, math.nan, 0, math.nan))
+        trace.rows.append(IterationRow(0, norm, phi, rq, math.nan, math.nan))
 
         def step(k, x):
-            return SolveReport(states[k], 0.0, 0, True), lambda norm, phi, rq: IterationRow(k, norm, phi, rq, 1.0, 0, 0.0)
+            return SolveReport(states[k], 0.0, 0, True), lambda norm, phi, rq: IterationRow(k, norm, phi, rq, 1.0, 0.0)
 
         summary = outer_loop(inst, states[0], x_hat, trace, step, lambda mu: 0.5, 3, None, None, 30)
         assert summary.steps == 3 and [r.norm for r in trace.rows] == [inst.space.norm(x) for x in states]
@@ -355,10 +355,10 @@ class TestGuards:
         # non-finite limit vector
         inst = MatrixQuadratic(np.diag([1.0, 4.0]))
         x = np.array([1.0, 0.0])
-        trace = Trace(inst.p, [IterationRow(0, 1.0, inst.value(x), inst.rayleigh(x), math.nan, 0, math.nan)])
+        trace = Trace(inst.p, [IterationRow(0, 1.0, inst.value(x), inst.rayleigh(x), math.nan, math.nan)])
 
         def step(k, x):  # stays on the ground ray
-            return SolveReport(x, 0.0, 0, True), lambda norm, phi, rq: IterationRow(k, norm, phi, rq, 1.0, 0, 0.0)
+            return SolveReport(x, 0.0, 0, True), lambda norm, phi, rq: IterationRow(k, norm, phi, rq, 1.0, 0.0)
 
         with pytest.warns(RuntimeWarning, match="invalid value"):  # inf * 0
             with pytest.raises(DegenerateInputError, match="rescaled limit vector has non-finite entries"):
@@ -439,6 +439,14 @@ class TestGuards:
         # the warm start divides by mu = lambda^(1/(p-1)), past the double range
         with pytest.raises(DegenerateInputError, match=f"overflows at lambda = .*, p = {p}$"):
             iterate(PDirichlet1D(p, n, L=L), np.ones(n))
+
+    def test_non_finite_minimizer_is_refused(self):
+        # lambda is about 1e-99, so each step grows the state about 1e99-fold:
+        # step 3's norm overflows, then step 4's warm start u/mu, whose
+        # minimizer is nan; the failure keeps the rows of steps 0 to 3
+        with np.errstate(all="ignore"), pytest.raises(SchemeFailure, match="at outer step 4 is not finite$") as failure:
+            iterate(PDirichlet1D(2.0, 5, L=1e50), np.ones(5))
+        assert [row.k for row in failure.value.trace.rows] == [0, 1, 2, 3]
 
     @pytest.mark.parametrize(
         "inst, u0, lam",
