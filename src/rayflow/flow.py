@@ -99,7 +99,7 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
     v = space.check_dim(v0)
     v_hat, norm, phi, rq = measure_start(inst, v)
     trace = Trace(inst.p, [FlowRow(0, 0.0, phi, norm, rq, math.nan, local_slope(inst, v), math.nan)])
-    p, q = inst.exponent.p, inst.exponent.q
+    p, q = inst.p, inst.q
     carry: dict = {}  # the sup radius of the last step
     past: list[np.ndarray] = []  # v_{n-1} and v_{n-2} for the predictor, never the start
 
@@ -107,7 +107,7 @@ def run_flow(inst: ProblemInstance, v0, tau: float, t_end: float, opts: FlowOpti
         rq, norm = trace.rows[-1].rq, trace.rows[-1].norm
         if space.kind is SpaceKind.SUP or not (0.0 < rq < math.inf):
             return None
-        s = 1.0 + tau * mu_from_lambda(rq, inst.exponent)
+        s = 1.0 + tau * mu_from_lambda(rq, p)
         if not past:
             return v / s
         if len(past) == 1:

@@ -292,7 +292,7 @@ def minimize_phi_minus_linear(inst: ProblemInstance, xi, grad_tol: float = 1e-9,
     if s == 0.0:
         zero = np.zeros(space.dim)
         return SolveReport(zero, space.dual_norm(inst.gradient(zero)), 0, True)
-    q = inst.exponent.q
+    q = inst.q
     xt = xi / s
     scale = np.float64(s) ** (q - 1.0)
     v0 = np.zeros(space.dim) if init is None else space.check_dim(init) / scale
@@ -333,7 +333,7 @@ def _smooth_movement(inst, g, c, tol, v0):
     report's slope is read from the gradient at descend's last accepted
     point.
     """
-    space, p = inst.space, inst.exponent.p
+    space, p = inst.space, inst.p
     trace = space.kind is SpaceKind.TRACE_BOUNDARY
     w = m = space.pairing_weights()
     if trace:
@@ -399,7 +399,7 @@ def _sup_movement(inst, g, tau, c, tol, ref, carry: dict):
     residual is at most 0.75 of the tolerance; ``iters`` counts every box
     solve, bracketing included.
     """
-    p, q = inst.exponent.p, inst.exponent.q
+    p, q = inst.p, inst.q
     evals = 0
     best = []  # residual, rho, v and dPhi(v) of the lowest-residual box point
 
@@ -471,7 +471,7 @@ def minimize_movement(
     ``carry`` dict, which holds only the sup radius of the last step, and
     the next sup step grows its radius bracket from there.
     """
-    p = inst.exponent.p
+    p = inst.p
     check_step(tau, None, p)
     space = inst.space
     g = space.check_dim(g)

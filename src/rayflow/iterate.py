@@ -159,8 +159,9 @@ def measure_state(inst, x):
     x_hat = unit_representative(inst.space, rep, norm) if norm > 0.0 else None
     e = k * inst.p
     whole = math.floor(e)
-    phi = float(np.ldexp(phi * 2.0 ** (e - whole), whole))  # a whole power of 2 is exact
-    return x_hat, float(np.ldexp(norm, k)), phi, rq
+    with np.errstate(over="ignore"):  # a phi or norm past the double range is inf
+        phi = float(np.ldexp(phi * 2.0 ** (e - whole), whole))  # a whole power of 2 is exact
+        return x_hat, float(np.ldexp(norm, k)), phi, rq
 
 
 def measure_start(inst, x, scale_free=False):
@@ -230,7 +231,7 @@ def outer_loop(inst, x, x_hat, trace, step, log_rate, max_steps, rtol, dtol, rq_
                 stop = StopReason.RQ_STABLE
                 break
 
-    steps, mu_hat = len(trace) - 1, mu_from_lambda(rq, inst.exponent)
+    steps, mu_hat = len(trace) - 1, mu_from_lambda(rq, inst.p)
     if stop is StopReason.COLLAPSED_TO_ZERO:
         return RunSummary(rq, mu_hat, np.zeros(space.dim), steps, False, stop)
     limit = math.exp(steps * log_rate(mu_hat) + math.log(trace.rows[-1].norm)) * x_hat
@@ -257,7 +258,7 @@ def iterate(inst: ProblemInstance, u0, opts: IterOptions | None = None):
     trace = Trace(inst.p, [IterationRow(0, norm, phi, rq, math.nan, math.nan)])
 
     def step(k, u):
-        warm = u / mu_from_lambda(trace.rows[-1].rq, inst.exponent)
+        warm = u / mu_from_lambda(trace.rows[-1].rq, inst.p)
         rep = minimize_phi_minus_linear(inst, space.duality_map(u), opts.grad_tol, init=warm)
 
         def row(norm_new, phi_new, rq_new):

@@ -39,7 +39,6 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, NumericsError
 from .spaces import (
-    Exponent,
     SpaceDescriptor,
     SpaceKind,
     pow2_scale,
@@ -195,13 +194,9 @@ class ProblemInstance:
     #: (u_j = 0) included: the Picone bound of ``lambda_lower`` holds for it
     pairwise = False
 
-    def __init__(self, exponent: Exponent, space: SpaceDescriptor):
-        self.exponent = exponent
+    def __init__(self, space: SpaceDescriptor):
         self.space = space
-
-    @property
-    def p(self) -> float:
-        return self.exponent.p
+        self.p, self.q = space.p, space.q
 
     def value(self, u) -> float:
         raise NotImplementedError
@@ -302,9 +297,7 @@ class MatrixQuadratic(ProblemInstance):
         except np.linalg.LinAlgError:
             raise ConfigError("matrix: must be positive definite") from None
         self.matrix = a
-        exp = Exponent(2.0)
-        space = SpaceDescriptor(SpaceKind.WEIGHTED_LP, a.shape[0], exp, weight=1.0)
-        super().__init__(exp, space)
+        super().__init__(SpaceDescriptor(SpaceKind.WEIGHTED_LP, a.shape[0], 2.0, weight=1.0))
 
     def value(self, u) -> float:
         u = self.space.check_dim(u)
@@ -318,7 +311,7 @@ class MatrixQuadratic(ProblemInstance):
 
 
 def _grid(p, n, L):
-    """(Exponent(p), n, L) of a grid kind, n an int and L a float; p <= 1, a
+    """(p, n, L) of a grid kind, n an int and p and L floats; p <= 1, a
     non-integer or nonpositive n, or a nonpositive or non-finite L (or p)
     raises the ConfigError naming its key."""
     if not (1.0 < p < math.inf):
@@ -327,7 +320,7 @@ def _grid(p, n, L):
         raise ConfigError(f"n: must be a positive integer, got {n}")
     if not (0.0 < L < math.inf):
         raise ConfigError(f"L: must be a positive finite number, got {L}")
-    return Exponent(p), int(n), float(L)
+    return float(p), int(n), float(L)
 
 
 class _Chain1D(ProblemInstance):
@@ -348,13 +341,13 @@ class _Chain1D(ProblemInstance):
     mass = 0.0
 
     def __init__(self, p, n, L, space_kind, **space_args):
-        exp, n, L = _grid(p, n, L)
+        p, n, L = _grid(p, n, L)
         self.n, self.L = n, L
         if not self.zero_padded and n < 2:
             raise ConfigError(f"n: kind {self.kind!r} needs n >= 2, got {n}")
         self.h = L / (n + 1) if self.zero_padded else L / (n - 1)
         # the sup space reads no cell weight: its pairing weights are 1
-        super().__init__(exp, SpaceDescriptor(space_kind, self.n, exp, weight=self.h, **space_args))
+        super().__init__(SpaceDescriptor(space_kind, n, p, weight=self.h, **space_args))
 
     def _diffs(self, u) -> np.ndarray:
         if self.zero_padded:
@@ -406,7 +399,7 @@ class _Chain1D(ProblemInstance):
         representative with u_1 = 0 is returned.  Returns (u, root
         iterations), or None if a value is not finite.
         """
-        p, q, h = self.p, self.exponent.q, self.h
+        p, q, h = self.p, self.q, self.h
         w = self.space.pairing_weights()
         xi = self.space.check_dim(xi)
         if self.space.kind is SpaceKind.QUOTIENT_LP:
@@ -539,9 +532,9 @@ class PDirichlet2D(ProblemInstance):
     kind = "pdirichlet2d"
 
     def __init__(self, p, n, L=1.0):
-        exp, n, L = _grid(p, n, L)
+        p, n, L = _grid(p, n, L)
         self.n, self.L, self.h = n, L, L / (n + 1)
-        super().__init__(exp, SpaceDescriptor(SpaceKind.WEIGHTED_LP, n * n, exp, weight=self.h * self.h))
+        super().__init__(SpaceDescriptor(SpaceKind.WEIGHTED_LP, n * n, p, weight=self.h * self.h))
 
     def _padded(self, u) -> np.ndarray:
         g = np.zeros((self.n + 2, self.n + 2))
@@ -602,9 +595,9 @@ class FractionalSeminorm1D(ProblemInstance):
     def __init__(self, p, n, L=1.0, s=0.5):
         if not (0.0 < s < 1.0):
             raise ConfigError("s: fractional order must lie in (0, 1)")
-        exp, n, L = _grid(p, n, L)
+        p, n, L = _grid(p, n, L)
         self.n, self.L, self.s, self.h = n, L, float(s), L / (n + 1)
-        super().__init__(exp, SpaceDescriptor(SpaceKind.WEIGHTED_LP, n, exp, weight=self.h))
+        super().__init__(SpaceDescriptor(SpaceKind.WEIGHTED_LP, n, p, weight=self.h))
         x = np.arange(1 - n, 2 * n + 1) * self.h  # collar | interior | collar
         interior = np.arange(n - 1, 2 * n - 1)
         d = np.abs(x[interior, None] - x[None, :])

@@ -32,7 +32,6 @@ import numpy as np
 from .errors import DegenerateInputError, SpaceMismatchError
 
 __all__ = [
-    "Exponent",
     "SpaceKind",
     "SpaceDescriptor",
     "signed_power",
@@ -85,21 +84,6 @@ def smoothed_curvature(t, p):
         return (p - 1.0) * a ** (p - 2.0)
 
 
-@dataclass(frozen=True)
-class Exponent:
-    """Homogeneity degree p > 1 together with the dual exponent q = p/(p-1)."""
-
-    p: float
-    q: float = field(init=False)
-
-    def __post_init__(self):
-        p = float(self.p)
-        if not (p > 1.0 and math.isfinite(p)):
-            raise DegenerateInputError(f"homogeneity degree must satisfy p > 1, got p={self.p}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", p / (p - 1.0))
-
-
 class SpaceKind(Enum):
     WEIGHTED_LP = "weighted_lp"
     QUOTIENT_LP = "quotient_lp"
@@ -109,7 +93,8 @@ class SpaceKind(Enum):
 
 @dataclass(frozen=True)
 class SpaceDescriptor:
-    """A concrete normed space: kind, dimension, cell weight and exponent.
+    """A concrete normed space: kind, dimension, homogeneity degree p > 1
+    with its dual exponent q = p/(p-1), and cell weight.
 
     ``weight`` is the uniform cell measure h used by the Lp-type norms and
     pairings.  ``boundary`` lists the indices carrying the trace norm and is
@@ -119,13 +104,16 @@ class SpaceDescriptor:
 
     kind: SpaceKind
     dim: int
-    exponent: Exponent
+    p: float
     weight: float = 1.0
     boundary: tuple[int, ...] = ()
+    q: float = field(init=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise DegenerateInputError(f"space dim must be >= 1, got {self.dim}")
+        if not (self.p > 1.0 and math.isfinite(self.p)):
+            raise DegenerateInputError(f"homogeneity degree must satisfy p > 1, got p={self.p}")
         if not (self.weight > 0.0):
             raise DegenerateInputError(f"space weight must be > 0, got {self.weight}")
         if self.kind is SpaceKind.TRACE_BOUNDARY:
@@ -138,6 +126,7 @@ class SpaceDescriptor:
         if self.kind is SpaceKind.TRACE_BOUNDARY:
             w[b] = 1.0
         w.flags.writeable = b.flags.writeable = False
+        object.__setattr__(self, "q", self.p / (self.p - 1.0))
         object.__setattr__(self, "_weights", w)
         object.__setattr__(self, "_boundary_index", b)
 
@@ -158,7 +147,7 @@ class SpaceDescriptor:
         """(t, ||u||) with t the representative of u the norm is taken on:
         u + optimal_shift(u) on quotient spaces (one shift solve), else u."""
         u = self.check_dim(u)
-        p = self.exponent.p
+        p = self.p
         if self.kind is SpaceKind.SUP:
             return u, float(np.abs(u).max())
         if self.kind is SpaceKind.TRACE_BOUNDARY:
@@ -177,7 +166,7 @@ class SpaceDescriptor:
         volume q-norm so that solver residuals remain controlled.
         """
         xi = self.check_dim(xi)
-        q = self.exponent.q
+        q = self.q
         if self.kind is SpaceKind.SUP:
             return float(np.abs(xi).sum())
         w = self.pairing_weights()
@@ -195,7 +184,7 @@ class SpaceDescriptor:
         Raises DegenerateInputError where |u|^(p-1) leaves the double range.
         """
         u = self.check_dim(u)
-        p = self.exponent.p
+        p = self.p
         if self.kind in (SpaceKind.SUP, SpaceKind.TRACE_BOUNDARY):
             # supported on the first peak of |u| (sup) or on the boundary (trace)
             b = [int(np.abs(u).argmax())] if self.kind is SpaceKind.SUP else self._boundary_index
@@ -228,14 +217,14 @@ def _zero_mean_dual(t, p, w) -> np.ndarray:
     return xi - sens * ((w * xi).sum() / total) if total > 0.0 else xi
 
 
-def mu_from_lambda(lam: float, exp: Exponent) -> float:
+def mu_from_lambda(lam: float, p: float) -> float:
     """mu = lambda^(1/(p-1)), the per-step contraction rate of the schemes."""
     if not (lam > 0.0):
         raise DegenerateInputError(f"lambda must be > 0, got {lam}")
     try:
-        return float(lam) ** (1.0 / (exp.p - 1.0))
+        return float(lam) ** (1.0 / (p - 1.0))
     except OverflowError:  # near p = 1 on a small domain
-        raise DegenerateInputError(f"mu = lambda^(1/(p-1)) overflows at lambda = {lam}, p = {exp.p}") from None
+        raise DegenerateInputError(f"mu = lambda^(1/(p-1)) overflows at lambda = {lam}, p = {p}") from None
 
 
 def optimal_shift(u, space: SpaceDescriptor) -> float:
@@ -256,7 +245,7 @@ def optimal_shift(u, space: SpaceDescriptor) -> float:
         raise SpaceMismatchError("optimal_shift applies to quotient-Lp spaces only")
     u = space.check_dim(u)
     w = space.pairing_weights()
-    p = space.exponent.p
+    p = space.p
     lo, hi = float(-u.max()), float(-u.min())
     if lo == hi:
         return lo  # constant vector: shift cancels it exactly

@@ -452,6 +452,14 @@ class TestOutputs:
         assert oracle["certificate"] == 0.52
         assert oracle["lambda_star"] == 1.5
 
+    @pytest.mark.parametrize("factor, code", [(2.0, 1), (1.0, 0)])
+    def test_oracle_exit_code_is_gated_at_tol(self, tmp_path, monkeypatch, factor, code):
+        # a certificate of 2 tol fails the gate; one of exactly tol passes
+        cfg = write(tmp_path, MATRIX_COMPARE + "\n[oracle]\ntol = 1e-8\n")
+        result = OracleResult(1.5, np.array([1.0, 0.0]), OracleMethod.JACOBI_EIG, factor * 1e-8)
+        monkeypatch.setattr(rayflow.cli, "oracle_lambda", lambda inst, restarts, tol, seed: result)
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == code
+
     @pytest.mark.parametrize("u0", ["ramp", "random"])
     def test_start_policy_and_run_seed(self, tmp_path, u0):
         # the first trace row is the start; a random start draws from [run] seed

@@ -26,7 +26,7 @@ from rayflow.problems import (
     Steklov1D,
     SupDirichlet1D,
 )
-from rayflow.spaces import Exponent, SpaceDescriptor, SpaceKind, signed_power
+from rayflow.spaces import SpaceDescriptor, SpaceKind, signed_power
 
 
 class ScalarPower(ProblemInstance):
@@ -35,8 +35,7 @@ class ScalarPower(ProblemInstance):
     kind = "scalar_power"
 
     def __init__(self, p):
-        exp = Exponent(p)
-        super().__init__(exp, SpaceDescriptor(SpaceKind.WEIGHTED_LP, 1, exp, weight=1.0))
+        super().__init__(SpaceDescriptor(SpaceKind.WEIGHTED_LP, 1, p, weight=1.0))
 
     def value(self, u):
         u = self.space.check_dim(u)
@@ -134,7 +133,7 @@ class TestPhiMinusLinear:
     def test_scalar_power(self, p, c):
         inst = ScalarPower(p)
         rep = minimize_phi_minus_linear(inst, np.array([c]), 1e-12)
-        q = inst.exponent.q
+        q = inst.q
         expect = np.sign(c) * abs(c) ** (q - 1.0)
         assert rep.converged
         assert rep.minimizer[0] == pytest.approx(expect, rel=1e-9)

@@ -172,6 +172,26 @@ class TestCheckMonotonicity:
         ]
         assert [v.quantity for v in check_monotonicity(Trace(2.0, rows))] == (["rq"] if flagged else [])
 
+    @pytest.mark.parametrize("rise, flagged", [(1e-7, True), (1e-9, False)])
+    def test_ratio_rise_is_flagged_at_the_stated_slack(self, rise, flagged):
+        # MONOTONE_SLACK = 1e-8 lies between the two rises, with the quotient falling
+        rows = [
+            IterationRow(0, 1.0, 1.0, 3.0, math.nan, math.nan),
+            IterationRow(1, 0.5, 0.3, 2.5, 2.0, 1e-12),
+            IterationRow(2, 0.25, 0.05, 2.0, 2.0 * (1.0 + rise), 1e-12),
+        ]
+        assert [v.quantity for v in check_monotonicity(Trace(2.0, rows))] == (["ratio"] if flagged else [])
+
+    @pytest.mark.parametrize("excess, flagged", [(1e-5, True), (1e-7, False)])
+    def test_scaled_norm_excess_is_flagged_at_its_tolerance(self, excess, flagged):
+        # norm_1 = (norm_0 / mu_hat)(1 + excess) against the 1e-6 tolerance
+        rows = [
+            IterationRow(0, 1.0, 1.0, 3.0, math.nan, math.nan),
+            IterationRow(1, 0.5 * (1.0 + excess), 0.3, 2.5, 2.0, 1e-12),
+        ]
+        bad = check_monotonicity(Trace(2.0, rows), mu_hat=2.0)
+        assert [v.quantity for v in bad] == (["scaled_norm"] if flagged else [])
+
     def test_single_row_trace(self):
         trace = Trace(2.0, [IterationRow(0, 1.0, 1.0, 1.0, math.nan, math.nan)])
         assert check_monotonicity(trace) == []
@@ -458,8 +478,7 @@ class TestGuards:
     )
     def test_huge_start_converges(self, inst, u0, lam):
         # Phi of the start overflows, yet the scheme converges
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            _, summary = iterate(inst, u0)
+        _, summary = iterate(inst, u0)
         assert summary.converged
         assert summary.lambda_hat == pytest.approx(lam, rel=1e-12)
 

@@ -474,6 +474,19 @@ class TestBracketStop:
         assert res.minimizer.tobytes() == ref.minimizer.tobytes()
         assert res.lambda_lower == ref.lambda_lower
 
+    @pytest.mark.parametrize("factor, kept", [(2.0, False), (0.5, True)])
+    def test_polish_is_kept_only_within_tol(self, monkeypatch, factor, kept):
+        # the polish's certificate, set to 2 tol or tol/2, decides the stop
+        def polish(inst, u, tol, max_iters, _f=rayflow.oracles._spg):
+            u, lam, _ = _f(inst, u, tol, max_iters)
+            return u, lam, factor * tol
+
+        monkeypatch.setattr(rayflow.oracles, "_spg", polish)
+        res = rayflow.oracles._bracketed(PDirichlet1D(3.0, 15), np.ones(15), 1e-8)
+        assert (res is not None) == kept
+        if kept:
+            assert res.certificate == 0.5e-8
+
 
 class TestMinimizerSign:
     """The sphere oracle returns its minimizer with a positive largest-magnitude entry."""

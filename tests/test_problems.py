@@ -48,6 +48,10 @@ class TestValues:
         # h = 1/2, two cells of slope +-2
         assert inst.value([1.0]) == pytest.approx(2.0, rel=1e-15)
 
+    def test_degree_is_the_space_degree(self):
+        for inst in sample_instances():
+            assert (inst.p, inst.q) == (inst.space.p, inst.space.q) == (inst.p, inst.p / (inst.p - 1.0))
+
     def test_zero_vector_gives_zero(self):
         for inst in sample_instances():
             assert inst.value(np.zeros(inst.space.dim)) == 0.0

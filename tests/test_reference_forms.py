@@ -31,7 +31,6 @@ from rayflow.problems import (
     _power_sum,
 )
 from rayflow.spaces import (
-    Exponent,
     SpaceDescriptor,
     SpaceKind,
     _scaled_pnorm,
@@ -51,7 +50,7 @@ def ref_scaled_pnorm(v, w, p):
 
 
 def ref_representative_norm(space, u):
-    p = space.exponent.p
+    p = space.p
     if space.kind is SpaceKind.SUP:
         return u, float(np.max(np.abs(u)))
     if space.kind is SpaceKind.TRACE_BOUNDARY:
@@ -67,7 +66,7 @@ def ref_dual_norm(space, xi):
     w = space.pairing_weights()
     if space.kind is SpaceKind.QUOTIENT_LP:
         xi = xi - np.sum(w * xi) / np.sum(w)
-    return ref_scaled_pnorm(xi, w, space.exponent.q)
+    return ref_scaled_pnorm(xi, w, space.q)
 
 
 def ref_power_sum(t, p, weight=1.0):
@@ -157,12 +156,11 @@ def vectors(draw, min_size=2, max_size=12):
 
 
 def spaces(n, p):
-    exp = Exponent(p)
     return [
-        SpaceDescriptor(SpaceKind.WEIGHTED_LP, n, exp, weight=0.3),
-        SpaceDescriptor(SpaceKind.QUOTIENT_LP, n, exp, weight=0.3),
-        SpaceDescriptor(SpaceKind.SUP, n, exp),
-        SpaceDescriptor(SpaceKind.TRACE_BOUNDARY, n, exp, weight=0.3, boundary=(0, n - 1)),
+        SpaceDescriptor(SpaceKind.WEIGHTED_LP, n, p, weight=0.3),
+        SpaceDescriptor(SpaceKind.QUOTIENT_LP, n, p, weight=0.3),
+        SpaceDescriptor(SpaceKind.SUP, n, p),
+        SpaceDescriptor(SpaceKind.TRACE_BOUNDARY, n, p, weight=0.3, boundary=(0, n - 1)),
     ]
 
 

@@ -6,7 +6,6 @@ import pytest
 import rayflow.spaces
 from rayflow.errors import DegenerateInputError, SpaceMismatchError
 from rayflow.spaces import (
-    Exponent,
     SpaceDescriptor,
     SpaceKind,
     _zero_mean_dual,
@@ -18,36 +17,36 @@ from rayflow.spaces import (
 
 
 def wlp(dim, p, h=1.0):
-    return SpaceDescriptor(SpaceKind.WEIGHTED_LP, dim, Exponent(p), weight=h)
+    return SpaceDescriptor(SpaceKind.WEIGHTED_LP, dim, p, weight=h)
 
 
 def quot(dim, p, h=1.0):
-    return SpaceDescriptor(SpaceKind.QUOTIENT_LP, dim, Exponent(p), weight=h)
+    return SpaceDescriptor(SpaceKind.QUOTIENT_LP, dim, p, weight=h)
 
 
 def sup(dim, p):
-    return SpaceDescriptor(SpaceKind.SUP, dim, Exponent(p))
+    return SpaceDescriptor(SpaceKind.SUP, dim, p)
 
 
 def trace(dim, p, h=1.0):
-    return SpaceDescriptor(SpaceKind.TRACE_BOUNDARY, dim, Exponent(p), weight=h, boundary=(0, dim - 1))
+    return SpaceDescriptor(SpaceKind.TRACE_BOUNDARY, dim, p, weight=h, boundary=(0, dim - 1))
 
 
 ALL_SPACES = [wlp(9, 1.5, 0.25), wlp(9, 3.0, 0.25), quot(9, 1.5, 0.3), quot(9, 4.0, 0.3),
               sup(9, 2.0), sup(9, 3.0), trace(9, 1.5, 0.2), trace(9, 2.0, 0.2)]
 
 
-class TestExponent:
+class TestSpaceDegree:
     def test_dual_relation(self):
         for p in (1.5, 2.0, 3.0, 4.0, 7.3):
-            e = Exponent(p)
-            assert e.q == pytest.approx(p / (p - 1.0), rel=1e-15)
-            assert 1.0 / e.p + 1.0 / e.q == pytest.approx(1.0, abs=1e-15)
+            s = wlp(3, p)
+            assert s.q == p / (p - 1.0)
+            assert 1.0 / s.p + 1.0 / s.q == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_bad_p(self):
         for p in (1.0, 0.5, 0.0, -2.0, math.inf, math.nan):
-            with pytest.raises(DegenerateInputError):
-                Exponent(p)
+            with pytest.raises(DegenerateInputError, match="homogeneity degree must satisfy p > 1"):
+                SpaceDescriptor(SpaceKind.WEIGHTED_LP, 3, p)
 
 
 class TestNorm:
@@ -135,7 +134,7 @@ class TestPairing:
 
     @pytest.mark.parametrize("kind", list(SpaceKind))
     def test_weights_built_once_and_read_only(self, kind):
-        s = SpaceDescriptor(kind, 4, Exponent(3.0), weight=0.25, boundary=(0, 3))
+        s = SpaceDescriptor(kind, 4, 3.0, weight=0.25, boundary=(0, 3))
         w = s.pairing_weights()
         assert s.pairing_weights() is w
         want = {SpaceKind.SUP: [1.0] * 4, SpaceKind.TRACE_BOUNDARY: [1.0, 0.25, 0.25, 1.0]}.get(kind, [0.25] * 4)
@@ -202,7 +201,7 @@ class TestDualityMap:
         rng = np.random.default_rng(7)
         spaces = ALL_SPACES + [quot(9, p, 0.3) for p in (1.05, 1.1, 1.2, 20.0)]
         for s in spaces:
-            p, q = s.exponent.p, s.exponent.q
+            p, q = s.p, s.q
             w = s.pairing_weights()
             scales = np.concatenate([10.0 ** rng.uniform(-3.0, 3.0, 200), np.full(20, 1e-70)])
             for scale in scales:
@@ -217,23 +216,23 @@ class TestDualityMap:
 
 class TestMuFromLambda:
     def test_values(self):
-        assert mu_from_lambda(9.0, Exponent(2.0)) == pytest.approx(9.0)
-        assert mu_from_lambda(8.0, Exponent(3.0)) == pytest.approx(math.sqrt(8.0), rel=1e-15)
+        assert mu_from_lambda(9.0, 2.0) == pytest.approx(9.0)
+        assert mu_from_lambda(8.0, 3.0) == pytest.approx(math.sqrt(8.0), rel=1e-15)
         for p in (1.5, 2.0, 5.0):
-            assert mu_from_lambda(1.0, Exponent(p)) == 1.0
+            assert mu_from_lambda(1.0, p) == 1.0
 
     def test_domain_error(self):
         for lam in (0.0, -1.0, math.nan):
             with pytest.raises(DegenerateInputError):
-                mu_from_lambda(lam, Exponent(2.0))
+                mu_from_lambda(lam, 2.0)
 
     def test_overflow_names_lambda_and_p(self):
         # near p = 1 on a small domain lambda^(1/(p-1)) leaves the double range
         with pytest.raises(DegenerateInputError, match=r"lambda = 2\.8e\+33, p = 1\.1"):
-            mu_from_lambda(2.8e33, Exponent(1.1))
+            mu_from_lambda(2.8e33, 1.1)
         # finite results are the plain power, bit for bit
         for lam, p in ((2.8e30, 1.1), (1e300, 2.0), (37.5, 3.0), (1e-300, 1.05)):
-            assert mu_from_lambda(lam, Exponent(p)) == lam ** (1.0 / (p - 1.0))
+            assert mu_from_lambda(lam, p) == lam ** (1.0 / (p - 1.0))
 
 
 class TestPow2Scale:
