@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import sys
 
 import numpy as np
 
@@ -310,14 +311,21 @@ class MatrixQuadratic(ProblemInstance):
         return DenseHessian(self.matrix)
 
 
+#: the largest grid numpy can index: the biggest grid array, the fractional
+#: kernel's n x 3n doubles, then holds at most sys.maxsize bytes
+MAX_N = math.isqrt(sys.maxsize // 24)
+
+
 def _grid(p, n, L):
     """(p, n, L) of a grid kind, n an int and p and L floats; p <= 1, a
-    non-integer or nonpositive n, or a nonpositive or non-finite L (or p)
-    raises the ConfigError naming its key."""
+    non-integer or nonpositive n or one above MAX_N, or a nonpositive or
+    non-finite L (or p) raises the ConfigError naming its key."""
     if not (1.0 < p < math.inf):
         raise ConfigError(f"p: must be finite and > 1, got {p}")
     if not (n >= 1 and float(n).is_integer()):
         raise ConfigError(f"n: must be a positive integer, got {n}")
+    if n > MAX_N:
+        raise ConfigError(f"n: must be at most {MAX_N}, the largest grid numpy can index, got {n}")
     if not (0.0 < L < math.inf):
         raise ConfigError(f"L: must be a positive finite number, got {L}")
     return float(p), int(n), float(L)
@@ -673,7 +681,9 @@ def assemble(config: dict) -> ProblemInstance:
     parameters.  A list goes as given to a parameter whose default is None
     (``matrix``, ``diag``), any other value must be a finite number, and an
     unset parameter keeps the constructor's default.  Unknown keys, a missing
-    required key and failed range checks raise ConfigError naming the key.
+    required key and failed range checks raise ConfigError naming the key,
+    and so does an instance too large for memory (``n``, or a matrix kind's
+    ``diag``, whose square it builds).
     """
     cfg = dict(config)
     kind = cfg.pop("kind", None)
@@ -693,7 +703,10 @@ def assemble(config: dict) -> ProblemInstance:
     for key, param in params.items():
         if key not in cfg and param.default is param.empty:
             raise ConfigError(f"{key}: missing, and kind {kind!r} needs it")
-    return _KINDS[kind](**cfg)
+    try:
+        return _KINDS[kind](**cfg)
+    except MemoryError as e:
+        raise ConfigError(f"{'n' if 'n' in params else 'diag'}: kind {kind!r} does not fit in memory: {e}") from None
 
 
 def start_vector(inst, policy, seed) -> np.ndarray:

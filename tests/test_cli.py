@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import math
+import os
+import resource
+import subprocess
 import sys
 from pathlib import Path
 
@@ -8,10 +12,11 @@ import pytest
 
 import rayflow.cli
 from rayflow.cli import CSV_HEADER, main
+from rayflow.config import load_config
 from rayflow.errors import ConfigError
 from rayflow.iterate import rough_mu
 from rayflow.oracles import OracleMethod, OracleResult
-from rayflow.problems import PDirichlet1D, assemble, start_vector
+from rayflow.problems import MAX_N, PDirichlet1D, assemble, start_vector
 
 MATRIX_COMPARE = """
 [instance]
@@ -59,6 +64,32 @@ MU_OVERFLOW = {
     "p1.1": "[instance]\nkind = pdirichlet1d\np = 1.1\nn = 7\nL = 1e-30\n",
     "p1.05": "[instance]\nkind = pdirichlet1d\np = 1.05\nn = 15\nL = 1e-20\n",
 }
+#: compare at CLI defaults: every space kind but sup, both sides of p = 2
+CLI_DEFAULT_CELLS = {
+    "fractional1d": "kind = fractional1d\np = 1.5\nn = 15\n",
+    "neumann1d": "kind = neumann1d\np = 3\nn = 11\n",
+    "matrix": "kind = matrix\ndiag = 3 1 2\n",
+    "steklov1d": "kind = steklov1d\np = 1.5\nn = 15\n",
+    "pdirichlet2d": "kind = pdirichlet2d\np = 3\nn = 7\n",
+    "pdirichlet1d": "kind = pdirichlet1d\np = 2\nn = 31\n",
+}
+#: instances past memory, each with the start of its error: past MAX_N the
+#: grid is refused outright, below it numpy refuses the first allocation
+#: under a 2 GiB address space
+PAST_MEMORY = [
+    ("kind = pdirichlet1d\np = 3\nn = 1e12\n", "n: must be at most "),
+    (f"kind = fractional1d\np = 3\nn = {MAX_N + 1}\n", "n: must be at most "),
+    ("kind = pdirichlet1d\np = 3\nn = 6e8\n", "n: kind 'pdirichlet1d' does not fit in memory: "),
+    ("kind = fractional1d\np = 3\nn = 100000\n", "n: kind 'fractional1d' does not fit in memory: "),
+    (f"kind = pdirichlet2d\np = 3\nn = {MAX_N}\n", "n: kind 'pdirichlet2d' does not fit in memory: "),
+    ("kind = matrix\ndiag =" + " 1" * 20000 + "\n", "diag: kind 'matrix' does not fit in memory: "),
+]
+#: a child's script: ``main`` runs iterate on each config it is given, and prints each exit code
+ITERATE_EACH = """import sys
+from rayflow.cli import main
+for cfg in sys.argv[1:]:
+    print(main(["iterate", "--config", cfg, "--out", cfg + ".out"]))
+"""
 
 #: every JSON file's keys, in the order they are written
 JSON_KEYS = {
@@ -120,6 +151,26 @@ class TestCompare:
             assert main(["compare", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == code
             assert json.loads((tmp_path / "compare.json").read_text())["pass"] is (code == 0)
 
+    @pytest.mark.parametrize("cell", list(CLI_DEFAULT_CELLS))
+    def test_compare_passes_at_cli_defaults(self, tmp_path, cell):
+        # both schemes agree with the oracle with no option set, and each
+        # limit_vec is the scheme's last state rescaled by s^K at its last
+        # step K: s = mu_hat for iterate, 1 + tau mu_hat for the flow
+        cfg = write(tmp_path, "[instance]\n" + CLI_DEFAULT_CELLS[cell])
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        assert json.loads((tmp_path / "compare.json").read_text())["pass"] is True
+        if cell == "matrix":
+            oracle = json.loads((tmp_path / "oracle_result.json").read_text())
+            assert oracle["lambda_star"] == 1.0 and oracle["method"] == "jacobi_eig"
+        space = assemble(load_config(cfg).instance).space
+        for scheme, count, log_rate in (
+            ("iterate", "iters", lambda s: math.log(s["mu_hat"])),
+            ("flow", "steps", lambda s: math.log1p(s["tau"] * s["mu_hat"])),
+        ):
+            summary = json.loads((tmp_path / f"{scheme}_summary.json").read_text())
+            norm = float((tmp_path / f"{scheme}_trace.csv").read_text().splitlines()[-1].split(",")[1])
+            scale = math.exp(summary[count] * log_rate(summary) + math.log(norm))
+            assert space.norm(np.array(summary["limit_vec"])) == pytest.approx(scale, rel=1e-12, abs=0.0), scheme
 
     def test_one_instance_per_run(self, tmp_path, monkeypatch):
         cfg = write(tmp_path, MATRIX_COMPARE)
@@ -245,6 +296,36 @@ class TestConfigErrors:
         code = main(["iterate", "--config", cfg, "--out", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {key}:")
+
+    @pytest.mark.parametrize(
+        "body",
+        ["kind = pdirichlet1d\np = 3\nn = 1e300\n", "kind = pdirichlet2d\np = 3\nn = 1e10\n"],
+        ids=["pdirichlet1d-1e300", "pdirichlet2d-1e10"],
+    )
+    def test_grid_past_the_index_range_exits_2_naming_n(self, tmp_path, capsys, body):
+        # numpy cannot index the grid: refused before any array is built
+        # (numpy itself would refuse these too, so they can run in-process)
+        cfg = write(tmp_path, "[instance]\n" + body)
+        assert main(["iterate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: n: must be at most {MAX_N}, ") and "Traceback" not in err
+
+    def test_instance_past_memory_exits_2_naming_its_key(self, tmp_path):
+        # in a child limited to 2 GiB of address space, so that no run here
+        # can touch gigabytes whatever the host's overcommit policy
+        cfgs = [write(tmp_path, "[instance]\n" + body, f"{i}.cfg") for i, (body, _) in enumerate(PAST_MEMORY)]
+        run = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", ITERATE_EACH, *cfgs],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(Path(rayflow.cli.__file__).parents[1])},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+        )
+        assert run.returncode == 0 and "Traceback" not in run.stderr, run.stderr
+        assert run.stdout.splitlines() == ["2"] * len(PAST_MEMORY)
+        for line, (_, start) in zip(run.stderr.splitlines(), PAST_MEMORY, strict=True):
+            assert line.startswith("error: " + start), line
 
     @pytest.mark.parametrize(
         "kind", ["pdirichlet1d", "pdirichlet2d", "fractional1d", "robin1d", "neumann1d", "supdirichlet1d", "steklov1d"]
@@ -433,7 +514,7 @@ class TestOutputs:
                 assert list(json.loads(files[name])) == JSON_KEYS[name], name
 
     def test_oracle_brackets_the_fractional_lambda(self, tmp_path):
-        # the check the CI runs through the installed console script
+        # the fractional kernel's Picone bracket through main, the console script's entry point
         cfg = write(tmp_path, "[instance]\nkind = fractional1d\np = 3\nn = 31\n")
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
         oracle = json.loads((tmp_path / "oracle_result.json").read_text())

@@ -13,6 +13,7 @@ from helpers import hilbert_closed_form
 from rayflow.errors import DegenerateInputError
 from rayflow.iterate import iterate
 from rayflow.oracles import (
+    DEFAULT_TOL,
     _round_robin,
     _spg,
     _unit,
@@ -332,10 +333,11 @@ class TestOracleLambda:
 
     def test_sup_closed_form_past_the_sphere_cap(self):
         # the tents run no sphere search, so the direct route's dim <= 256 cap
-        # does not hold them back; at odd n the centred tent gives 2^p exactly
+        # does not hold them back; at odd n the centred tent gives 2^p exactly,
+        # certified within the CLI's exit-0 gate
         res = oracle_lambda(SupDirichlet1D(3.0, 301))
         assert res.method.value == "closed_form"
-        assert res.lambda_star == pytest.approx(8.0, rel=1e-14)
+        assert res.lambda_star == 8.0 and res.certificate <= DEFAULT_TOL
 
 
 BOUNDED_KINDS = [PDirichlet1D, Robin1D, FractionalSeminorm1D]
