@@ -15,7 +15,10 @@ first solve that would read it.
 
 Outputs are deterministic for a fixed config and seed: floats are written
 with 17 significant digits, field order is fixed, line endings are \\n.
-Exit codes: 0 all good, 1 numeric failure (trace retained), 2 config error.
+The seed (``--seed`` or ``[run] seed``) seeds only ``u0 = random``; the
+oracle's restarts draw from ``oracles.DEFAULT_SEED``, so ``oracle`` output is
+a function of the config alone.  Exit codes: 0 all good, 1 numeric failure
+(trace retained) or out of memory after assembly, 2 config error.
 """
 
 from __future__ import annotations
@@ -34,9 +37,8 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, DegenerateInputError, NumericsError
 from .flow import FlowOptions, check_step, run_flow
 from .iterate import IterOptions, SchemeFailure, Trace, iterate, rough_mu
-from .oracles import DEFAULT_RESTARTS, DEFAULT_SEED, DEFAULT_TOL, check_oracle_options, oracle_lambda
+from .oracles import DEFAULT_RESTARTS, DEFAULT_TOL, check_oracle_options, oracle_lambda
 from .problems import assemble, start_vector
-from .util import derive_seed
 
 __all__ = ["main"]
 
@@ -176,10 +178,9 @@ def _oracle_run(cfg: RunConfig, inst):
     restarts, tol = cfg.oracle.get("restarts", DEFAULT_RESTARTS), cfg.oracle.get("tol", DEFAULT_TOL)
     with _options_of("oracle"):
         check_oracle_options(restarts, tol)
-    seed = derive_seed(cfg.seed, "oracle") ^ DEFAULT_SEED
 
     def run(out: Path, say):
-        result = oracle_lambda(inst, restarts=restarts, tol=tol, seed=seed)
+        result = oracle_lambda(inst, restarts=restarts, tol=tol)
         _write_json(
             out / "oracle_result.json",
             {
@@ -280,6 +281,9 @@ def main(argv=None) -> int:
         return 2
     except (NumericsError, DegenerateInputError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"numeric failure: out of memory: {e}", file=sys.stderr)
         return 1
 
 

@@ -27,7 +27,7 @@ The CLI reads an INI-style file with one section per concern:
     lambda_rtol = 1e-3
 
     [run]
-    seed = 0
+    seed = 0        # seeds u0 = random only, never the oracle
 
 ``SECTIONS`` is the one table of what a file may set: section -> key ->
 reader.  A reader takes a number, an integer, a word, a number or ``none``

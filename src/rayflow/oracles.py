@@ -320,9 +320,7 @@ def direct_rayleigh_min(
     return OracleResult(lam, u, OracleMethod.PROJECTED_GRADIENT, cert, inst.lambda_lower(u))
 
 
-def oracle_lambda(
-    inst: ProblemInstance, restarts: int = DEFAULT_RESTARTS, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED
-) -> OracleResult:
+def oracle_lambda(inst: ProblemInstance, restarts: int = DEFAULT_RESTARTS, tol: float = DEFAULT_TOL) -> OracleResult:
     """Best available independent oracle for an instance.
 
     Matrix instances use the Jacobi eigensolver; everything else goes
@@ -334,4 +332,4 @@ def oracle_lambda(
         u = unit_representative(inst.space, v[:, 0], 1.0)  # a unit vector, sign-normalized
         lam = float(w[0])
         return OracleResult(lam, u, OracleMethod.JACOBI_EIG, eigen_residual(inst, u, lam))
-    return direct_rayleigh_min(inst, restarts, tol, seed)
+    return direct_rayleigh_min(inst, restarts, tol)

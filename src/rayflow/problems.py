@@ -46,7 +46,6 @@ from .spaces import (
     signed_power,
     smoothed_curvature,
 )
-from .util import rng_from
 
 __all__ = [
     "ProblemInstance",
@@ -718,6 +717,8 @@ def start_vector(inst, policy, seed) -> np.ndarray:
     spaces the all-ones vector lies on an invariant ray of the set-valued
     duality map: both schemes keep its direction and stop, converged, at a
     critical value far above the least quotient (the flow at 2 h^(1-p)).
+    ``random`` draws normals from the run seed mod 2**64 (a negative seed is
+    valid); it is the seed's one reader, the oracle never draws from it.
     """
     dim = inst.space.dim
     if policy in (None, "auto"):
@@ -730,5 +731,5 @@ def start_vector(inst, policy, seed) -> np.ndarray:
         t = (np.arange(dim) + 0.5) / dim
         return t * (1.0 - t)
     if policy == "random":
-        return rng_from(seed, "u0").standard_normal(dim)
+        return np.random.default_rng(seed % 2**64).standard_normal(dim)
     raise ConfigError(f"u0: unknown start policy {policy!r}")

@@ -15,8 +15,8 @@ from rayflow.cli import CSV_HEADER, main
 from rayflow.config import load_config
 from rayflow.errors import ConfigError
 from rayflow.iterate import rough_mu
-from rayflow.oracles import OracleMethod, OracleResult
-from rayflow.problems import MAX_N, PDirichlet1D, assemble, start_vector
+from rayflow.oracles import OracleMethod, OracleResult, direct_rayleigh_min
+from rayflow.problems import MAX_N, PDirichlet1D, Steklov1D, assemble, start_vector
 
 MATRIX_COMPARE = """
 [instance]
@@ -84,12 +84,32 @@ PAST_MEMORY = [
     (f"kind = pdirichlet2d\np = 3\nn = {MAX_N}\n", "n: kind 'pdirichlet2d' does not fit in memory: "),
     ("kind = matrix\ndiag =" + " 1" * 20000 + "\n", "diag: kind 'matrix' does not fit in memory: "),
 ]
-#: a child's script: ``main`` runs iterate on each config it is given, and prints each exit code
-ITERATE_EACH = """import sys
+#: runs that fail for memory after assembly: a solve's vectors, then the oracle's starts
+AFTER_ASSEMBLY = [
+    ("iterate", "kind = pdirichlet1d\np = 3\nn = 30000000\n"),
+    ("oracle", "kind = pdirichlet1d\np = 3\nn = 5\n[oracle]\nrestarts = 1000000000\n"),
+]
+#: a child's script: ``main`` runs each (command, config) pair it is given, and prints each exit code
+MAIN_EACH = """import sys
 from rayflow.cli import main
-for cfg in sys.argv[1:]:
-    print(main(["iterate", "--config", cfg, "--out", cfg + ".out"]))
+for command, cfg in zip(sys.argv[1::2], sys.argv[2::2]):
+    print(main([command, "--config", cfg, "--out", cfg + ".out"]))
 """
+
+
+def main_in_2gib(runs):
+    """``MAIN_EACH`` on (command, config) pairs, in a child limited to 2 GiB of
+    address space, so that no run here can touch gigabytes whatever the
+    host's overcommit policy."""
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", MAIN_EACH, *(arg for run in runs for arg in run)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(Path(rayflow.cli.__file__).parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+    )
+
 
 #: every JSON file's keys, in the order they are written
 JSON_KEYS = {
@@ -311,21 +331,21 @@ class TestConfigErrors:
         assert err.startswith(f"error: n: must be at most {MAX_N}, ") and "Traceback" not in err
 
     def test_instance_past_memory_exits_2_naming_its_key(self, tmp_path):
-        # in a child limited to 2 GiB of address space, so that no run here
-        # can touch gigabytes whatever the host's overcommit policy
         cfgs = [write(tmp_path, "[instance]\n" + body, f"{i}.cfg") for i, (body, _) in enumerate(PAST_MEMORY)]
-        run = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-c", ITERATE_EACH, *cfgs],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(Path(rayflow.cli.__file__).parents[1])},
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
-        )
+        run = main_in_2gib([("iterate", cfg) for cfg in cfgs])
         assert run.returncode == 0 and "Traceback" not in run.stderr, run.stderr
         assert run.stdout.splitlines() == ["2"] * len(PAST_MEMORY)
         for line, (_, start) in zip(run.stderr.splitlines(), PAST_MEMORY, strict=True):
             assert line.startswith("error: " + start), line
+
+    def test_out_of_memory_after_assembly_exits_1(self, tmp_path):
+        # the instance fits; a solve or the oracle's starts do not
+        runs = [(command, write(tmp_path, "[instance]\n" + body, f"{command}.cfg")) for command, body in AFTER_ASSEMBLY]
+        run = main_in_2gib(runs)
+        assert run.returncode == 0 and "Traceback" not in run.stderr, run.stderr
+        assert run.stdout.splitlines() == ["1"] * len(AFTER_ASSEMBLY)
+        for line, _ in zip(run.stderr.splitlines(), AFTER_ASSEMBLY, strict=True):
+            assert line.startswith("numeric failure: out of memory: "), line
 
     @pytest.mark.parametrize(
         "kind", ["pdirichlet1d", "pdirichlet2d", "fractional1d", "robin1d", "neumann1d", "supdirichlet1d", "steklov1d"]
@@ -524,7 +544,7 @@ class TestOutputs:
     def test_uncertified_oracle_exits_1_and_keeps_result(self, tmp_path, monkeypatch):
         cfg = write(tmp_path, MATRIX_COMPARE + "\n[oracle]\ntol = 1e-8\n")
 
-        def uncertified(inst, restarts, tol, seed):
+        def uncertified(inst, restarts, tol):
             return OracleResult(1.5, np.array([1.0, 0.0]), OracleMethod.JACOBI_EIG, 0.52)
 
         monkeypatch.setattr(rayflow.cli, "oracle_lambda", uncertified)
@@ -538,8 +558,26 @@ class TestOutputs:
         # a certificate of 2 tol fails the gate; one of exactly tol passes
         cfg = write(tmp_path, MATRIX_COMPARE + "\n[oracle]\ntol = 1e-8\n")
         result = OracleResult(1.5, np.array([1.0, 0.0]), OracleMethod.JACOBI_EIG, factor * 1e-8)
-        monkeypatch.setattr(rayflow.cli, "oracle_lambda", lambda inst, restarts, tol, seed: result)
+        monkeypatch.setattr(rayflow.cli, "oracle_lambda", lambda inst, restarts, tol: result)
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == code
+
+    def test_oracle_reads_no_run_seed(self, tmp_path):
+        # lambda depends on Phi and the norm alone: a random restart must not move with --seed
+        cfg = write(tmp_path, "[instance]\nkind = steklov1d\np = 1.5\nn = 15\n")
+        files = []
+        for seed in ("0", "7"):
+            out = tmp_path / seed
+            assert main(["oracle", "--config", cfg, "--out", str(out), "--seed", seed, "--quiet"]) == 0
+            files.append((out / "oracle_result.json").read_bytes())
+        assert files[0] == files[1]
+        assert json.loads(files[0])["lambda_star"] == direct_rayleigh_min(Steklov1D(1.5, 15)).lambda_star
+
+    def test_random_start_takes_a_negative_seed(self, tmp_path):
+        cfg = write(tmp_path, PD_ITERATE + "u0 = random\n")
+        assert main(["iterate", "--config", cfg, "--out", str(tmp_path), "--seed", "-1", "--quiet"]) == 0
+        inst = PDirichlet1D(3.0, 9)
+        start = (tmp_path / "iterate_trace.csv").read_text().split("\n")[1].split(",")
+        assert float(start[1]) == inst.space.norm(start_vector(inst, "random", -1))
 
     @pytest.mark.parametrize("u0", ["ramp", "random"])
     def test_start_policy_and_run_seed(self, tmp_path, u0):
