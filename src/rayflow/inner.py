@@ -319,12 +319,7 @@ def _smooth_movement(inst, g, c, tol, v0):
     """The movement step by ``descend`` from v0 to the residual ``tol``,
     for the anchor g (both normalized) and c = tau^(p-1).
 
-    The penalty ||v - g||^p / (p c) is exact for every p.  ||u||^p
-    is the power sum of u weighted by m: the pairing weights, or on trace
-    spaces 1 on the boundary nodes and 0 inside.  Differences off the
-    boundary are zeroed, so the dual gradient (m/w) times the kernel is the
-    kernel itself (w is 1 on the boundary), and the p < 2 curvature floor
-    of the Newton direction sees the boundary only.
+    The penalty ||v - g||^p / (p c) is exact for every p.
 
     Quotient spaces use the same plain penalty: Phi is shift-invariant, so
     the unconstrained minimizer settles on the representative whose
@@ -334,14 +329,14 @@ def _smooth_movement(inst, g, c, tol, v0):
     point.
     """
     space, p = inst.space, inst.p
-    trace = space.kind is SpaceKind.TRACE_BOUNDARY
-    w = m = space.pairing_weights()
-    if trace:
-        m = np.zeros(space.dim)
-        m[space._boundary_index] = 1.0
+    w, m = space.pairing_weights(), space.norm_weights()
+    on = m / w  # 1 on the nodes the norm reads, 0 elsewhere
+    memo = [None, None]  # the last point differenced and its difference
 
-    def diff(v):
-        return (v - g) * m if trace else v - g
+    def diff(v):  # descend evaluates the gradient and the curvature at its last value's point
+        if v is not memo[0]:
+            memo[:] = v, (v - g) * on
+        return memo[1]
 
     def value(v):
         return inst.value(v) + _power_sum(diff(v), p, m) / (p * c)

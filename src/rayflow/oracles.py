@@ -262,8 +262,9 @@ def direct_rayleigh_min(
     """Direct minimization of p Phi(u)/||u||^p over the unit sphere.
 
     Runs the generic start ``start_vector(inst, "auto", seed)`` and
-    ``restarts`` seeded random starts at a coarse tolerance, keeps the best
-    by value (first on ties), then polishes it to the requested certificate
+    ``restarts`` random starts (each drawn from ``default_rng(seed)`` only
+    when its turn comes) at a coarse tolerance, keeps the best by value
+    (first on ties), then polishes it to the requested certificate
     tolerance (``check_oracle_options`` validates both).  The certificate
     is the relative dual-norm residual of dPhi(u) - lambda J_p(u).  The
     returned unit minimizer is sign-normalized like ``unit_representative``'s:
@@ -299,11 +300,11 @@ def direct_rayleigh_min(
     if space.dim > 256:
         raise DegenerateInputError("direct oracle is limited to dim <= 256")
 
-    starts = [start_vector(inst, "auto", seed), *np.random.default_rng(seed).standard_normal((restarts, space.dim))]
-
+    rng = np.random.default_rng(seed)
     best = None
     coarse = max(tol, 1e-5)
-    for idx, u0 in enumerate(starts):
+    for idx in range(restarts + 1):
+        u0 = start_vector(inst, "auto", seed) if idx == 0 else rng.standard_normal(space.dim)
         try:
             u, lam, cert = _spg(inst, u0, coarse, 800)
         except DegenerateInputError:

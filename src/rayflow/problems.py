@@ -522,6 +522,7 @@ class Steklov1D(_Chain1D):
     kind = "steklov1d"
 
     def __init__(self, p, n, L=1.0):
+        n = _grid(p, n, L)[1]  # an int, so the boundary indices are ints
         super().__init__(p, n, L, SpaceKind.TRACE_BOUNDARY, boundary=(0, n - 1))
         self.ground, self.mass = slice(None), self.h
 

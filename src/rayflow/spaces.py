@@ -8,10 +8,12 @@ Four norm families are supported on coefficient vectors in R^dim:
 * trace-boundary:   ||u|| = (sum_{i in boundary} |u_i|^p)^(1/p)
 
 Dual vectors are stored as coefficient arrays under the pairing
-<xi, u> = sum_i w_i xi_i u_i, where the pairing weight w_i is the cell
-measure h for Lp-type spaces, 1 for sup spaces, and (1 on the boundary,
-h in the interior) for trace spaces.  With this convention the duality
-map has exact closed forms and the identities
+<xi, u> = sum_i w_i xi_i u_i.  Every norm but sup (where w = 1) is also
+given by norm weights m, ||u||^p = sum_i m_i |u_i|^p (for the shifted u on
+quotient spaces), where m is w on the nodes the norm reads and 0 elsewhere:
+w = m = h on Lp-type spaces, and on trace spaces w = m = 1 on the boundary
+and w = h, m = 0 inside.  With this convention the duality map has exact
+closed forms and the identities
 
     <J_p(u), u> = ||u||^p = ||J_p(u)||_*^q
 
@@ -98,8 +100,8 @@ class SpaceDescriptor:
 
     ``weight`` is the uniform cell measure h used by the Lp-type norms and
     pairings.  ``boundary`` lists the indices carrying the trace norm and is
-    required (only) for trace-boundary spaces.  The pairing weights and
-    the boundary index array are built once, read-only.
+    required (only) for trace-boundary spaces.  The pairing and norm weights
+    are built once, read-only.
     """
 
     kind: SpaceKind
@@ -116,19 +118,20 @@ class SpaceDescriptor:
             raise DegenerateInputError(f"homogeneity degree must satisfy p > 1, got p={self.p}")
         if not (self.weight > 0.0):
             raise DegenerateInputError(f"space weight must be > 0, got {self.weight}")
-        if self.kind is SpaceKind.TRACE_BOUNDARY:
-            if not self.boundary:
-                raise DegenerateInputError("trace-boundary space needs boundary indices")
-            if any(i < 0 or i >= self.dim for i in self.boundary):
-                raise DegenerateInputError("boundary index out of range")
         w = np.full(self.dim, 1.0 if self.kind is SpaceKind.SUP else self.weight)
-        b = np.array(self.boundary, dtype=int)
+        m = w.copy()
         if self.kind is SpaceKind.TRACE_BOUNDARY:
-            w[b] = 1.0
-        w.flags.writeable = b.flags.writeable = False
+            b = list(self.boundary)
+            if not b or np.asarray(b).dtype.kind not in "iu" or not all(0 <= i < self.dim for i in b):
+                raise DegenerateInputError(f"boundary: trace space needs integer indices in [0, {self.dim}), got {b}")
+            m[:] = 0.0
+            w[b] = m[b] = 1.0
+        w.flags.writeable = m.flags.writeable = False
         object.__setattr__(self, "q", self.p / (self.p - 1.0))
         object.__setattr__(self, "_weights", w)
-        object.__setattr__(self, "_boundary_index", b)
+        object.__setattr__(self, "_norm_weights", m)
+        # the nodes the norm reads; all of them by a view, so the Lp-type norms copy nothing
+        object.__setattr__(self, "_support", slice(None) if m.all() else np.flatnonzero(m))
 
     def check_dim(self, values) -> np.ndarray:
         v = np.asarray(values, dtype=float)
@@ -140,6 +143,10 @@ class SpaceDescriptor:
         """Weights w_i of the duality pairing <xi, u> = sum w_i xi_i u_i (read-only)."""
         return self._weights
 
+    def norm_weights(self) -> np.ndarray:
+        """Weights m_i of ||u||^p = sum m_i |u_i|^p, on every kind but sup (read-only)."""
+        return self._norm_weights
+
     def norm(self, u) -> float:
         return self.representative_norm(u)[1]
 
@@ -150,11 +157,9 @@ class SpaceDescriptor:
         p = self.p
         if self.kind is SpaceKind.SUP:
             return u, float(np.abs(u).max())
-        if self.kind is SpaceKind.TRACE_BOUNDARY:
-            return u, _scaled_pnorm(u[self._boundary_index], 1.0, p)
         if self.kind is SpaceKind.QUOTIENT_LP:
             u = u + optimal_shift(u, self)
-        return u, _scaled_pnorm(u, self.weight, p)
+        return u, _scaled_pnorm(u[self._support], self._norm_weights[self._support], p)
 
     def dual_norm(self, xi) -> float:
         """Norm on the dual space, sup{<xi,u> : ||u|| <= 1}, in closed form.
@@ -185,15 +190,12 @@ class SpaceDescriptor:
         """
         u = self.check_dim(u)
         p = self.p
-        if self.kind in (SpaceKind.SUP, SpaceKind.TRACE_BOUNDARY):
-            # supported on the first peak of |u| (sup) or on the boundary (trace)
-            b = [int(np.abs(u).argmax())] if self.kind is SpaceKind.SUP else self._boundary_index
-            xi = np.zeros(self.dim)
-            xi[b] = signed_power(u[b], p - 1.0)
-        elif self.kind is SpaceKind.QUOTIENT_LP:
+        if self.kind is SpaceKind.QUOTIENT_LP:
             xi = _zero_mean_dual(u + optimal_shift(u, self), p, self.pairing_weights())
-        else:
-            xi = signed_power(u, p - 1.0)
+        else:  # supported on the nodes the norm reads, on sup spaces the first peak of |u|
+            s = int(np.abs(u).argmax()) if self.kind is SpaceKind.SUP else self._support
+            xi = np.zeros(self.dim)
+            xi[s] = signed_power(u[s], p - 1.0)
         if not np.isfinite(xi).all():
             raise DegenerateInputError("dual vector has non-finite entries")
         return xi

@@ -84,11 +84,13 @@ PAST_MEMORY = [
     (f"kind = pdirichlet2d\np = 3\nn = {MAX_N}\n", "n: kind 'pdirichlet2d' does not fit in memory: "),
     ("kind = matrix\ndiag =" + " 1" * 20000 + "\n", "diag: kind 'matrix' does not fit in memory: "),
 ]
-#: runs that fail for memory after assembly: a solve's vectors, then the oracle's starts
+#: runs that fail for memory after assembly: a solve's vectors
 AFTER_ASSEMBLY = [
     ("iterate", "kind = pdirichlet1d\np = 3\nn = 30000000\n"),
-    ("oracle", "kind = pdirichlet1d\np = 3\nn = 5\n[oracle]\nrestarts = 1000000000\n"),
 ]
+#: an oracle run whose 10^9 restarts would need 37 GiB of starts drawn at once;
+#: it draws them one at a time, and the Picone stop ends it at the first start
+MANY_RESTARTS = ("oracle", "kind = pdirichlet1d\np = 3\nn = 5\n[oracle]\nrestarts = 1000000000\n")
 #: a child's script: ``main`` runs each (command, config) pair it is given, and prints each exit code
 MAIN_EACH = """import sys
 from rayflow.cli import main
@@ -339,11 +341,16 @@ class TestConfigErrors:
             assert line.startswith("error: " + start), line
 
     def test_out_of_memory_after_assembly_exits_1(self, tmp_path):
-        # the instance fits; a solve or the oracle's starts do not
-        runs = [(command, write(tmp_path, "[instance]\n" + body, f"{command}.cfg")) for command, body in AFTER_ASSEMBLY]
+        # the instance fits; a solve does not, while the oracle's many restarts do
+        runs = [
+            (command, write(tmp_path, "[instance]\n" + body, f"{command}.cfg"))
+            for command, body in [*AFTER_ASSEMBLY, MANY_RESTARTS]
+        ]
         run = main_in_2gib(runs)
         assert run.returncode == 0 and "Traceback" not in run.stderr, run.stderr
-        assert run.stdout.splitlines() == ["1"] * len(AFTER_ASSEMBLY)
+        *codes, oracle_line, oracle_code = run.stdout.splitlines()
+        assert codes == ["1"] * len(AFTER_ASSEMBLY) and oracle_code == "0"
+        assert oracle_line.startswith("oracle: lambda_star=26.7656203864038"), oracle_line
         for line, _ in zip(run.stderr.splitlines(), AFTER_ASSEMBLY, strict=True):
             assert line.startswith("numeric failure: out of memory: "), line
 

@@ -209,6 +209,12 @@ class TestAssemble:
             inst = assemble({"kind": kind, "p": 2.0, "n": 4})
             assert inst.space.kind is space_kind
 
+    def test_steklov_ends_are_int_node_indices(self):
+        # assemble passes n as a float; the boundary must still be node indices
+        space = assemble({"kind": "steklov1d", "p": 3, "n": 7}).space
+        assert [type(i) for i in space.boundary] == [int, int]
+        assert np.arange(7.0)[list(space.boundary)].tolist() == [0.0, 6.0]
+
     def test_matrix_requires_symmetry(self):
         with pytest.raises(ConfigError, match="matrix"):
             assemble({"kind": "matrix", "matrix": [[1.0, 2.0], [0.0, 1.0]]})

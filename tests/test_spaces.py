@@ -63,7 +63,14 @@ class TestNorm:
 
     def test_trace_sees_boundary_only(self):
         s = trace(4, 2.0)
-        assert s.norm([3.0, 100.0, -50.0, 4.0]) == pytest.approx(5.0, rel=1e-15)
+        for u in ([3.0, 100.0, -50.0, 4.0], [3.0, math.inf, -50.0, 4.0]):
+            assert s.norm(u) == pytest.approx(5.0, rel=1e-15)
+            assert s.duality_map(u).tolist() == [3.0, 0.0, 0.0, 4.0]
+
+    @pytest.mark.parametrize("boundary", [(), (0, 2.7), (0, 3.0), (0, 4), (-1, 3)])
+    def test_trace_refuses_a_boundary_that_is_no_node_index(self, boundary):
+        with pytest.raises(DegenerateInputError, match="^boundary: "):
+            SpaceDescriptor(SpaceKind.TRACE_BOUNDARY, 4, 3.0, boundary=boundary)
 
     def test_dimension_mismatch(self):
         with pytest.raises(SpaceMismatchError):
@@ -135,15 +142,17 @@ class TestPairing:
     @pytest.mark.parametrize("kind", list(SpaceKind))
     def test_weights_built_once_and_read_only(self, kind):
         s = SpaceDescriptor(kind, 4, 3.0, weight=0.25, boundary=(0, 3))
-        w = s.pairing_weights()
-        assert s.pairing_weights() is w
-        want = {SpaceKind.SUP: [1.0] * 4, SpaceKind.TRACE_BOUNDARY: [1.0, 0.25, 0.25, 1.0]}.get(kind, [0.25] * 4)
-        assert w.tolist() == want
-        with pytest.raises(ValueError, match="read-only"):
-            w[0] = 2.0
-        with pytest.raises(ValueError, match="read-only"):
-            w *= 2.0
-        assert w.tolist() == want
+        want_pairing = {SpaceKind.SUP: [1.0] * 4, SpaceKind.TRACE_BOUNDARY: [1.0, 0.25, 0.25, 1.0]}.get(kind, [0.25] * 4)
+        want_norm = {SpaceKind.TRACE_BOUNDARY: [1.0, 0.0, 0.0, 1.0]}.get(kind, want_pairing)
+        for weights, want in ((s.pairing_weights, want_pairing), (s.norm_weights, want_norm)):
+            w = weights()
+            assert weights() is w
+            assert w.tolist() == want
+            with pytest.raises(ValueError, match="read-only"):
+                w[0] = 2.0
+            with pytest.raises(ValueError, match="read-only"):
+                w *= 2.0
+            assert w.tolist() == want
 
     def test_holder(self):
         rng = np.random.default_rng(6)
@@ -197,9 +206,11 @@ class TestDualityMap:
     def test_identities_random(self):
         # <xi,u> = ||u||^p = ||xi||_*^q within 1e-12 relative, at magnitudes
         # from 1e-3 to 1e3 and at 1e-70 (where |u|^p underflows for large p
-        # and both sides are zero); quotient duals have zero weighted mean
+        # and both sides are zero); quotient duals have zero weighted mean; a
+        # boundary node listed twice is one node of the trace norm
         rng = np.random.default_rng(7)
         spaces = ALL_SPACES + [quot(9, p, 0.3) for p in (1.05, 1.1, 1.2, 20.0)]
+        spaces.append(SpaceDescriptor(SpaceKind.TRACE_BOUNDARY, 5, 3.0, weight=0.2, boundary=(0, 0, 3)))
         for s in spaces:
             p, q = s.p, s.q
             w = s.pairing_weights()
